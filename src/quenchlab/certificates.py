@@ -237,7 +237,9 @@ def rate_certificate(trajectory: Trajectory, lam1: float, nu1: float, *,
 
 @dataclass(frozen=True)
 class CaseReport:
-    """Classification of a configuration with the evidence that produced it."""
+    """Classification of a configuration with the evidence that produced it.
+    ``second`` is None when none was found, and when the initial data lie
+    below the minimal state, which decides a1 (or c) without a search."""
 
     case: str
     expectation: str
@@ -274,20 +276,17 @@ def classify_case(grid: Grid, model: Model, params: ParamPoint,
     minimal = membership.solution if isinstance(membership, InLambda) else None
 
     second = None
-    needs_second = recipe.kind in ("convex_combo", "above_second")
-    if needs_second or isinstance(membership, InLambda):
-        if minimal is not None:
-            second = second_solution_search(
-                grid, model, params, minimal,
-                seed_amplitude=seed_amplitude, op=op)
-            if second is None and needs_second:
-                raise ConfigError(
-                    f"initial recipe {recipe.kind!r} needs a second steady "
-                    "state and the search found none")
-        elif needs_second:
+    if recipe.kind in ("convex_combo", "above_second"):
+        if minimal is None:
             raise ConfigError(
                 f"initial recipe {recipe.kind!r} needs steady states, but the "
                 f"membership verdict is {membership.status!r}")
+        second = second_solution_search(
+            grid, model, params, minimal, seed_amplitude=seed_amplitude, op=op)
+        if second is None:
+            raise ConfigError(
+                f"initial recipe {recipe.kind!r} needs a second steady "
+                "state and the search found none")
 
     try:
         u0, v0 = materialize_initial(
@@ -307,6 +306,12 @@ def classify_case(grid: Grid, model: Model, params: ParamPoint,
     def above(a0, b0, pair) -> bool:
         return bool(np.all(a0 >= pair[0] - order_slack)
                     and np.all(b0 >= pair[1] - order_slack))
+
+    # Only data above the minimal state need a second state to compare against.
+    if (second is None and minimal is not None
+            and not below(u0, v0, (minimal.w, minimal.z))):
+        second = second_solution_search(
+            grid, model, params, minimal, seed_amplitude=seed_amplitude, op=op)
 
     if bound.applicable:
         case, expectation = "c", ("finite-time quench certified with an "

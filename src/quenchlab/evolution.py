@@ -30,7 +30,6 @@ from .grid import (
 from .model import Model, ParamPoint
 
 _LEVEL_BISECT_ITERS = 40
-_SOLVER_CACHE_MAX = 64
 
 
 class TerminalStatus(enum.Enum):
@@ -276,19 +275,8 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
         reference = (grid.check_field(reference[0], "reference u"),
                      grid.check_field(reference[1], "reference v"))
 
-    solvers: dict[float, DiscreteOperator] = {}
-
-    def solver_for(dt: float) -> DiscreteOperator:
-        cached = solvers.get(dt)
-        if cached is None:
-            if len(solvers) >= _SOLVER_CACHE_MAX:
-                solvers.clear()
-            cached = op.shifted(1.0, dt)
-            solvers[dt] = cached
-        return cached
-
     def single(uc, vc, dt):
-        return _imex_step(uc, vc, dt, solver_for(dt), alpha, beta,
+        return _imex_step(uc, vc, dt, op.shifted(1.0, dt), alpha, beta,
                           model, params, config.tol_lin)
 
     if config.fixed_dt:

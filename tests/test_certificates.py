@@ -194,6 +194,40 @@ def test_classify_all_cases():
     assert report.bound.applicable
 
 
+def test_classify_searches_second_state_only_when_needed(monkeypatch):
+    import quenchlab.certificates as certificates
+
+    calls = []
+    search = certificates.second_solution_search
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "second_solution_search", counted)
+    g, op, eig = unit_stack(99)
+    model = power2_model()
+    kw = dict(op=op, eigenpair=eig)
+
+    # data below the minimal state: a1 is decided without a second state
+    for recipe in (InitialData.zero(), InitialData.scaled_minimal(0.5)):
+        report = classify_case(g, model, ParamPoint(0.5, 0.5), recipe, **kw)
+        assert report.case == "a1"
+        assert report.second is None
+    assert calls == []
+
+    # recipes built on the second state, and data above the minimal state
+    params = ParamPoint(1.0, 1.0)
+    minimal = classify_case(g, model, params, InitialData.zero(), **kw).membership.solution
+    for recipe, case in ((InitialData.convex_combo(0.5), "a21"),
+                         (InitialData.above_second(0.05), "a22"),
+                         (InitialData.explicit(1.5 * minimal.w, 1.5 * minimal.z), "a21")):
+        report = classify_case(g, model, params, recipe, **kw)
+        assert report.case == case
+        assert report.second is not None
+    assert len(calls) == 3
+
+
 def test_classify_undetermined_membership():
     stack = unit_stack(99)
     g, op, eig = stack

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quenchlab import (
+    SolverBreakdownError,
     assemble_laplacian,
     gradient_inner,
     integrate,
@@ -156,7 +158,61 @@ def test_shifted_operator_action():
     x = rng.random(g.n_total)
     dt = 0.37
     sh = op.shifted(1.0, dt)
+    # a shift records its coefficients on the shared stencil and assembles nothing
+    assert (sh.identity_coeff, sh.operator_coeff) == (1.0, dt)
+    assert sh.stencil is op.stencil
+    assert "matrix" not in vars(sh)
     np.testing.assert_allclose(sh.apply(x), x + dt * op.apply(x), rtol=1e-14)
+    twice = sh.shifted(2.0, 3.0)
+    assert (twice.identity_coeff, twice.operator_coeff) == (5.0, 3.0 * dt)
+    expect = 2.0 * x + 3.0 * sh.apply(x)
+    np.testing.assert_allclose(twice.apply(x), expect, rtol=0.0,
+                               atol=1e-14 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("coeffs", [(-1.0, 1.0), (1.0, -0.5), (0.0, 0.0), (np.nan, 1.0)])
+def test_shift_rejects_bad_coefficients(coeffs):
+    op = assemble_laplacian(interval(0.0, 1.0, 9))
+    with pytest.raises(ValueError):
+        op.shifted(*coeffs)
+
+
+SOLVER_GRIDS = {
+    "interval-1": interval(0.0, 1.0, 1),
+    "interval-13": interval(-0.5, 1.0, 13),
+    "rectangle-11x7": rectangle((0.0, 2.0), (0.0, 1.0), 11, 7),
+}
+
+
+@pytest.mark.parametrize("name", SOLVER_GRIDS)
+@pytest.mark.parametrize("coeffs", [(0.0, 1.0), (1.0, 1e-12), (1.0, 0.37), (1.0, 1e3)])
+def test_shifted_solve_matches_dense(name, coeffs):
+    g = SOLVER_GRIDS[name]
+    s, c = coeffs
+    op = assemble_laplacian(g).shifted(s, c)
+    dense = s * np.eye(g.n_total) + c * op.stencil.toarray()
+    rhs = np.random.default_rng(5).standard_normal(g.n_total)
+    expect = np.linalg.solve(dense, rhs)
+    u = solve_poisson(op, rhs)
+    assert np.linalg.norm(u - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("name", ["interval-13", "rectangle-11x7"])  # a 1x1 solve can be exact
+def test_solve_raises_when_backward_error_misses_tolerance(name):
+    g = SOLVER_GRIDS[name]
+    rhs = np.random.default_rng(6).random(g.n_total) + 0.1
+    with pytest.raises(SolverBreakdownError):
+        solve_poisson(assemble_laplacian(g).shifted(1.0, 0.37), rhs, tol_lin=0.0)
+
+
+def test_eigenpair_matches_dense_rectangle():
+    g = SOLVER_GRIDS["rectangle-11x7"]
+    op = assemble_laplacian(g)
+    lam1, phi = principal_laplacian_eigenpair(op)
+    values, vectors = scipy.linalg.eigh(op.matrix.toarray())
+    assert lam1 == pytest.approx(values[0], rel=1e-12)
+    cosine = abs(float(phi @ vectors[:, 0])) / np.linalg.norm(phi)
+    assert cosine == pytest.approx(1.0, abs=1e-12)
 
 
 def test_check_field_rejects_bad_input():
