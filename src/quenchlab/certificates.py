@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -235,6 +236,46 @@ def rate_certificate(trajectory: Trajectory, lam1: float, nu1: float, *,
         nu1=nu1, lam1=lam1)
 
 
+_NEEDS_MINIMAL = ("scaled_minimal", "convex_combo", "above_second")
+_NEEDS_SECOND = ("convex_combo", "above_second")
+
+
+def initial_from_recipe(
+        recipe: InitialData, grid: Grid,
+        membership: Callable[[], MembershipVerdict],
+        find_second: Callable[[StationarySolution], StationarySolution | None]
+        ) -> tuple[tuple[FloatArray, FloatArray], StationarySolution | None]:
+    """The concrete initial pair of a recipe, and the second steady state it
+    was built from (None for recipes that use none).
+
+    ``membership()`` and ``find_second(minimal)`` are called only when the
+    recipe refers to the minimal or the second steady state.  A missing
+    state or an inadmissible pair is a ConfigError.
+    """
+    minimal = second = None
+    if recipe.kind in _NEEDS_MINIMAL:
+        verdict = membership()
+        if not isinstance(verdict, InLambda):
+            raise ConfigError(
+                f"initial recipe {recipe.kind!r} needs a minimal steady state, "
+                f"but the membership verdict is {verdict.status!r}")
+        minimal = verdict.solution
+    if recipe.kind in _NEEDS_SECOND:
+        second = find_second(minimal)
+        if second is None:
+            raise ConfigError(
+                f"initial recipe {recipe.kind!r} needs a second steady "
+                "state and the search found none")
+    try:
+        pair = materialize_initial(
+            recipe, grid,
+            minimal=None if minimal is None else (minimal.w, minimal.z),
+            second=None if second is None else (second.w, second.z))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return pair, second
+
+
 @dataclass(frozen=True)
 class CaseReport:
     """Classification of a configuration with the evidence that produced it.
@@ -275,27 +316,12 @@ def classify_case(grid: Grid, model: Model, params: ParamPoint,
         grid, model, params, op=op, eigenpair=eigenpair, **membership_kwargs)
     minimal = membership.solution if isinstance(membership, InLambda) else None
 
-    second = None
-    if recipe.kind in ("convex_combo", "above_second"):
-        if minimal is None:
-            raise ConfigError(
-                f"initial recipe {recipe.kind!r} needs steady states, but the "
-                f"membership verdict is {membership.status!r}")
-        second = second_solution_search(
-            grid, model, params, minimal, seed_amplitude=seed_amplitude, op=op)
-        if second is None:
-            raise ConfigError(
-                f"initial recipe {recipe.kind!r} needs a second steady "
-                "state and the search found none")
+    def find_second(base: StationarySolution) -> StationarySolution | None:
+        return second_solution_search(
+            grid, model, params, base, seed_amplitude=seed_amplitude, op=op)
 
-    try:
-        u0, v0 = materialize_initial(
-            recipe, grid,
-            minimal=None if minimal is None else (minimal.w, minimal.z),
-            second=None if second is None else (second.w, second.z))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    (u0, v0), second = initial_from_recipe(recipe, grid, lambda: membership,
+                                           find_second)
     bound = quench_time_bound(u0, v0, grid, model, params,
                               op=op, eigenpair=eigenpair)
 
@@ -310,8 +336,7 @@ def classify_case(grid: Grid, model: Model, params: ParamPoint,
     # Only data above the minimal state need a second state to compare against.
     if (second is None and minimal is not None
             and not below(u0, v0, (minimal.w, minimal.z))):
-        second = second_solution_search(
-            grid, model, params, minimal, seed_amplitude=seed_amplitude, op=op)
+        second = find_second(minimal)
 
     if bound.applicable:
         case, expectation = "c", ("finite-time quench certified with an "

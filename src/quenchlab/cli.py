@@ -9,11 +9,16 @@ Commands
     certify      case classification plus the applicable verification
 
 Configuration lives in one INI file with sections [domain], [model], [run];
-``--override section.key=value`` flags win over the file.  Every output embeds
-the fully resolved configuration, numeric CSV cells carry 17 significant
-digits, and a rerun with the same inputs is bit-identical.  Exit codes: 0 for
-success (for certify: certificate verified), 1 for a failed run or failed
-certificate, 2 for configuration errors (for certify also: nothing to verify).
+``--override section.key=value`` flags win over the file.  Each command builds
+one ``Run`` from the resolved configuration (grid, model, operator, principal
+Laplacian eigenpair; steady states and initial data on first use) and writes
+its artifacts from it.  Every output embeds the fully resolved configuration,
+numeric CSV cells carry 17 significant digits, and a rerun with the same
+inputs is bit-identical.  ``--threads`` is validated and echoed but has no
+effect.  Exit codes: 0 for success (for certify: certificate verified), 1 for
+a failed run, a failed certificate or a numerical error, 2 for configuration
+errors, including a ValueError while building the run or its initial data
+(for certify also: nothing to verify).
 """
 
 from __future__ import annotations
@@ -24,10 +29,16 @@ import json
 import math
 import os
 import sys
+from functools import cached_property
 
 import numpy as np
 
-from .certificates import classify_case, rate_certificate, verify_quench_bound
+from .certificates import (
+    classify_case,
+    initial_from_recipe,
+    rate_certificate,
+    verify_quench_bound,
+)
 from .errors import ConfigError, QuenchlabError
 from .evolution import StepperConfig, TerminalStatus, simulate
 from .grid import (
@@ -36,10 +47,19 @@ from .grid import (
     principal_laplacian_eigenpair,
     rectangle,
 )
-from .model import InitialData, Model, Nonlinearity, ParamPoint, Profile
+from .model import (
+    InitialData,
+    Model,
+    Nonlinearity,
+    ParamPoint,
+    Profile,
+    validate_hypotheses,
+)
 from .spectra import assemble_linearization, principal_eigenpair
 from .stationary import (
     InLambda,
+    MembershipVerdict,
+    StationarySolution,
     analytic_nonexistence_bound,
     mass_bound_check,
     monotone_minimal_solution,
@@ -255,40 +275,82 @@ def build_recipe(cfg: dict, grid) -> InitialData:
     return InitialData.above_second(m["initial_eps"])
 
 
-def _materialize_for_run(cfg: dict, grid, model, params, op, eigenpair):
-    """Concrete initial pair for simulate-style commands, computing the steady
-    states the recipe refers to.  Returns (u0, v0, minimal-or-None)."""
-    from .model import materialize_initial
+class Run:
+    """Everything one command computes from the resolved configuration.
 
-    recipe = build_recipe(cfg, grid)
-    r = cfg["run"]
-    minimal = None
-    second = None
-    if recipe.kind in ("scaled_minimal", "convex_combo", "above_second") \
-            or cfg["run"]["reference"] == "minimal":
-        verdict = monotone_minimal_solution(
-            grid, model, params, tol_stat=r["tol_stat"], max_iter=r["max_iter"],
-            delta_blow=r["delta_blow"], tol_res=r["tol_res"],
-            op=op, eigenpair=eigenpair)
-        if isinstance(verdict, InLambda):
-            minimal = verdict.solution
-        elif recipe.kind in ("scaled_minimal", "convex_combo", "above_second"):
-            raise ConfigError(
-                f"initial_kind {recipe.kind!r} needs a minimal steady state, "
-                f"but the membership verdict is {verdict.status!r}")
-    if recipe.kind in ("convex_combo", "above_second"):
-        second = second_solution_search(
-            grid, model, params, minimal,
-            seed_amplitude=r["seed_amplitude"], op=op)
-        if second is None:
-            raise ConfigError(
-                f"initial_kind {recipe.kind!r} needs a second steady state "
-                "and the search found none")
-    u0, v0 = materialize_initial(
-        recipe, grid,
-        minimal=None if minimal is None else (minimal.w, minimal.z),
-        second=None if second is None else (second.w, second.z))
-    return u0, v0, minimal
+    Building it is the config phase: the grid, model, parameters, stepper,
+    initial-data recipe, the model hypotheses and the horizon, where any
+    ValueError is a ConfigError.  The Laplacian and its principal eigenpair
+    follow at once.  The membership verdict (with the minimal steady state),
+    the second steady state and the initial pair are computed on first use.
+    """
+
+    def __init__(self, cfg: dict, command: str, threads: int):
+        self.command = command
+        self.settings = r = cfg["run"]
+        self.echo = _config_echo(cfg, command, threads)
+        try:
+            self.grid = build_grid(cfg)
+            self.model, self.params = build_model(cfg)
+            self.stepper = build_stepper(cfg)
+            self.recipe = build_recipe(cfg, self.grid)
+            hypotheses = validate_hypotheses(self.model, self.grid, self.params)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not hypotheses.ok:
+            raise ConfigError(f"model hypothesis violated: {hypotheses.first_violation}")
+        if not r["horizon"] > 0:
+            raise ConfigError(f"run.horizon must be positive, got {r['horizon']}",
+                              key="run.horizon")
+        self.op = assemble_laplacian(self.grid)
+        self.eigenpair = principal_laplacian_eigenpair(self.op)
+
+    @cached_property
+    def verdict(self) -> MembershipVerdict:
+        r = self.settings
+        return monotone_minimal_solution(
+            self.grid, self.model, self.params, tol_stat=r["tol_stat"],
+            max_iter=r["max_iter"], delta_blow=r["delta_blow"],
+            tol_res=r["tol_res"], op=self.op, eigenpair=self.eigenpair)
+
+    @property
+    def minimal(self) -> StationarySolution | None:
+        return self.verdict.solution if isinstance(self.verdict, InLambda) else None
+
+    def steady_state(self) -> StationarySolution:
+        """The minimal steady state, without which the command fails."""
+        if self.minimal is None:
+            raise QuenchlabError(f"{self.command} needs a steady state; "
+                                 f"membership verdict is {self.verdict.status!r}")
+        return self.minimal
+
+    @cached_property
+    def second(self) -> StationarySolution | None:
+        return second_solution_search(
+            self.grid, self.model, self.params, self.minimal,
+            seed_amplitude=self.settings["seed_amplitude"], op=self.op)
+
+    @cached_property
+    def initial(self) -> tuple[np.ndarray, np.ndarray]:
+        pair, _ = initial_from_recipe(self.recipe, self.grid,
+                                      lambda: self.verdict, lambda _: self.second)
+        return pair
+
+    def linearized_pair(self, state: StationarySolution, coupling_scale: float = 1.0):
+        """Principal eigenpair of the linearization at a steady state."""
+        return principal_eigenpair(assemble_linearization(
+            self.grid, self.model, self.params, state.w, state.z,
+            op=self.op, coupling_scale=coupling_scale))
+
+    def evolve(self, initial, reference=None):
+        return simulate(initial, self.grid, self.model, self.params, self.stepper,
+                        self.settings["horizon"], reference=reference, op=self.op)
+
+    def decay_rate(self, initial, minimal: StationarySolution):
+        """Trajectory against the minimal state and its decay-rate certificate."""
+        pair = self.linearized_pair(minimal)
+        trajectory = self.evolve(initial, reference=(minimal.w, minimal.z))
+        return trajectory, rate_certificate(trajectory, self.eigenpair[0], pair.nu1)
 
 
 def _fmt(value) -> str:
@@ -352,16 +414,10 @@ def read_table(path: str) -> tuple[dict, list[str], list[list[str]]]:
     return echo, header, rows
 
 
-def _coordinate_columns(grid) -> tuple[list[str], np.ndarray]:
-    names = ["x", "y"][: grid.dimension]
-    return names, grid.coordinates()
-
-
-def _field_rows(grid, fields: list[np.ndarray]):
-    _, coords = _coordinate_columns(grid)
-    for i in range(grid.n_total):
-        yield [float(coords[i, a]) for a in range(grid.dimension)] \
-            + [float(f[i]) for f in fields]
+def _write_fields(path: str, grid, columns: list[str], fields, echo: dict) -> None:
+    """One row per interior node: its coordinates, then each field's value."""
+    write_table(path, ["x", "y"][: grid.dimension] + columns,
+                np.column_stack([grid.coordinates(), *fields]).tolist(), echo)
 
 
 def _solution_payload(solution) -> dict:
@@ -375,40 +431,31 @@ def _solution_payload(solution) -> dict:
     }
 
 
-def cmd_stationary(cfg: dict, out: str, threads: int) -> int:
-    grid = build_grid(cfg)
-    model, params = build_model(cfg)
-    r = cfg["run"]
-    op = assemble_laplacian(grid)
-    eigenpair = principal_laplacian_eigenpair(op)
-    lam_bar, mu_bar = analytic_nonexistence_bound(grid, model, op=op,
-                                                  eigenpair=eigenpair)
-    verdict = monotone_minimal_solution(
-        grid, model, params, tol_stat=r["tol_stat"], max_iter=r["max_iter"],
-        delta_blow=r["delta_blow"], tol_res=r["tol_res"],
-        op=op, eigenpair=eigenpair)
-    echo = _config_echo(cfg, "stationary", threads)
+def cmd_stationary(run: Run, out: str) -> int:
+    grid = run.grid
+    lam_bar, mu_bar = analytic_nonexistence_bound(grid, run.model, op=run.op,
+                                                  eigenpair=run.eigenpair)
+    verdict = run.verdict
     payload = {
         "status": verdict.status,
-        "lambda": params.lam,
-        "mu": params.mu,
+        "lambda": run.params.lam,
+        "mu": run.params.mu,
         "lambda_bar": lam_bar,
         "mu_bar": mu_bar,
-        "config": echo,
+        "config": run.echo,
     }
     if isinstance(verdict, InLambda):
         solution = verdict.solution
         payload["solution"] = _solution_payload(solution)
-        report = mass_bound_check(solution.w, solution.z, grid, model, params,
-                                  op=op, eigenpair=eigenpair)
+        report = mass_bound_check(solution.w, solution.z, grid, run.model,
+                                  run.params, op=run.op, eigenpair=run.eigenpair)
         payload["mass_bound"] = {
             "mass_w": report.mass_w, "bound_w": report.bound_w,
             "mass_z": report.mass_z, "bound_z": report.bound_z,
             "passes": report.passes,
         }
-        names, _ = _coordinate_columns(grid)
-        write_table(os.path.join(out, "fields.csv"), names + ["w", "z"],
-                    _field_rows(grid, [solution.w, solution.z]), echo)
+        _write_fields(os.path.join(out, "fields.csv"), grid, ["w", "z"],
+                      [solution.w, solution.z], run.echo)
     elif verdict.status == "not-in-lambda":
         payload["evidence"] = verdict.evidence
         payload["detail"] = verdict.detail
@@ -420,69 +467,47 @@ def cmd_stationary(cfg: dict, out: str, threads: int) -> int:
     return 0
 
 
-def cmd_curve(cfg: dict, out: str, threads: int) -> int:
-    grid = build_grid(cfg)
-    model, _ = build_model(cfg)
-    r = cfg["run"]
+def cmd_curve(run: Run, out: str) -> int:
+    r = run.settings
     samples = r["lambda_samples"]
     if not samples:
         raise ConfigError("curve needs run.lambda_samples",
                           key="run.lambda_samples")
-    op = assemble_laplacian(grid)
-    eigenpair = principal_laplacian_eigenpair(op)
     curve = trace_critical_curve(
-        grid, model, samples, bisect_tol=r["bisect_tol"],
+        run.grid, run.model, samples, bisect_tol=r["bisect_tol"],
         tol_stat=r["tol_stat"], max_iter=r["curve_max_iter"],
-        delta_blow=r["delta_blow"], workers=threads,
-        op=op, eigenpair=eigenpair)
-    echo = _config_echo(cfg, "curve", threads)
+        delta_blow=r["delta_blow"], op=run.op, eigenpair=run.eigenpair)
     rows = [[s.lam, s.mu_critical, s.bracket_lo, s.bracket_hi, s.status]
             for s in curve.samples]
     write_table(os.path.join(out, "curve.csv"),
                 ["lam", "mu_critical", "bracket_lo", "bracket_hi", "status"],
-                rows, echo)
+                rows, run.echo)
     write_json(os.path.join(out, "curve.json"), {
         "lambda_star": list(curve.lambda_star),
         "mu_star": list(curve.mu_star),
         "bisect_tol": curve.bisect_tol,
         "non_increasing": curve.is_non_increasing(),
         "n_samples": len(curve.samples),
-        "config": echo,
+        "config": run.echo,
     })
     return 0
 
 
-def cmd_eigen(cfg: dict, out: str, threads: int) -> int:
-    grid = build_grid(cfg)
-    model, params = build_model(cfg)
-    r = cfg["run"]
-    op = assemble_laplacian(grid)
-    eigenpair = principal_laplacian_eigenpair(op)
-    verdict = monotone_minimal_solution(
-        grid, model, params, tol_stat=r["tol_stat"], max_iter=r["max_iter"],
-        delta_blow=r["delta_blow"], tol_res=r["tol_res"],
-        op=op, eigenpair=eigenpair)
-    if not isinstance(verdict, InLambda):
-        raise QuenchlabError(
-            f"eigen needs a steady state; membership verdict is {verdict.status!r}")
-    solution = verdict.solution
-    lin = assemble_linearization(grid, model, params, solution.w, solution.z,
-                                 op=op, coupling_scale=r["eigen_coupling_scale"])
-    pair = principal_eigenpair(lin)
-    echo = _config_echo(cfg, "eigen", threads)
+def cmd_eigen(run: Run, out: str) -> int:
+    solution = run.steady_state()
+    scale = run.settings["eigen_coupling_scale"]
+    pair = run.linearized_pair(solution, scale)
     write_json(os.path.join(out, "eigen.json"), {
         "nu1": pair.nu1,
         "residual": pair.residual,
         "iterations": pair.iterations,
-        "lambda1": eigenpair[0],
-        "coupling_scale": r["eigen_coupling_scale"],
+        "lambda1": run.eigenpair[0],
+        "coupling_scale": scale,
         "solution": _solution_payload(solution),
-        "config": echo,
+        "config": run.echo,
     })
-    names, _ = _coordinate_columns(grid)
-    write_table(os.path.join(out, "eigenfunctions.csv"),
-                names + ["phi", "psi"],
-                _field_rows(grid, [pair.phi, pair.psi]), echo)
+    _write_fields(os.path.join(out, "eigenfunctions.csv"), run.grid,
+                  ["phi", "psi"], [pair.phi, pair.psi], run.echo)
     return 0
 
 
@@ -501,42 +526,29 @@ def _quench_payload(event) -> dict | None:
 def _write_trajectory(trajectory, grid, out: str, echo: dict) -> None:
     columns = ["t", "max_u", "max_v", "ut_l2", "vt_l2", "energy",
                "dist2_u", "dist2_v", "dt"]
-    data = [trajectory.times, trajectory.max_u, trajectory.max_v,
-            trajectory.ut_l2, trajectory.vt_l2,
-            trajectory.energy, trajectory.dist2_u, trajectory.dist2_v,
-            trajectory.dt]
-    rows = ([float(col[i]) for col in data] for i in range(len(trajectory.times)))
-    write_table(os.path.join(out, "trajectory.csv"), columns, rows, echo)
+    data = [getattr(trajectory, "times" if c == "t" else c) for c in columns]
+    write_table(os.path.join(out, "trajectory.csv"), columns,
+                np.column_stack(data).tolist(), echo)
 
-    names, coords = _coordinate_columns(grid)
-    def snapshot_rows():
-        for t, u, v in trajectory.snapshots:
-            for i in range(grid.n_total):
-                yield [float(t)] \
-                    + [float(coords[i, a]) for a in range(grid.dimension)] \
-                    + [float(u[i]), float(v[i])]
+    coords, ones = grid.coordinates(), np.ones(grid.n_total)
+    rows = (row for t, u, v in trajectory.snapshots
+            for row in np.column_stack([t * ones, coords, u, v]).tolist())
     write_table(os.path.join(out, "snapshots.csv"),
-                ["t"] + names + ["u", "v"], snapshot_rows(), echo)
+                ["t"] + ["x", "y"][: grid.dimension] + ["u", "v"], rows, echo)
 
 
-def cmd_simulate(cfg: dict, out: str, threads: int) -> int:
-    grid = build_grid(cfg)
-    model, params = build_model(cfg)
-    r = cfg["run"]
-    op = assemble_laplacian(grid)
-    eigenpair = principal_laplacian_eigenpair(op)
-    u0, v0, minimal = _materialize_for_run(cfg, grid, model, params, op, eigenpair)
+def cmd_simulate(run: Run, out: str) -> int:
+    initial = run.initial
     reference = None
-    if r["reference"] == "minimal":
+    if run.settings["reference"] == "minimal":
+        minimal = run.minimal
         if minimal is None:
             raise ConfigError("run.reference = minimal, but no minimal steady "
                               "state exists at this parameter point",
                               key="run.reference")
         reference = (minimal.w, minimal.z)
-    trajectory = simulate((u0, v0), grid, model, params, build_stepper(cfg),
-                          r["horizon"], reference=reference, op=op)
-    echo = _config_echo(cfg, "simulate", threads)
-    _write_trajectory(trajectory, grid, out, echo)
+    trajectory = run.evolve(initial, reference=reference)
+    _write_trajectory(trajectory, run.grid, out, run.echo)
     write_json(os.path.join(out, "run.json"), {
         "status": trajectory.status.value,
         "steps": trajectory.n_steps,
@@ -545,35 +557,15 @@ def cmd_simulate(cfg: dict, out: str, threads: int) -> int:
         "final_max_v": float(trajectory.max_v[-1]),
         "quench": _quench_payload(trajectory.quench),
         "horizon": trajectory.horizon,
-        "config": echo,
+        "config": run.echo,
     })
     return 0
 
 
-def cmd_rate(cfg: dict, out: str, threads: int) -> int:
-    grid = build_grid(cfg)
-    model, params = build_model(cfg)
-    r = cfg["run"]
-    op = assemble_laplacian(grid)
-    eigenpair = principal_laplacian_eigenpair(op)
-    verdict = monotone_minimal_solution(
-        grid, model, params, tol_stat=r["tol_stat"], max_iter=r["max_iter"],
-        delta_blow=r["delta_blow"], tol_res=r["tol_res"],
-        op=op, eigenpair=eigenpair)
-    if not isinstance(verdict, InLambda):
-        raise QuenchlabError(
-            f"rate needs a steady state; membership verdict is {verdict.status!r}")
-    minimal = verdict.solution
-    recipe = build_recipe(cfg, grid)
-    from .model import materialize_initial
-    u0, v0 = materialize_initial(recipe, grid, minimal=(minimal.w, minimal.z))
-    lin = assemble_linearization(grid, model, params, minimal.w, minimal.z, op=op)
-    pair = principal_eigenpair(lin)
-    trajectory = simulate((u0, v0), grid, model, params, build_stepper(cfg),
-                          r["horizon"], reference=(minimal.w, minimal.z), op=op)
-    certificate = rate_certificate(trajectory, eigenpair[0], pair.nu1)
-    echo = _config_echo(cfg, "rate", threads)
-    _write_trajectory(trajectory, grid, out, echo)
+def cmd_rate(run: Run, out: str) -> int:
+    minimal = run.steady_state()
+    trajectory, certificate = run.decay_rate(run.initial, minimal)
+    _write_trajectory(trajectory, run.grid, out, run.echo)
     write_json(os.path.join(out, "rate.json"), {
         "gamma_claimed": certificate.gamma_claimed,
         "gamma_certified": certificate.gamma_certified,
@@ -585,24 +577,18 @@ def cmd_rate(cfg: dict, out: str, threads: int) -> int:
         "nu1": certificate.nu1,
         "lambda1": certificate.lam1,
         "note": certificate.note,
-        "config": echo,
+        "config": run.echo,
     })
     return 0 if certificate.passes else 1
 
 
-def cmd_certify(cfg: dict, out: str, threads: int) -> int:
-    grid = build_grid(cfg)
-    model, params = build_model(cfg)
-    r = cfg["run"]
-    op = assemble_laplacian(grid)
-    eigenpair = principal_laplacian_eigenpair(op)
-    recipe = build_recipe(cfg, grid)
-    report = classify_case(grid, model, params, recipe, op=op,
-                           eigenpair=eigenpair,
+def cmd_certify(run: Run, out: str) -> int:
+    r = run.settings
+    report = classify_case(run.grid, run.model, run.params, run.recipe,
+                           op=run.op, eigenpair=run.eigenpair,
                            seed_amplitude=r["seed_amplitude"],
                            tol_stat=r["tol_stat"], max_iter=r["max_iter"],
                            delta_blow=r["delta_blow"], tol_res=r["tol_res"])
-    echo = _config_echo(cfg, "certify", threads)
     payload = {
         "case": report.case,
         "expectation": report.expectation,
@@ -617,32 +603,15 @@ def cmd_certify(cfg: dict, out: str, threads: int) -> int:
             "applicable": report.bound.applicable,
         },
         "notes": list(report.notes),
-        "config": echo,
+        "config": run.echo,
     }
 
     if report.case == "none-established":
         payload["verification"] = {"kind": "none", "passes": None,
                                    "note": "no certificate applies"}
         exit_code = 2
-    elif report.case == "c":
-        trajectory = simulate(report.initial, grid, model, params,
-                              build_stepper(cfg), r["horizon"], op=op)
-        check = verify_quench_bound(trajectory, report.bound)
-        payload["verification"] = {
-            "kind": "quench-bound", "passes": check.passes,
-            "observed_time": check.observed_time,
-            "bound_used": check.bound_used, "note": check.note,
-        }
-        exit_code = 0 if check.passes else 1
     elif report.case in ("a1", "a21"):
-        minimal = report.membership.solution
-        lin = assemble_linearization(grid, model, params,
-                                     minimal.w, minimal.z, op=op)
-        pair = principal_eigenpair(lin)
-        trajectory = simulate(report.initial, grid, model, params,
-                              build_stepper(cfg), r["horizon"],
-                              reference=(minimal.w, minimal.z), op=op)
-        certificate = rate_certificate(trajectory, eigenpair[0], pair.nu1)
+        _, certificate = run.decay_rate(report.initial, report.membership.solution)
         payload["verification"] = {
             "kind": "decay-rate", "passes": certificate.passes,
             "fitted_rate": certificate.fitted_rate,
@@ -651,16 +620,24 @@ def cmd_certify(cfg: dict, out: str, threads: int) -> int:
             "note": certificate.note,
         }
         exit_code = 0 if certificate.passes else 1
-    else:  # b or a22: quench expected, no time bound certified
-        trajectory = simulate(report.initial, grid, model, params,
-                              build_stepper(cfg), r["horizon"], op=op)
-        quenched = trajectory.status is TerminalStatus.QUENCHED
-        payload["verification"] = {
-            "kind": "quench-expected", "passes": quenched,
-            "status": trajectory.status.value,
-            "quench": _quench_payload(trajectory.quench),
-        }
-        exit_code = 0 if quenched else 1
+    else:
+        trajectory = run.evolve(report.initial)
+        if report.case == "c":
+            check = verify_quench_bound(trajectory, report.bound)
+            payload["verification"] = {
+                "kind": "quench-bound", "passes": check.passes,
+                "observed_time": check.observed_time,
+                "bound_used": check.bound_used, "note": check.note,
+            }
+            passes = check.passes
+        else:  # b or a22: quench expected, no time bound certified
+            passes = trajectory.status is TerminalStatus.QUENCHED
+            payload["verification"] = {
+                "kind": "quench-expected", "passes": passes,
+                "status": trajectory.status.value,
+                "quench": _quench_payload(trajectory.quench),
+            }
+        exit_code = 0 if passes else 1
 
     payload["exit_code"] = exit_code
     write_json(os.path.join(out, "certify.json"), payload)
@@ -688,7 +665,8 @@ def _parse_args(argv):
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int,
                         default=int(os.environ.get("QUENCHLAB_THREADS", "1")),
-                        help="worker threads for parallel sweeps")
+                        help="accepted (>= 1) and echoed as config.threads; "
+                             "has no effect, every command runs in one thread")
     parser.add_argument("--override", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="override one configuration value; repeatable")
@@ -721,14 +699,12 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out, args.threads)
+        return _COMMANDS[args.command](Run(cfg, args.command, args.threads),
+                                       args.out)
     except ConfigError as exc:
         return _emit_error(args.out, exc, 2)
-    except QuenchlabError as exc:
+    except (QuenchlabError, ValueError) as exc:
         return _emit_error(args.out, exc, 1)
-    except ValueError as exc:
-        # Validation raised while building domain objects from the config.
-        return _emit_error(args.out, ConfigError(str(exc)), 2)
 
 
 if __name__ == "__main__":

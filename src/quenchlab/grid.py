@@ -267,11 +267,6 @@ def integrate(field: FloatArray, grid: Grid) -> float:
     return float(np.dot(grid.quad_weights, arr))
 
 
-def l2_norm(field: FloatArray, grid: Grid) -> float:
-    arr = grid.check_field(field)
-    return float(math.sqrt(np.dot(grid.quad_weights, arr * arr)))
-
-
 def gradient_inner(op: DiscreteOperator, u: FloatArray, v: FloatArray) -> float:
     """Quadrature of grad(u) . grad(v) with one-sided differences and zero boundary.
 

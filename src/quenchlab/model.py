@@ -104,15 +104,6 @@ class Nonlinearity:
             out = np.expm1((1.0 - self.p) * np.log1p(-arr)) / (self.p - 1.0)
         return _ret(out, scalar)
 
-    def eval(self, s, order: str):
-        """Dispatch on order in {'value', 'd1', 'd2', 'antideriv'}."""
-        try:
-            fn = {"value": self.value, "d1": self.deriv,
-                  "d2": self.deriv2, "antideriv": self.antideriv}[order]
-        except KeyError:
-            raise ValueError(f"unknown evaluation order {order!r}") from None
-        return fn(s)
-
     @property
     def at_zero(self) -> float:
         return self.value(0.0)
@@ -123,7 +114,9 @@ class Nonlinearity:
             return 14.0  # 1 + ln(1e6) ~ 14.8
         if self.family == "exp":
             return 1e5
-        return 0.1 * 1e6**self.p
+        # value(1 - 1e-6) is 1e6**p; past p = 50 it nears or passes the
+        # float range, so the threshold stops at 0.1 * 1e300.
+        return 0.1 * 1e6 ** min(self.p, 50.0)
 
 
 @dataclass(frozen=True)
@@ -298,14 +291,19 @@ def validate_hypotheses(model: Model, grid: Grid,
     failures: list[str] = []
 
     for name, nl in (("f", model.f), ("g", model.g)):
-        vals = nl.value(_LATTICE)
+        # Steep families overflow near 1; an inf value lies above every
+        # finite one, and inf - inf is no evidence against monotonicity.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = nl.value(_LATTICE)
+            increasing = (np.diff(vals) > 0) | np.isposinf(vals[1:])
+            d1, d2 = nl.deriv(_LATTICE), nl.deriv2(_LATTICE)
         if not np.all(vals > 0):
             failures.append(f"{name}: not strictly positive on the lattice")
-        if not np.all(np.diff(vals) > 0):
+        if not np.all(increasing):
             failures.append(f"{name}: not strictly increasing on the lattice")
-        if not np.all(nl.deriv(_LATTICE) > 0):
+        if not np.all(d1 > 0):
             failures.append(f"{name}: first derivative not positive on the lattice")
-        if not np.all(nl.deriv2(_LATTICE) > 0):
+        if not np.all(d2 > 0):
             failures.append(f"{name}: second derivative not positive on the lattice")
         if not vals[-1] > nl.singular_threshold():
             failures.append(f"{name}: no blow-up signature at 1 - 1e-6")

@@ -14,7 +14,6 @@ the existence region in the (lam, mu) quadrant.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -294,15 +293,13 @@ def trace_critical_curve(grid: Grid, model: Model, lam_samples, *,
                          max_iter_doublings: int = 4,
                          delta_blow: float = DEFAULT_DELTA_BLOW,
                          floor_factor: float = 1e-6,
-                         workers: int | None = None,
                          op: DiscreteOperator | None = None,
                          eigenpair: tuple[float, FloatArray] | None = None
                          ) -> CriticalCurve:
     """Bisection trace of the existence-region boundary over given lam samples.
 
     Also bisects both axis intercepts the same way, holding the other
-    parameter at its bracket floor.  Samples may be evaluated in parallel
-    (``workers``); results keep the input order either way.
+    parameter at its bracket floor.
     """
     if op is None:
         op = assemble_laplacian(grid)
@@ -325,12 +322,7 @@ def trace_critical_curve(grid: Grid, model: Model, lam_samples, *,
                            bracket_lo=raw.bracket_lo, bracket_hi=raw.bracket_hi,
                            status=raw.status, evaluations=raw.evaluations)
 
-    lam_samples = [float(v) for v in lam_samples]
-    if workers is not None and workers > 1 and len(lam_samples) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(locate_mu, lam_samples))
-    else:
-        samples = [locate_mu(lam) for lam in lam_samples]
+    samples = [locate_mu(float(lam)) for lam in lam_samples]
 
     # Axis intercepts: the critical value of one parameter with the other at
     # its bracket floor (the curve is approached from inside the quadrant).

@@ -242,3 +242,72 @@ def test_json_floats_round_trip(decay_ini, tmp_path):
     verdict = json.load(open(os.path.join(out, "verdict.json")))
     assert verdict["solution"]["max_w"] == pytest.approx(values[:, 1].max(),
                                                          abs=0.0)
+
+
+def test_curve_threads_have_no_effect(decay_ini, tmp_path):
+    rows = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"t{threads}")
+        assert main(["curve", "--config", decay_ini, "--out", out,
+                     "--threads", threads,
+                     "--override", "run.lambda_samples=0.5, 1.0",
+                     "--override", "run.bisect_tol=1e-2"]) == 0
+        echo, header, data = read_table(os.path.join(out, "curve.csv"))
+        assert echo["threads"] == int(threads)
+        rows.append(data)
+    assert rows[0] == rows[1]
+
+
+def test_numerical_value_error_exits_1(decay_ini, tmp_path, monkeypatch, capsys):
+    import quenchlab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("raised inside the integration")
+
+    monkeypatch.setattr(cli, "simulate", broken)
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", decay_ini, "--out", out]) == 1
+    saved = json.load(open(os.path.join(out, "error.json")))
+    assert saved["error"]["type"] == "ValueError"
+    assert saved["error"]["message"] == "raised inside the integration"
+    capsys.readouterr()
+
+
+def test_zero_horizon_is_config_error(decay_ini, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", decay_ini, "--out", out,
+                 "--override", "run.horizon=0"]) == 2
+    saved = json.load(open(os.path.join(out, "error.json")))
+    assert saved["error"]["type"] == "ConfigError"
+    assert saved["error"]["key"] == "run.horizon"
+    capsys.readouterr()
+
+
+def test_trivial_weight_is_config_error(decay_ini, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["stationary", "--config", decay_ini, "--out", out,
+                 "--override", "model.alpha_c=0"]) == 2
+    saved = json.load(open(os.path.join(out, "error.json")))
+    assert saved["error"]["type"] == "ConfigError"
+    assert "alpha: trivial" in saved["error"]["message"]
+    capsys.readouterr()
+
+
+def test_steep_power_is_admissible(decay_ini, tmp_path):
+    # The power family at p = 160 overflows on the hypothesis lattice.
+    out = str(tmp_path / "out")
+    assert main(["stationary", "--config", decay_ini, "--out", out,
+                 "--override", "model.f_p=160", "--override", "model.g_p=160"]) == 0
+    verdict = json.load(open(os.path.join(out, "verdict.json")))
+    assert verdict["status"] == "not-in-lambda"
+
+
+def test_rate_accepts_second_state_recipe(decay_ini, tmp_path):
+    out = str(tmp_path / "out")
+    code = main(["rate", "--config", decay_ini, "--out", out,
+                 "--override", "model.initial_kind=convex_combo",
+                 "--override", "model.lambda=1.2", "--override", "model.mu=1.2",
+                 "--override", "run.horizon=4.0"])
+    assert code != 2
+    rate = json.load(open(os.path.join(out, "rate.json")))
+    assert rate["config"]["model"]["initial_kind"] == "convex_combo"

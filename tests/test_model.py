@@ -69,17 +69,6 @@ def test_family_values_at_zero():
     assert Nonlinearity("power", p=2.5).deriv(0.0) == 2.5
 
 
-def test_eval_dispatch():
-    nl = Nonlinearity("log")
-    s = np.array([0.1, 0.5])
-    np.testing.assert_array_equal(nl.eval(s, "value"), nl.value(s))
-    np.testing.assert_array_equal(nl.eval(s, "d1"), nl.deriv(s))
-    np.testing.assert_array_equal(nl.eval(s, "d2"), nl.deriv2(s))
-    np.testing.assert_array_equal(nl.eval(s, "antideriv"), nl.antideriv(s))
-    with pytest.raises(ValueError):
-        nl.eval(s, "d3")
-
-
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         Nonlinearity("cubic")
@@ -129,6 +118,12 @@ def test_validate_hypotheses_clean_model():
     report = validate_hypotheses(_toy_model(), g)
     assert report.ok
     assert report.failures == ()
+    # Steep powers overflow on the lattice: p = 60 at 1 - 1e-6, p = 160
+    # already at 0.99.  Overflow is not a violation.
+    for p in (60.0, 160.0):
+        nl = Nonlinearity("power", p=p)
+        steep = Model(f=nl, g=nl, alpha=Profile("constant"), beta=Profile("constant"))
+        assert validate_hypotheses(steep, g).failures == ()
 
 
 def test_validate_hypotheses_flags_trivial_weight():

@@ -162,15 +162,6 @@ def test_curve_trace_brackets_and_monotonicity():
     assert 0.0 < lo <= hi
 
 
-def test_curve_trace_thread_determinism():
-    g, op, eig = unit_stack(49)
-    kw = dict(bisect_tol=5e-3, op=op, eigenpair=eig)
-    serial = trace_critical_curve(g, power2_model(), [0.5, 1.0], **kw)
-    pooled = trace_critical_curve(g, power2_model(), [0.5, 1.0], workers=2, **kw)
-    for a, b in zip(serial.samples, pooled.samples):
-        assert a == b
-
-
 def test_mass_bound_on_minimal_solution(unit99):
     g, op, eig = unit99
     model = power2_model()
