@@ -15,20 +15,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InsufficientDecayError
-from .grid import (
-    DiscreteOperator,
-    FloatArray,
-    Grid,
-    assemble_laplacian,
-    integrate,
-    principal_laplacian_eigenpair,
-)
+from .grid import FloatArray, Grid
 from .model import InitialData, Model, ParamPoint, materialize_initial
 from .stationary import (
     InLambda,
     MembershipVerdict,
     NotInLambda,
     StationarySolution,
+    _weighted_masses,
     monotone_minimal_solution,
     second_solution_search,
 )
@@ -75,10 +69,7 @@ class QuenchBound:
 
 
 def quench_time_bound(u0: FloatArray, v0: FloatArray, grid: Grid, model: Model,
-                      params: ParamPoint, *,
-                      op: DiscreteOperator | None = None,
-                      eigenpair: tuple[float, FloatArray] | None = None
-                      ) -> QuenchBound:
+                      params: ParamPoint) -> QuenchBound:
     """Quench-time bounds from pairing each equation with the principal
     eigenfunction phi (unit quadrature mass).
 
@@ -92,19 +83,8 @@ def quench_time_bound(u0: FloatArray, v0: FloatArray, grid: Grid, model: Model,
     Applicability forces both log arguments positive, so no further guard is
     needed; the v side mirrors with (mu, g, beta).
     """
-    if eigenpair is None:
-        if op is None:
-            op = assemble_laplacian(grid)
-        eigenpair = principal_laplacian_eigenpair(op)
-    lam1, phi = eigenpair
-    alpha = model.alpha.sample(grid)
-    beta = model.beta.sample(grid)
-    if alpha.min() <= 0 or beta.min() <= 0:
-        raise ValueError("quench bound needs strictly positive weights")
-    k_alpha = integrate(phi / alpha, grid)
-    k_beta = integrate(phi / beta, grid)
-    mass_u = integrate(grid.check_field(u0, "u0") * phi, grid)
-    mass_v = integrate(grid.check_field(v0, "v0") * phi, grid)
+    lam1, k_alpha, k_beta, mass_u, mass_v = _weighted_masses(
+        grid, model, u0, v0, ("u0", "v0"))
 
     def side(mass: float, coeff: float, react0: float, k: float) -> tuple[float | None, float]:
         drive = coeff * react0
@@ -293,8 +273,6 @@ class CaseReport:
 
 def classify_case(grid: Grid, model: Model, params: ParamPoint,
                   recipe: InitialData, *,
-                  op: DiscreteOperator | None = None,
-                  eigenpair: tuple[float, FloatArray] | None = None,
                   seed_amplitude: float = 0.8,
                   order_slack: float = 1e-10,
                   **membership_kwargs) -> CaseReport:
@@ -306,24 +284,18 @@ def classify_case(grid: Grid, model: Model, params: ParamPoint,
     second steady state (a21 below it, a22 above it).  Anything else is
     reported as none-established rather than guessed.
     """
-    if op is None:
-        op = assemble_laplacian(grid)
-    if eigenpair is None:
-        eigenpair = principal_laplacian_eigenpair(op)
     notes: list[str] = []
 
-    membership = monotone_minimal_solution(
-        grid, model, params, op=op, eigenpair=eigenpair, **membership_kwargs)
+    membership = monotone_minimal_solution(grid, model, params, **membership_kwargs)
     minimal = membership.solution if isinstance(membership, InLambda) else None
 
     def find_second(base: StationarySolution) -> StationarySolution | None:
         return second_solution_search(
-            grid, model, params, base, seed_amplitude=seed_amplitude, op=op)
+            grid, model, params, base, seed_amplitude=seed_amplitude)
 
     (u0, v0), second = initial_from_recipe(recipe, grid, lambda: membership,
                                            find_second)
-    bound = quench_time_bound(u0, v0, grid, model, params,
-                              op=op, eigenpair=eigenpair)
+    bound = quench_time_bound(u0, v0, grid, model, params)
 
     def below(a0, b0, pair) -> bool:
         return bool(np.all(a0 <= pair[0] + order_slack)

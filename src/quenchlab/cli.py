@@ -10,15 +10,16 @@ Commands
 
 Configuration lives in one INI file with sections [domain], [model], [run];
 ``--override section.key=value`` flags win over the file.  Each command builds
-one ``Run`` from the resolved configuration (grid, model, operator, principal
-Laplacian eigenpair; steady states and initial data on first use) and writes
-its artifacts from it.  Every output embeds the fully resolved configuration,
-numeric CSV cells carry 17 significant digits, and a rerun with the same
-inputs is bit-identical.  ``--threads`` is validated and echoed but has no
-effect.  Exit codes: 0 for success (for certify: certificate verified), 1 for
-a failed run, a failed certificate or a numerical error, 2 for configuration
-errors, including a ValueError while building the run or its initial data
-(for certify also: nothing to verify).
+one ``Run`` from the resolved configuration (grid, model, parameters; steady
+states and initial data on first use) and writes its artifacts from it; the
+Laplacian and its principal eigenvalue lambda1 come from the grid.  Every
+output embeds the fully resolved configuration, numeric CSV cells carry 17
+significant digits, and a rerun with the same inputs is bit-identical.
+``--threads`` is validated and echoed but has no effect.  Exit codes: 0 for
+success (for certify: certificate verified), 1 for a failed run, a failed
+certificate or a numerical error, 2 for configuration errors, including a
+ValueError while building the run or its initial data (for certify also:
+nothing to verify).
 """
 
 from __future__ import annotations
@@ -41,12 +42,7 @@ from .certificates import (
 )
 from .errors import ConfigError, QuenchlabError
 from .evolution import StepperConfig, TerminalStatus, simulate
-from .grid import (
-    assemble_laplacian,
-    interval,
-    principal_laplacian_eigenpair,
-    rectangle,
-)
+from .grid import interval, principal_laplacian_eigenpair, rectangle
 from .model import (
     InitialData,
     Model,
@@ -280,9 +276,9 @@ class Run:
 
     Building it is the config phase: the grid, model, parameters, stepper,
     initial-data recipe, the model hypotheses and the horizon, where any
-    ValueError is a ConfigError.  The Laplacian and its principal eigenpair
-    follow at once.  The membership verdict (with the minimal steady state),
-    the second steady state and the initial pair are computed on first use.
+    ValueError is a ConfigError.  The membership verdict (with the minimal
+    steady state), the second steady state and the initial pair are computed
+    on first use.
     """
 
     def __init__(self, cfg: dict, command: str, threads: int):
@@ -302,8 +298,6 @@ class Run:
         if not r["horizon"] > 0:
             raise ConfigError(f"run.horizon must be positive, got {r['horizon']}",
                               key="run.horizon")
-        self.op = assemble_laplacian(self.grid)
-        self.eigenpair = principal_laplacian_eigenpair(self.op)
 
     @cached_property
     def verdict(self) -> MembershipVerdict:
@@ -311,7 +305,7 @@ class Run:
         return monotone_minimal_solution(
             self.grid, self.model, self.params, tol_stat=r["tol_stat"],
             max_iter=r["max_iter"], delta_blow=r["delta_blow"],
-            tol_res=r["tol_res"], op=self.op, eigenpair=self.eigenpair)
+            tol_res=r["tol_res"])
 
     @property
     def minimal(self) -> StationarySolution | None:
@@ -328,7 +322,7 @@ class Run:
     def second(self) -> StationarySolution | None:
         return second_solution_search(
             self.grid, self.model, self.params, self.minimal,
-            seed_amplitude=self.settings["seed_amplitude"], op=self.op)
+            seed_amplitude=self.settings["seed_amplitude"])
 
     @cached_property
     def initial(self) -> tuple[np.ndarray, np.ndarray]:
@@ -340,17 +334,18 @@ class Run:
         """Principal eigenpair of the linearization at a steady state."""
         return principal_eigenpair(assemble_linearization(
             self.grid, self.model, self.params, state.w, state.z,
-            op=self.op, coupling_scale=coupling_scale))
+            coupling_scale=coupling_scale))
 
     def evolve(self, initial, reference=None):
         return simulate(initial, self.grid, self.model, self.params, self.stepper,
-                        self.settings["horizon"], reference=reference, op=self.op)
+                        self.settings["horizon"], reference=reference)
 
     def decay_rate(self, initial, minimal: StationarySolution):
         """Trajectory against the minimal state and its decay-rate certificate."""
         pair = self.linearized_pair(minimal)
         trajectory = self.evolve(initial, reference=(minimal.w, minimal.z))
-        return trajectory, rate_certificate(trajectory, self.eigenpair[0], pair.nu1)
+        lam1, _ = principal_laplacian_eigenpair(self.grid.laplacian)
+        return trajectory, rate_certificate(trajectory, lam1, pair.nu1)
 
 
 def _fmt(value) -> str:
@@ -433,8 +428,7 @@ def _solution_payload(solution) -> dict:
 
 def cmd_stationary(run: Run, out: str) -> int:
     grid = run.grid
-    lam_bar, mu_bar = analytic_nonexistence_bound(grid, run.model, op=run.op,
-                                                  eigenpair=run.eigenpair)
+    lam_bar, mu_bar = analytic_nonexistence_bound(grid, run.model)
     verdict = run.verdict
     payload = {
         "status": verdict.status,
@@ -448,7 +442,7 @@ def cmd_stationary(run: Run, out: str) -> int:
         solution = verdict.solution
         payload["solution"] = _solution_payload(solution)
         report = mass_bound_check(solution.w, solution.z, grid, run.model,
-                                  run.params, op=run.op, eigenpair=run.eigenpair)
+                                  run.params)
         payload["mass_bound"] = {
             "mass_w": report.mass_w, "bound_w": report.bound_w,
             "mass_z": report.mass_z, "bound_z": report.bound_z,
@@ -476,7 +470,7 @@ def cmd_curve(run: Run, out: str) -> int:
     curve = trace_critical_curve(
         run.grid, run.model, samples, bisect_tol=r["bisect_tol"],
         tol_stat=r["tol_stat"], max_iter=r["curve_max_iter"],
-        delta_blow=r["delta_blow"], op=run.op, eigenpair=run.eigenpair)
+        delta_blow=r["delta_blow"], floor_factor=r["floor_factor"])
     rows = [[s.lam, s.mu_critical, s.bracket_lo, s.bracket_hi, s.status]
             for s in curve.samples]
     write_table(os.path.join(out, "curve.csv"),
@@ -501,7 +495,7 @@ def cmd_eigen(run: Run, out: str) -> int:
         "nu1": pair.nu1,
         "residual": pair.residual,
         "iterations": pair.iterations,
-        "lambda1": run.eigenpair[0],
+        "lambda1": principal_laplacian_eigenpair(run.grid.laplacian)[0],
         "coupling_scale": scale,
         "solution": _solution_payload(solution),
         "config": run.echo,
@@ -585,7 +579,6 @@ def cmd_rate(run: Run, out: str) -> int:
 def cmd_certify(run: Run, out: str) -> int:
     r = run.settings
     report = classify_case(run.grid, run.model, run.params, run.recipe,
-                           op=run.op, eigenpair=run.eigenpair,
                            seed_amplitude=r["seed_amplitude"],
                            tol_stat=r["tol_stat"], max_iter=r["max_iter"],
                            delta_blow=r["delta_blow"], tol_res=r["tol_res"])

@@ -19,10 +19,8 @@ import numpy as np
 
 from .errors import StepRangeError
 from .grid import (
-    DiscreteOperator,
     FloatArray,
     Grid,
-    assemble_laplacian,
     gradient_inner,
     integrate,
     solve_poisson,
@@ -126,9 +124,7 @@ class Trajectory:
 
 
 def step(u: FloatArray, v: FloatArray, dt: float, grid: Grid, model: Model,
-         params: ParamPoint, *,
-         op: DiscreteOperator | None = None,
-         tol_lin: float = 1e-12) -> tuple[FloatArray, FloatArray]:
+         params: ParamPoint, *, tol_lin: float = 1e-12) -> tuple[FloatArray, FloatArray]:
     """One IMEX Euler step of size dt from (u, v).
 
     Solves (I + dt A) u_new = u + dt lam alpha f(v) and the mirror equation.
@@ -136,9 +132,7 @@ def step(u: FloatArray, v: FloatArray, dt: float, grid: Grid, model: Model,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if op is None:
-        op = assemble_laplacian(grid)
-    solver = op.shifted(1.0, dt)
+    solver = grid.laplacian.shifted(1.0, dt)
     alpha = model.alpha.sample(grid)
     beta = model.beta.sample(grid)
     return _imex_step(u, v, dt, solver, alpha, beta, model, params, tol_lin)
@@ -159,19 +153,16 @@ def _imex_step(u, v, dt, solver, alpha, beta, model, params, tol_lin):
 
 
 def lyapunov_energy(u: FloatArray, v: FloatArray, grid: Grid, model: Model,
-                    params: ParamPoint, *,
-                    op: DiscreteOperator | None = None) -> float:
+                    params: ParamPoint) -> float:
     """Mixed energy: gradient cross term minus both reaction potentials.
 
     Along the flow its time derivative balances -2 integral(u_t v_t), so on
     decaying trajectories the recorded energies must be nonincreasing up to
     the discretization residual.
     """
-    if op is None:
-        op = assemble_laplacian(grid)
     alpha = model.alpha.sample(grid)
     beta = model.beta.sample(grid)
-    return (gradient_inner(op, u, v)
+    return (gradient_inner(grid.laplacian, u, v)
             - params.lam * integrate(alpha * model.f.antideriv(v), grid)
             - params.mu * integrate(beta * model.g.antideriv(u), grid))
 
@@ -179,8 +170,8 @@ def lyapunov_energy(u: FloatArray, v: FloatArray, grid: Grid, model: Model,
 class _Recorder:
     """Accumulates per-step diagnostics and snapshots for a Trajectory."""
 
-    def __init__(self, grid, model, params, op, config, reference):
-        self.grid, self.model, self.params, self.op = grid, model, params, op
+    def __init__(self, grid, model, params, config, reference):
+        self.grid, self.model, self.params = grid, model, params
         self.config = config
         self.ref = reference
         self.rows = {key: [] for key in
@@ -201,7 +192,7 @@ class _Recorder:
         r["times"].append(t)
         r["max_u"].append(float(u.max()))
         r["max_v"].append(float(v.max()))
-        r["energy"].append(lyapunov_energy(u, v, g, self.model, self.params, op=self.op))
+        r["energy"].append(lyapunov_energy(u, v, g, self.model, self.params))
         r["dist2_u"].append(self._dist2(u, 0))
         r["dist2_v"].append(self._dist2(v, 1))
         r["dt"].append(dt)
@@ -246,8 +237,7 @@ def _aitken_quench_time(level_times: tuple[float, float, float]) -> tuple[float,
 
 def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
              params: ParamPoint, config: StepperConfig, horizon: float, *,
-             reference: tuple[FloatArray, FloatArray] | None = None,
-             op: DiscreteOperator | None = None) -> Trajectory:
+             reference: tuple[FloatArray, FloatArray] | None = None) -> Trajectory:
     """Integrate the system from ``initial`` until horizon, quench, or
     step underflow.
 
@@ -263,8 +253,7 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if op is None:
-        op = assemble_laplacian(grid)
+    op = grid.laplacian
     u = np.array(grid.check_field(initial[0], "u0"), dtype=float, copy=True)
     v = np.array(grid.check_field(initial[1], "v0"), dtype=float, copy=True)
     if max(float(u.max()), float(v.max())) >= 1.0:
@@ -287,7 +276,7 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
             um, vm = single(uc, vc, 0.5 * dt)
             return single(um, vm, 0.5 * dt)
 
-    recorder = _Recorder(grid, model, params, op, config, reference)
+    recorder = _Recorder(grid, model, params, config, reference)
     recorder.record(0.0, u, v, math.nan)
     recorder.snapshot(0.0, u, v, force=True)
 
@@ -432,8 +421,7 @@ class RatioConstants:
 
 
 def ratio_constants(u0: FloatArray, v0: FloatArray, grid: Grid, model: Model,
-                    params: ParamPoint, w: FloatArray, z: FloatArray, *,
-                    op: DiscreteOperator | None = None) -> RatioConstants:
+                    params: ParamPoint, w: FloatArray, z: FloatArray) -> RatioConstants:
     """Certified lower bounds on the component ratios below the steady pair.
 
     The curvature term compares reaction slopes at the extremes of the range
@@ -442,8 +430,7 @@ def ratio_constants(u0: FloatArray, v0: FloatArray, grid: Grid, model: Model,
     (with a note) when a denominator is not uniformly positive or a ratio
     changes sign; if both terms drop the constant is None.
     """
-    if op is None:
-        op = assemble_laplacian(grid)
+    op = grid.laplacian
     u0 = grid.check_field(u0, "u0")
     v0 = grid.check_field(v0, "v0")
     w = grid.check_field(w, "w")

@@ -8,6 +8,10 @@ Every linear solve is a direct solve with ``s*I + c*A``, A the Dirichlet
 stencil: an L D L^T tridiagonal factor in 1D and the DST-I fast Poisson
 solver (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970) in 2D.  The
 same sine spectrum gives the principal eigenpair in closed form.
+
+A grid owns its Laplacian: ``grid.laplacian`` is assembled once, on first
+use, and every library function takes its operator from there, so no caller
+can pair a grid with another grid's operator.
 """
 
 from __future__ import annotations
@@ -73,6 +77,11 @@ class Grid:
         for (lo, hi), n, hh in zip(self.extents, self.n_interior, self.h):
             out.append(lo + hh * np.arange(1, n + 1))
         return tuple(out)
+
+    @cached_property
+    def laplacian(self) -> "DiscreteOperator":
+        """The Dirichlet negative Laplacian of this grid, assembled on first use."""
+        return assemble_laplacian(self)
 
     def coordinates(self) -> FloatArray:
         """All interior node coordinates, shape (n_total, dimension)."""

@@ -6,7 +6,7 @@ About a steady pair (w, z) the linearized operator is the 2x2 block
     M = [ A                  -lam * diag(alpha f'(z)) ]
         [ -mu * diag(beta g'(w))                A     ]
 
-with A the discrete negative Laplacian.  Off-diagonal entries of M are
+with A the grid's discrete negative Laplacian.  Off-diagonal entries of M are
 nonpositive, so M perturbs like an M-matrix: at a minimal steady pair its
 principal eigenvalue nu1 is positive with a positive eigenvector, and inverse
 power iteration on M converges to it.  A nonpositive nu1 (or a sign-changing
@@ -24,43 +24,36 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenConvergenceError, IndefiniteOperatorError
-from .grid import DiscreteOperator, FloatArray, Grid, assemble_laplacian, integrate
+from .grid import FloatArray, Grid, integrate
 from .model import Model, ParamPoint
 
 
 @dataclass(frozen=True)
 class LinearizedOperator:
-    """Block linearization with the coupling rows kept for reassembly."""
+    """Block linearization on a grid: unknowns are the w nodes, then the z nodes."""
 
     grid: Grid
     matrix: sp.csr_matrix
-    n_nodes: int
-    coupling_fz: FloatArray  # lam * alpha * f'(z) on the nodes
-    coupling_gw: FloatArray  # mu * beta * g'(w) on the nodes
 
 
 def assemble_linearization(grid: Grid, model: Model, params: ParamPoint,
                            w: FloatArray, z: FloatArray, *,
-                           op: DiscreteOperator | None = None,
                            coupling_scale: float = 1.0) -> LinearizedOperator:
     """Build the block linearization at the pair (w, z).
 
     ``coupling_scale`` multiplies both off-diagonal blocks; 0 decouples the
     system into two copies of A (useful as a known-spectrum check).
     """
-    if op is None:
-        op = assemble_laplacian(grid)
     w = grid.check_field(w, "w")
     z = grid.check_field(z, "z")
     fz = params.lam * model.alpha.sample(grid) * model.f.deriv(z)
     gw = params.mu * model.beta.sample(grid) * model.g.deriv(w)
-    a = op.matrix
+    a = grid.laplacian.matrix
     matrix = sp.bmat(
         [[a, sp.diags(-coupling_scale * fz)],
          [sp.diags(-coupling_scale * gw), a]],
         format="csr")
-    return LinearizedOperator(grid=grid, matrix=matrix, n_nodes=grid.n_total,
-                              coupling_fz=fz, coupling_gw=gw)
+    return LinearizedOperator(grid=grid, matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -126,7 +119,7 @@ def principal_eigenpair(lin: LinearizedOperator, *,
             f"principal eigenvector is not positive (eigenvalue estimate {nu:.6e})",
             nu_estimate=nu)
 
-    n = lin.n_nodes
+    n = lin.grid.n_total
     phi, psi = x[:n].copy(), x[n:].copy()
     grid = lin.grid
     # Normalize in the quadrature metric; a second pass lands within an ulp.

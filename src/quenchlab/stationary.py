@@ -9,6 +9,9 @@ A^{-1} is entrywise nonnegative, the fixed-point iteration started from zero
 is pointwise nondecreasing: it either converges (to the minimal solution) or
 climbs toward the blow-up level 1.  That dichotomy is the membership test for
 the existence region in the (lam, mu) quadrant.
+
+Every function here takes A from its grid (``grid.laplacian``) and, where an
+estimate needs it, the principal pair (lambda1, phi) of A in closed form.
 """
 
 from __future__ import annotations
@@ -21,10 +24,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .grid import (
-    DiscreteOperator,
     FloatArray,
     Grid,
-    assemble_laplacian,
     integrate,
     principal_laplacian_eigenpair,
     solve_poisson,
@@ -98,9 +99,6 @@ def monotone_minimal_solution(grid: Grid, model: Model, params: ParamPoint, *,
                               max_iter: int = DEFAULT_MAX_ITER,
                               delta_blow: float = DEFAULT_DELTA_BLOW,
                               tol_res: float = DEFAULT_TOL_RES,
-                              op: DiscreteOperator | None = None,
-                              eigenpair: tuple[float, FloatArray] | None = None,
-                              use_analytic_bound: bool = True,
                               iterate_hook: Callable[[int, FloatArray, FloatArray], None] | None = None
                               ) -> MembershipVerdict:
     """Monotone iteration from the zero pair; classifies the parameter point.
@@ -115,22 +113,20 @@ def monotone_minimal_solution(grid: Grid, model: Model, params: ParamPoint, *,
     - lam or mu beyond the analytic nonexistence box: NotInLambda, no iteration;
     - budget exhausted: Undetermined with a max_iter hint.
     """
-    if op is None:
-        op = assemble_laplacian(grid)
-    if use_analytic_bound:
-        lam_bar, mu_bar = analytic_nonexistence_bound(grid, model, op=op, eigenpair=eigenpair)
-        if params.lam > lam_bar or params.mu > mu_bar:
-            return NotInLambda(
-                evidence="analytic-bound",
-                detail={"lam_bar": lam_bar, "mu_bar": mu_bar,
-                        "lam": params.lam, "mu": params.mu},
-            )
+    lam_bar, mu_bar = analytic_nonexistence_bound(grid, model)
+    if params.lam > lam_bar or params.mu > mu_bar:
+        return NotInLambda(
+            evidence="analytic-bound",
+            detail={"lam_bar": lam_bar, "mu_bar": mu_bar,
+                    "lam": params.lam, "mu": params.mu},
+        )
 
     alpha = model.alpha.sample(grid)
     beta = model.beta.sample(grid)
     alpha_max = float(alpha.max())
     beta_max = float(beta.max())
     escape = 1.0 - delta_blow
+    op = grid.laplacian
 
     n = grid.n_total
     w = np.zeros(n)
@@ -179,10 +175,7 @@ def monotone_minimal_solution(grid: Grid, model: Model, params: ParamPoint, *,
         hint="increase max_iter; the iteration had not settled or escaped")
 
 
-def analytic_nonexistence_bound(grid: Grid, model: Model, *,
-                                op: DiscreteOperator | None = None,
-                                eigenpair: tuple[float, FloatArray] | None = None
-                                ) -> tuple[float, float]:
+def analytic_nonexistence_bound(grid: Grid, model: Model) -> tuple[float, float]:
     """Closed-form box containing the whole existence region.
 
     Pairing each steady equation with the principal eigenfunction (quadrature
@@ -190,11 +183,7 @@ def analytic_nonexistence_bound(grid: Grid, model: Model, *,
     lam <= lambda1 / (f(0) * integral(alpha * phi))  and the mirror bound in mu.
     Parameter points beyond either value are classified without iteration.
     """
-    if eigenpair is None:
-        if op is None:
-            op = assemble_laplacian(grid)
-        eigenpair = principal_laplacian_eigenpair(op)
-    lam1, phi = eigenpair
+    lam1, phi = principal_laplacian_eigenpair(grid.laplacian)
     alpha_mass = integrate(model.alpha.sample(grid) * phi, grid)
     beta_mass = integrate(model.beta.sample(grid) * phi, grid)
     if alpha_mass <= 0 or beta_mass <= 0:
@@ -292,26 +281,18 @@ def trace_critical_curve(grid: Grid, model: Model, lam_samples, *,
                          max_iter: int = 2000,
                          max_iter_doublings: int = 4,
                          delta_blow: float = DEFAULT_DELTA_BLOW,
-                         floor_factor: float = 1e-6,
-                         op: DiscreteOperator | None = None,
-                         eigenpair: tuple[float, FloatArray] | None = None
-                         ) -> CriticalCurve:
+                         floor_factor: float = 1e-6) -> CriticalCurve:
     """Bisection trace of the existence-region boundary over given lam samples.
 
     Also bisects both axis intercepts the same way, holding the other
     parameter at its bracket floor.
     """
-    if op is None:
-        op = assemble_laplacian(grid)
-    if eigenpair is None:
-        eigenpair = principal_laplacian_eigenpair(op)
-    lam_bar, mu_bar = analytic_nonexistence_bound(grid, model, op=op, eigenpair=eigenpair)
+    lam_bar, mu_bar = analytic_nonexistence_bound(grid, model)
 
     def verdict_at(lam: float, mu: float, budget: int) -> MembershipVerdict:
         return monotone_minimal_solution(
             grid, model, ParamPoint(lam=lam, mu=mu),
-            tol_stat=tol_stat, max_iter=budget, delta_blow=delta_blow,
-            op=op, eigenpair=eigenpair)
+            tol_stat=tol_stat, max_iter=budget, delta_blow=delta_blow)
 
     def locate_mu(lam: float) -> CurveSample:
         raw = _bisect_critical(
@@ -347,8 +328,7 @@ def second_solution_search(grid: Grid, model: Model, params: ParamPoint,
                            seed_amplitude: float = 0.8,
                            tol_res: float = DEFAULT_TOL_RES,
                            max_newton: int = 80,
-                           delta_blow: float = DEFAULT_DELTA_BLOW,
-                           op: DiscreteOperator | None = None
+                           delta_blow: float = DEFAULT_DELTA_BLOW
                            ) -> StationarySolution | None:
     """Damped Newton search for a steady state above the minimal one.
 
@@ -359,8 +339,7 @@ def second_solution_search(grid: Grid, model: Model, params: ParamPoint,
     """
     from .spectra import assemble_linearization  # deferred: spectra builds on this module's outputs
 
-    if op is None:
-        op = assemble_laplacian(grid)
+    op = grid.laplacian
     alpha = model.alpha.sample(grid)
     beta = model.beta.sample(grid)
     alpha_max = float(alpha.max())
@@ -388,7 +367,7 @@ def second_solution_search(grid: Grid, model: Model, params: ParamPoint,
         if (float(np.abs(fw).max()) <= tol_res * scale_w
                 and float(np.abs(fz).max()) <= tol_res * scale_z):
             break
-        lin = assemble_linearization(grid, model, params, w, z, op=op)
+        lin = assemble_linearization(grid, model, params, w, z)
         try:
             delta = spla.spsolve(lin.matrix.tocsc(), -np.concatenate([fw, fz]))
         except RuntimeError:
@@ -451,27 +430,31 @@ class MassBoundReport:
         return self.bound_z - self.mass_z
 
 
-def mass_bound_check(w: FloatArray, z: FloatArray, grid: Grid, model: Model,
-                     params: ParamPoint, *,
-                     op: DiscreteOperator | None = None,
-                     eigenpair: tuple[float, FloatArray] | None = None,
-                     slack: float = 1e-8) -> MassBoundReport:
-    """Check integral(w * phi) <= lambda1 * integral(phi/alpha) / (lam * f(0))
-    and the mirror inequality, with phi the unit-mass principal eigenfunction.
+def _weighted_masses(grid: Grid, model: Model, first: FloatArray,
+                     second: FloatArray, names: tuple[str, str]
+                     ) -> tuple[float, float, float, float, float]:
+    """(lambda1, K_alpha, K_beta, integral(first * phi), integral(second * phi))
+    with (lambda1, phi) the grid's principal pair (phi of unit mass) and
+    K_alpha = integral(phi / alpha), K_beta = integral(phi / beta).  ``names``
+    label the two fields in shape errors; the weights must be positive.
     """
-    if eigenpair is None:
-        if op is None:
-            op = assemble_laplacian(grid)
-        eigenpair = principal_laplacian_eigenpair(op)
-    lam1, phi = eigenpair
+    lam1, phi = principal_laplacian_eigenpair(grid.laplacian)
     alpha = model.alpha.sample(grid)
     beta = model.beta.sample(grid)
     if alpha.min() <= 0 or beta.min() <= 0:
-        raise ValueError("weighted mass bound needs strictly positive weights")
-    k_alpha = integrate(phi / alpha, grid)
-    k_beta = integrate(phi / beta, grid)
-    mass_w = integrate(grid.check_field(w, "w") * phi, grid)
-    mass_z = integrate(grid.check_field(z, "z") * phi, grid)
+        raise ValueError("weighted-mass pairing needs strictly positive weights")
+    return (lam1, integrate(phi / alpha, grid), integrate(phi / beta, grid),
+            integrate(grid.check_field(first, names[0]) * phi, grid),
+            integrate(grid.check_field(second, names[1]) * phi, grid))
+
+
+def mass_bound_check(w: FloatArray, z: FloatArray, grid: Grid, model: Model,
+                     params: ParamPoint, *, slack: float = 1e-8) -> MassBoundReport:
+    """Check integral(w * phi) <= lambda1 * integral(phi/alpha) / (lam * f(0))
+    and the mirror inequality, with phi the unit-mass principal eigenfunction.
+    """
+    lam1, k_alpha, k_beta, mass_w, mass_z = _weighted_masses(
+        grid, model, w, z, ("w", "z"))
     bound_w = lam1 * k_alpha / (params.lam * model.f.at_zero)
     bound_z = lam1 * k_beta / (params.mu * model.g.at_zero)
     passes = (bound_w - mass_w >= -slack) and (bound_z - mass_z >= -slack)

@@ -62,7 +62,7 @@ def membership_batch(unit99):
     accepted record carries the solution plus a flag confirming that every
     iterate of the construction was pointwise nondecreasing.
     """
-    g, op, eig = unit99
+    g, _, _ = unit99
     rng = np.random.default_rng(20260819)
     families = ["log", "exp", "power"]
 
@@ -82,7 +82,7 @@ def membership_batch(unit99):
     while len(records) < 20 and attempts < 400:
         attempts += 1
         model = draw_model()
-        lam_bar, mu_bar = analytic_nonexistence_bound(g, model, op=op, eigenpair=eig)
+        lam_bar, mu_bar = analytic_nonexistence_bound(g, model)
         params = ParamPoint(float(rng.uniform(0.02, 0.3)) * lam_bar,
                             float(rng.uniform(0.02, 0.3)) * mu_bar)
         prev = {"w": None, "z": None}
@@ -94,8 +94,7 @@ def membership_batch(unit99):
                     mono["ok"] = False
             prev["w"], prev["z"] = w.copy(), z.copy()
 
-        verdict = monotone_minimal_solution(g, model, params, op=op,
-                                            eigenpair=eig, iterate_hook=watch)
+        verdict = monotone_minimal_solution(g, model, params, iterate_hook=watch)
         if verdict.status == "in-lambda":
             records.append((model, params, verdict.solution, mono["ok"]))
     elapsed = time.perf_counter() - t0
@@ -115,10 +114,10 @@ def decay_run(unit199):
     model = power2_model()
     params = ParamPoint(0.5, 0.5)
     t0 = time.perf_counter()
-    sol = monotone_minimal_solution(g, model, params, op=op, eigenpair=eig).solution
+    sol = monotone_minimal_solution(g, model, params).solution
     trajectory = simulate((np.zeros(g.n_total), np.zeros(g.n_total)), g, model,
                           params, StepperConfig(), 5.0,
-                          reference=(sol.w, sol.z), op=op)
+                          reference=(sol.w, sol.z))
     elapsed = time.perf_counter() - t0
     return {"grid": g, "op": op, "eig": eig, "model": model, "params": params,
             "solution": sol, "trajectory": trajectory, "elapsed": elapsed}

@@ -69,12 +69,11 @@ def test_acceptance_02_monotone_construction_batch(membership_batch):
 def test_acceptance_03_analytic_nonexistence(unit99):
     # guarantee: with unit weights and the inverse-square pair, any lam
     # beyond pi^2 + 0.1 is rejected by the closed-form box alone; < 1 s
-    g, op, eig = unit99
+    g, _, _ = unit99
     t0 = time.perf_counter()
     for lam, mu in ((np.pi ** 2 + 0.100001, 0.01), (10.5, 1.0), (50.0, 47.0)):
         verdict = monotone_minimal_solution(g, power2_model(),
-                                            ParamPoint(lam, mu),
-                                            op=op, eigenpair=eig)
+                                            ParamPoint(lam, mu))
         assert isinstance(verdict, NotInLambda)
         assert verdict.evidence == "analytic-bound"
     assert time.perf_counter() - t0 < 1.0
@@ -84,11 +83,10 @@ def test_acceptance_04_critical_curve(unit99):
     # guarantee: a 16-sample trace of the existence boundary is
     # non-increasing within bracket widths, and in the symmetric case its
     # diagonal crossing matches the scalar-reduction fold within 1%; < 60 s
-    g, op, eig = unit99
+    g, _, _ = unit99
     t0 = time.perf_counter()
     curve = trace_critical_curve(g, power2_model(),
-                                 list(np.linspace(0.2, 2.45, 16)),
-                                 op=op, eigenpair=eig)
+                                 list(np.linspace(0.2, 2.45, 16)))
     elapsed = time.perf_counter() - t0
     assert len(curve.samples) == 16
     assert all(s.status == "ok" for s in curve.samples)
@@ -108,19 +106,18 @@ def test_acceptance_05_linearized_stability(membership_batch, unit99):
     # the sparse iteration agrees with a dense solve to 1e-8 relative at
     # n = 200; < 30 s
     records, _ = membership_batch
-    g99, op99, _ = unit99
+    g99, _, _ = unit99
     t0 = time.perf_counter()
     for model, params, solution, _ in records[:10]:
         lin = assemble_linearization(g99, model, params, solution.w,
-                                     solution.z, op=op99)
+                                     solution.z)
         pair = principal_eigenpair(lin)
         assert pair.nu1 > 0.0
         assert pair.phi.min() > 0.0 and pair.psi.min() > 0.0
-    g, op, eig = unit_stack(200)
-    s = monotone_minimal_solution(g, power2_model(), ParamPoint(1.0, 1.0),
-                                  op=op, eigenpair=eig).solution
+    g, _, _ = unit_stack(200)
+    s = monotone_minimal_solution(g, power2_model(), ParamPoint(1.0, 1.0)).solution
     lin = assemble_linearization(g, power2_model(), ParamPoint(1.0, 1.0),
-                                 s.w, s.z, op=op)
+                                 s.w, s.z)
     nu_sparse = principal_eigenpair(lin).nu1
     nu_dense = oracles.dense_principal_eigenvalue(lin.matrix)
     assert abs(nu_sparse - nu_dense) / abs(nu_dense) <= 1e-8
@@ -167,15 +164,15 @@ def test_acceptance_07_quench_time_stability():
 def test_acceptance_08_quench_time_bound(unit199):
     # guarantee: the lam = 20 logarithmic run from 0.9 sin(pi x) quenches
     # no later than 1.05x the closed-form bound (about 0.0524); < 30 s
-    g, op, eig = unit199
+    g, _, _ = unit199
     nl = Nonlinearity("log")
     model = Model(f=nl, g=nl, alpha=Profile("constant"), beta=Profile("constant"))
     params = ParamPoint(20.0, 20.0)
     x = g.coordinates()[:, 0]
     u0 = 0.9 * np.sin(np.pi * x)
     t0 = time.perf_counter()
-    bound = quench_time_bound(u0, u0, g, model, params, op=op, eigenpair=eig)
-    trj = simulate((u0, u0), g, model, params, StepperConfig(), 1.0, op=op)
+    bound = quench_time_bound(u0, u0, g, model, params)
+    trj = simulate((u0, u0), g, model, params, StepperConfig(), 1.0)
     elapsed = time.perf_counter() - t0
     assert bound.applicable
     assert bound.best == pytest.approx(0.0524, abs=5e-4)
@@ -198,14 +195,12 @@ def test_acceptance_09_energy_identity(decay_run):
     assert base < 1e-2
 
     g = interval(0.0, 1.0, 399)
-    op = assemble_laplacian(g)
-    eig = principal_laplacian_eigenpair(op)
     model = decay_run["model"]
     params = decay_run["params"]
-    sol = monotone_minimal_solution(g, model, params, op=op, eigenpair=eig).solution
+    sol = monotone_minimal_solution(g, model, params).solution
     refined = simulate((np.zeros(g.n_total), np.zeros(g.n_total)), g, model,
                        params, StepperConfig(tol_step=2.5e-7), 5.0,
-                       reference=(sol.w, sol.z), op=op)
+                       reference=(sol.w, sol.z))
     assert worst_residual(refined) <= 1.05 * base
 
 
@@ -215,12 +210,11 @@ def test_acceptance_10_decay_rate(decay_run):
     # carries both the advertised and certified constants with the note
     # explaining their gap; < 30 s
     g = decay_run["grid"]
-    op = decay_run["op"]
     lam1 = decay_run["eig"][0]
     sol = decay_run["solution"]
     t0 = time.perf_counter()
     lin = assemble_linearization(g, decay_run["model"], decay_run["params"],
-                                 sol.w, sol.z, op=op)
+                                 sol.w, sol.z)
     nu1 = principal_eigenpair(lin).nu1
     cert = rate_certificate(decay_run["trajectory"], lam1, nu1)
     elapsed = time.perf_counter() - t0
@@ -236,25 +230,24 @@ def test_acceptance_11_mass_bounds(membership_batch, unit99):
     # guarantee: the weighted-mass bound holds on every minimal state the
     # random batch produced
     records, _ = membership_batch
-    g, op, eig = unit99
+    g, _, _ = unit99
     for model, params, solution, _ in records:
-        report = mass_bound_check(solution.w, solution.z, g, model, params,
-                                  op=op, eigenpair=eig)
+        report = mass_bound_check(solution.w, solution.z, g, model, params)
         assert report.passes
 
 
 def test_acceptance_12_comparison_ordering(unit99):
     # guarantee: ordered initial data stay ordered at every shared time
     # within 1e-10, checked on a fixed-step pair sharing its time grid
-    g, op, eig = unit99
+    g, _, _ = unit99
     model = power2_model()
     params = ParamPoint(0.8, 0.8)
-    s = monotone_minimal_solution(g, model, params, op=op, eigenpair=eig).solution
+    s = monotone_minimal_solution(g, model, params).solution
     cfg = StepperConfig(dt_init=1e-3, dt_min=1e-3, dt_max=1e-3,
                         snapshot_stride=1)
     low = simulate((np.zeros(g.n_total), np.zeros(g.n_total)), g, model,
-                   params, cfg, 1.0, op=op)
-    high = simulate((0.5 * s.w, 0.5 * s.z), g, model, params, cfg, 1.0, op=op)
+                   params, cfg, 1.0)
+    high = simulate((0.5 * s.w, 0.5 * s.z), g, model, params, cfg, 1.0)
     assert len(low.snapshots) == len(high.snapshots) == low.n_steps + 1
     for (ta, ua, va), (tb, ub, vb) in zip(low.snapshots, high.snapshots):
         assert ta == tb

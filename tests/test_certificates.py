@@ -91,10 +91,10 @@ def _flagship(stack):
 
 def test_quench_bound_closed_form():
     stack = unit_stack(99)
-    g, op, eig, u0 = _flagship(stack)
+    g, _, eig, u0 = _flagship(stack)
     model = log_model()
     params = ParamPoint(20.0, 20.0)
-    bound = quench_time_bound(u0, u0, g, model, params, op=op, eigenpair=eig)
+    bound = quench_time_bound(u0, u0, g, model, params)
     lam1, phi = eig
     k_alpha = integrate(phi / model.alpha.sample(g), g)
     mass = integrate(u0 * phi, g)
@@ -112,35 +112,34 @@ def test_quench_bound_closed_form():
 def test_quench_bound_decreases_with_stronger_forcing():
     # raising f(0) from 1 to e (log -> exp family) tightens the bound
     stack = unit_stack(99)
-    g, op, eig, u0 = _flagship(stack)
+    g, _, _, u0 = _flagship(stack)
     params = ParamPoint(20.0, 20.0)
     nl_exp = Nonlinearity("exp")
     hot = Model(f=nl_exp, g=nl_exp, alpha=Profile("constant"),
                 beta=Profile("constant"))
-    b_log = quench_time_bound(u0, u0, g, log_model(), params, op=op, eigenpair=eig)
-    b_exp = quench_time_bound(u0, u0, g, hot, params, op=op, eigenpair=eig)
+    b_log = quench_time_bound(u0, u0, g, log_model(), params)
+    b_exp = quench_time_bound(u0, u0, g, hot, params)
     assert b_exp.applicable and b_log.applicable
     assert b_exp.bound_u < b_log.bound_u
 
 
 def test_quench_bound_inapplicable_from_rest():
     stack = unit_stack(99)
-    g, op, eig = stack
+    g, _, _ = stack
     zero = np.zeros(g.n_total)
-    bound = quench_time_bound(zero, zero, g, log_model(), ParamPoint(20.0, 20.0),
-                              op=op, eigenpair=eig)
+    bound = quench_time_bound(zero, zero, g, log_model(), ParamPoint(20.0, 20.0))
     assert not bound.applicable
     assert bound.mass_u == 0.0
 
 
 def test_verify_quench_bound_branches():
     stack = unit_stack(99)
-    g, op, eig, u0 = _flagship(stack)
+    g, _, _, u0 = _flagship(stack)
     model = log_model()
     params = ParamPoint(20.0, 20.0)
-    bound = quench_time_bound(u0, u0, g, model, params, op=op, eigenpair=eig)
+    bound = quench_time_bound(u0, u0, g, model, params)
 
-    quenched = simulate((u0, u0), g, model, params, StepperConfig(), 1.0, op=op)
+    quenched = simulate((u0, u0), g, model, params, StepperConfig(), 1.0)
     assert quenched.status is TerminalStatus.QUENCHED
     check = verify_quench_bound(quenched, bound)
     assert check.passes
@@ -149,47 +148,46 @@ def test_verify_quench_bound_branches():
     # observed quench with an inapplicable bound: nothing to contradict
     zero = np.zeros(g.n_total)
     zbound = quench_time_bound(zero, zero, g, power2_model(),
-                               ParamPoint(12.0, 12.0), op=op, eigenpair=eig)
+                               ParamPoint(12.0, 12.0))
     zrun = simulate((zero, zero), g, power2_model(), ParamPoint(12.0, 12.0),
-                    StepperConfig(), 1.0, op=op)
+                    StepperConfig(), 1.0)
     zcheck = verify_quench_bound(zrun, zbound)
     assert not zbound.applicable
     assert zcheck.passes and zcheck.note
 
     # an applicable bound with a run cut off before quenching must fail
-    stalled = simulate((u0, u0), g, model, params, StepperConfig(), 1e-5, op=op)
+    stalled = simulate((u0, u0), g, model, params, StepperConfig(), 1e-5)
     assert stalled.status is TerminalStatus.HORIZON
     assert not verify_quench_bound(stalled, bound).passes
 
 
 def test_classify_all_cases():
     stack = unit_stack(99)
-    g, op, eig = stack
+    g, _, _ = stack
     model = power2_model()
-    kw = dict(op=op, eigenpair=eig)
 
-    report = classify_case(g, model, ParamPoint(0.5, 0.5), InitialData.zero(), **kw)
+    report = classify_case(g, model, ParamPoint(0.5, 0.5), InitialData.zero())
     assert report.case == "a1"
     assert report.membership.status == "in-lambda"
     assert not report.bound.applicable
 
-    report = classify_case(g, model, ParamPoint(12.0, 12.0), InitialData.zero(), **kw)
+    report = classify_case(g, model, ParamPoint(12.0, 12.0), InitialData.zero())
     assert report.case == "b"
     assert report.membership.status == "not-in-lambda"
 
     report = classify_case(g, model, ParamPoint(1.0, 1.0),
-                           InitialData.convex_combo(0.5), **kw)
+                           InitialData.convex_combo(0.5))
     assert report.case == "a21"
     assert report.second is not None
 
     report = classify_case(g, model, ParamPoint(1.0, 1.0),
-                           InitialData.above_second(0.05), **kw)
+                           InitialData.above_second(0.05))
     assert report.case == "a22"
 
     x = g.coordinates()[:, 0]
     u0 = 0.9 * np.sin(np.pi * x)
     report = classify_case(g, log_model(), ParamPoint(20.0, 20.0),
-                           InitialData.explicit(u0, u0), **kw)
+                           InitialData.explicit(u0, u0))
     assert report.case == "c"
     assert report.bound.applicable
 
@@ -205,24 +203,23 @@ def test_classify_searches_second_state_only_when_needed(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(certificates, "second_solution_search", counted)
-    g, op, eig = unit_stack(99)
+    g, _, _ = unit_stack(99)
     model = power2_model()
-    kw = dict(op=op, eigenpair=eig)
 
     # data below the minimal state: a1 is decided without a second state
     for recipe in (InitialData.zero(), InitialData.scaled_minimal(0.5)):
-        report = classify_case(g, model, ParamPoint(0.5, 0.5), recipe, **kw)
+        report = classify_case(g, model, ParamPoint(0.5, 0.5), recipe)
         assert report.case == "a1"
         assert report.second is None
     assert calls == []
 
     # recipes built on the second state, and data above the minimal state
     params = ParamPoint(1.0, 1.0)
-    minimal = classify_case(g, model, params, InitialData.zero(), **kw).membership.solution
+    minimal = classify_case(g, model, params, InitialData.zero()).membership.solution
     for recipe, case in ((InitialData.convex_combo(0.5), "a21"),
                          (InitialData.above_second(0.05), "a22"),
                          (InitialData.explicit(1.5 * minimal.w, 1.5 * minimal.z), "a21")):
-        report = classify_case(g, model, params, recipe, **kw)
+        report = classify_case(g, model, params, recipe)
         assert report.case == case
         assert report.second is not None
     assert len(calls) == 3
@@ -230,9 +227,9 @@ def test_classify_searches_second_state_only_when_needed(monkeypatch):
 
 def test_classify_undetermined_membership():
     stack = unit_stack(99)
-    g, op, eig = stack
+    g, _, _ = stack
     report = classify_case(g, power2_model(), ParamPoint(1.0, 1.0),
-                           InitialData.zero(), op=op, eigenpair=eig,
+                           InitialData.zero(),
                            tol_stat=1e-16, max_iter=3)
     assert report.case == "none-established"
     assert report.membership.status == "undetermined"
@@ -240,7 +237,7 @@ def test_classify_undetermined_membership():
 
 def test_classify_rejects_impossible_recipe():
     stack = unit_stack(99)
-    g, op, eig = stack
+    g, _, _ = stack
     with pytest.raises(ConfigError):
         classify_case(g, power2_model(), ParamPoint(12.0, 12.0),
-                      InitialData.scaled_minimal(0.5), op=op, eigenpair=eig)
+                      InitialData.scaled_minimal(0.5))

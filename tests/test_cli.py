@@ -133,6 +133,27 @@ def test_simulate_artifacts_and_rerun_determinism(decay_ini, tmp_path):
     assert sheader == ["t", "x", "u", "v"]
 
 
+CURVE_OVERRIDES = ["--override", "run.lambda_samples=0.5, 1.0",
+                   "--override", "run.bisect_tol=1e-2"]
+
+
+@pytest.mark.parametrize("command", ["stationary", "curve", "eigen", "simulate",
+                                     "rate", "certify"])
+def test_rerun_is_byte_identical(command, decay_ini, tmp_path):
+    # rate and certify need the longer horizon to reach a decay certificate
+    extra = {"curve": CURVE_OVERRIDES,
+             "rate": ["--override", "run.horizon=4.0"],
+             "certify": ["--override", "run.horizon=4.0"]}.get(command, [])
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main([command, "--config", decay_ini, "--out", str(out), *extra]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names and names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
+            f"{command}: {name} differs between reruns"
+
+
 def test_simulate_quench_run(quench_ini, tmp_path):
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", quench_ini, "--out", out]) == 0
@@ -173,6 +194,19 @@ def test_curve_artifacts(decay_ini, tmp_path):
     assert all(r[4] == "ok" for r in rows)
     meta = json.load(open(os.path.join(out, "curve.json")))
     assert meta["non_increasing"] is True
+
+
+def test_curve_honours_floor_factor(decay_ini, tmp_path):
+    # The intercepts hold the other parameter at floor_factor times its bound.
+    stars = []
+    for factor in ("1e-6", "0.4"):
+        out = tmp_path / factor
+        assert main(["curve", "--config", decay_ini, "--out", str(out), *CURVE_OVERRIDES,
+                     "--override", f"run.floor_factor={factor}"]) == 0
+        meta = json.load(open(out / "curve.json"))
+        assert meta["config"]["run"]["floor_factor"] == float(factor)
+        stars.append(meta["lambda_star"])
+    assert stars[0] != stars[1]
 
 
 def test_rate_command(decay_ini, tmp_path):

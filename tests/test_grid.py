@@ -44,6 +44,17 @@ def test_operator_is_symmetric():
     assert (a - a.T).nnz == 0
 
 
+@pytest.mark.parametrize("g", [interval(0.0, 2.0, 9),
+                               rectangle((0.0, 2.0), (0.0, 1.0), 5, 3)],
+                         ids=["interval", "rectangle"])
+def test_grid_owns_its_laplacian(g):
+    op, ref = g.laplacian, assemble_laplacian(g)
+    assert op is g.laplacian
+    assert op.grid is g
+    assert (op.stencil != ref.stencil).nnz == 0
+    assert op.stencil_norm == ref.stencil_norm
+
+
 def test_poisson_quadratic_is_exact():
     # -u'' = 1 on (0,1) has u = x(1-x)/2; the 3-point stencil is exact on
     # quadratics, so the midpoint value must be 1/8 to solver precision.

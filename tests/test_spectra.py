@@ -20,14 +20,13 @@ from quenchlab import (
 def _minimal(stack, lam, mu=None):
     g, op, eig = stack
     params = ParamPoint(lam, lam if mu is None else mu)
-    s = monotone_minimal_solution(g, power2_model(), params, op=op,
-                                  eigenpair=eig).solution
+    s = monotone_minimal_solution(g, power2_model(), params).solution
     return g, op, eig, params, s
 
 
 def test_decoupled_hook_reduces_to_laplacian(unit99):
-    g, op, eig, params, s = _minimal(unit99, 1.0)
-    lin = assemble_linearization(g, power2_model(), params, s.w, s.z, op=op,
+    g, _, eig, params, s = _minimal(unit99, 1.0)
+    lin = assemble_linearization(g, power2_model(), params, s.w, s.z,
                                  coupling_scale=0.0)
     pair = principal_eigenpair(lin)
     assert pair.nu1 == pytest.approx(eig[0], rel=1e-8)
@@ -36,7 +35,7 @@ def test_decoupled_hook_reduces_to_laplacian(unit99):
 def test_block_entries(unit99):
     g, op, eig, params, s = _minimal(unit99, 0.8, 1.1)
     model = power2_model()
-    lin = assemble_linearization(g, model, params, s.w, s.z, op=op)
+    lin = assemble_linearization(g, model, params, s.w, s.z)
     m = lin.matrix.tocsr()
     n = g.n_total
     assert m.shape == (2 * n, 2 * n)
@@ -53,16 +52,16 @@ def test_block_entries(unit99):
 
 
 def test_matches_dense_oracle(unit99):
-    g, op, eig, params, s = _minimal(unit99, 1.0)
-    lin = assemble_linearization(g, power2_model(), params, s.w, s.z, op=op)
+    g, _, eig, params, s = _minimal(unit99, 1.0)
+    lin = assemble_linearization(g, power2_model(), params, s.w, s.z)
     pair = principal_eigenpair(lin)
     dense = oracles.dense_principal_eigenvalue(lin.matrix)
     assert abs(pair.nu1 - dense) / abs(dense) <= 1e-10
 
 
 def test_eigenfunctions_positive_and_normalized(unit99):
-    g, op, eig, params, s = _minimal(unit99, 1.2, 0.7)
-    lin = assemble_linearization(g, power2_model(), params, s.w, s.z, op=op)
+    g, _, eig, params, s = _minimal(unit99, 1.2, 0.7)
+    lin = assemble_linearization(g, power2_model(), params, s.w, s.z)
     pair = principal_eigenpair(lin)
     assert pair.nu1 > 0.0
     assert pair.phi.min() > 0.0
@@ -73,18 +72,18 @@ def test_eigenfunctions_positive_and_normalized(unit99):
 
 
 def test_symmetric_case_has_equal_components(unit99):
-    g, op, eig, params, s = _minimal(unit99, 1.0)
-    lin = assemble_linearization(g, power2_model(), params, s.w, s.z, op=op)
+    g, _, eig, params, s = _minimal(unit99, 1.0)
+    lin = assemble_linearization(g, power2_model(), params, s.w, s.z)
     pair = principal_eigenpair(lin)
     np.testing.assert_allclose(pair.phi, pair.psi, atol=1e-10)
 
 
 def test_stability_margin_shrinks_toward_fold(unit99):
-    g, op, eig = unit99
+    g, _, eig = unit99
     nus = []
     for lam in (0.4, 0.8, 1.2):
         _, _, _, params, s = _minimal(unit99, lam)
-        lin = assemble_linearization(g, power2_model(), params, s.w, s.z, op=op)
+        lin = assemble_linearization(g, power2_model(), params, s.w, s.z)
         nus.append(principal_eigenpair(lin).nu1)
     assert nus[0] > nus[1] + 1e-8
     assert nus[1] > nus[2] + 1e-8
@@ -92,21 +91,19 @@ def test_stability_margin_shrinks_toward_fold(unit99):
 
 
 def test_second_branch_is_indefinite(unit199):
-    g, op, eig = unit199
+    g, _, _ = unit199
     params = ParamPoint(1.0, 1.0)
-    minimal = monotone_minimal_solution(g, power2_model(), params, op=op,
-                                        eigenpair=eig).solution
-    second = second_solution_search(g, power2_model(), params, minimal, op=op)
+    minimal = monotone_minimal_solution(g, power2_model(), params).solution
+    second = second_solution_search(g, power2_model(), params, minimal)
     assert second is not None
-    lin = assemble_linearization(g, power2_model(), params, second.w, second.z,
-                                 op=op)
+    lin = assemble_linearization(g, power2_model(), params, second.w, second.z)
     with pytest.raises(IndefiniteOperatorError) as err:
         principal_eigenpair(lin)
     assert err.value.nu_estimate < 0.0
 
 
 def test_budget_exhaustion_raises(unit99):
-    g, op, eig, params, s = _minimal(unit99, 1.2)
-    lin = assemble_linearization(g, power2_model(), params, s.w, s.z, op=op)
+    g, _, eig, params, s = _minimal(unit99, 1.2)
+    lin = assemble_linearization(g, power2_model(), params, s.w, s.z)
     with pytest.raises(EigenConvergenceError):
         principal_eigenpair(lin, tol=1e-14, max_iter=1)
