@@ -469,7 +469,7 @@ def cmd_curve(run: Run, out: str) -> int:
                           key="run.lambda_samples")
     curve = trace_critical_curve(
         run.grid, run.model, samples, bisect_tol=r["bisect_tol"],
-        tol_stat=r["tol_stat"], max_iter=r["curve_max_iter"],
+        tol_stat=r["tol_stat"], tol_res=r["tol_res"], max_iter=r["curve_max_iter"],
         delta_blow=r["delta_blow"], floor_factor=r["floor_factor"])
     rows = [[s.lam, s.mu_critical, s.bracket_lo, s.bracket_hi, s.status]
             for s in curve.samples]

@@ -10,6 +10,15 @@ is pointwise nondecreasing: it either converges (to the minimal solution) or
 climbs toward the blow-up level 1.  That dichotomy is the membership test for
 the existence region in the (lam, mu) quadrant.
 
+The boundary of that region is the fold of the minimal branch.  A curve
+sample solves for it by Newton on the Moore-Spence extended system and
+brackets it with two honest checks: escape of the iterates just above, and
+just below a supersolution, a pair (w, z) below the escape level with
+A w >= lam alpha f(z) and A z >= mu beta g(w), which bounds the monotone
+iterates and so proves existence without iterating (the linearized system has no variational
+characterization, so no eigenvalue estimate is used).  Bisection on the
+membership verdicts remains the fallback.
+
 Every function here takes A from its grid (``grid.laplacian``) and, where an
 estimate needs it, the principal pair (lambda1, phi) of A in closed form.
 """
@@ -21,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import (
@@ -87,11 +97,22 @@ class Undetermined:
 MembershipVerdict = InLambda | NotInLambda | Undetermined
 
 
-def _residual_scale(params: ParamPoint, alpha_max: float, beta_max: float,
-                    model: Model, w: FloatArray, z: FloatArray) -> tuple[float, float]:
-    scale_w = params.lam * alpha_max * model.f.value(min(float(z.max()), 1.0 - 1e-12))
-    scale_z = params.mu * beta_max * model.g.value(min(float(w.max()), 1.0 - 1e-12))
-    return scale_w, scale_z
+def _steady_residual(grid: Grid, model: Model, params: ParamPoint,
+                     w: FloatArray, z: FloatArray, tol_res: float
+                     ) -> tuple[FloatArray, FloatArray, bool]:
+    """Residuals (A w - lam alpha f(z), A z - mu beta g(w)) and whether the sup
+    norm of each is within tol_res of its source's size, lam max(alpha)
+    f(max z) and mu max(beta) g(max w)."""
+    alpha = model.alpha.sample(grid)
+    beta = model.beta.sample(grid)
+    op = grid.laplacian
+    fw = op.apply(w) - params.lam * alpha * model.f.value(z)
+    fz = op.apply(z) - params.mu * beta * model.g.value(w)
+    scale_w = params.lam * float(alpha.max()) * model.f.value(min(float(z.max()), 1.0 - 1e-12))
+    scale_z = params.mu * float(beta.max()) * model.g.value(min(float(w.max()), 1.0 - 1e-12))
+    met = (float(np.abs(fw).max()) <= tol_res * scale_w
+           and float(np.abs(fz).max()) <= tol_res * scale_z)
+    return fw, fz, met
 
 
 def monotone_minimal_solution(grid: Grid, model: Model, params: ParamPoint, *,
@@ -123,8 +144,6 @@ def monotone_minimal_solution(grid: Grid, model: Model, params: ParamPoint, *,
 
     alpha = model.alpha.sample(grid)
     beta = model.beta.sample(grid)
-    alpha_max = float(alpha.max())
-    beta_max = float(beta.max())
     escape = 1.0 - delta_blow
     op = grid.laplacian
 
@@ -158,13 +177,12 @@ def monotone_minimal_solution(grid: Grid, model: Model, params: ParamPoint, *,
 
         change = max(float(dw.max()), float(dz.max()))
         if change <= tol_stat:
-            res_w = float(np.abs(op.apply(w) - params.lam * alpha * model.f.value(z)).max())
-            res_z = float(np.abs(op.apply(z) - params.mu * beta * model.g.value(w)).max())
-            scale_w, scale_z = _residual_scale(params, alpha_max, beta_max, model, w, z)
-            if res_w <= tol_res * scale_w and res_z <= tol_res * scale_z:
+            fw, fz, met = _steady_residual(grid, model, params, w, z, tol_res)
+            if met:
                 return InLambda(solution=StationarySolution(
                     w=w, z=z, params=params, iterations=it,
-                    final_change=change, residual_w=res_w, residual_z=res_z))
+                    final_change=change, residual_w=float(np.abs(fw).max()),
+                    residual_z=float(np.abs(fz).max())))
             return Undetermined(
                 iterations=it, last_change=change,
                 hint="iteration converged but the residual target was not met; "
@@ -194,7 +212,16 @@ def analytic_nonexistence_bound(grid: Grid, model: Model) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class CurveSample:
-    """One bisection result: mu_critical is bracketed in [bracket_lo, bracket_hi]."""
+    """The critical mu at one lam, bracketed in [bracket_lo, bracket_hi].
+
+    With status "ok" the lower end admits a steady state and the upper end
+    does not.  Where the fold Newton converges and both checks pass, the ends
+    are mu_f (1 -+ bisect_tol/4) around its fold mu_f, the lower one proved by
+    a supersolution and the upper one by iterate escape; otherwise bisection
+    on membership verdicts sets them.  ``evaluations`` counts the parameter
+    points decided: membership verdicts plus supersolution checks (Newton
+    steps are not counted).
+    """
 
     lam: float
     mu_critical: float
@@ -220,29 +247,177 @@ class CriticalCurve:
         return all(b.bracket_lo <= a.bracket_hi for a, b in zip(ok, ok[1:]))
 
 
-def _bisect_critical(membership: Callable[[float, int], MembershipVerdict],
-                     value_bar: float, *,
+def _is_supersolution(grid: Grid, model: Model, params: ParamPoint,
+                      w: FloatArray, z: FloatArray, *,
+                      delta_blow: float = DEFAULT_DELTA_BLOW) -> bool:
+    """Whether the pair proves, without iterating, that params admits a steady
+    state below the escape level 1 - delta_blow.
+
+    Requires 0 <= w, z < 1 - delta_blow and, at every node,
+    A w - lam alpha f(z) > r_w and A z - mu beta g(w) > r_z.  Because A^{-1} is
+    entrywise nonnegative and f, g are increasing, the monotone iterates from
+    zero then stay below (w, z) and converge to a steady pair there.  The
+    rounding allowance r = 64 eps (||A|| ||x|| + |source| + y |d source/dy|),
+    x the field on the left and y the source's argument, covers the evaluated
+    stencil product and source, the last term the source's sensitivity to
+    rounding inside f or g.
+    """
+    if (min(float(w.min()), float(z.min())) < 0.0
+            or max(float(w.max()), float(z.max())) >= 1.0 - delta_blow):
+        return False
+    op = grid.laplacian
+    eps = np.finfo(float).eps
+    for x, y, amp, weight, nl in ((w, z, params.lam, model.alpha, model.f),
+                                  (z, w, params.mu, model.beta, model.g)):
+        coeff = amp * weight.sample(grid)
+        source = coeff * nl.value(y)
+        allowance = 64.0 * eps * (op.stencil_norm * float(np.abs(x).max())
+                                  + np.abs(source) + y * coeff * nl.deriv(y))
+        if not np.all(op.apply(x) - source > allowance):
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class _Fold:
+    """A root of the extended system at fixed lam: the steady pair (w, z) at
+    mu and a null vector (phi, psi) of its linearization, sum(phi + psi) = 2n."""
+
+    w: FloatArray
+    z: FloatArray
+    phi: FloatArray
+    psi: FloatArray
+    mu: float
+
+    def lifted(self, model: Model, delta: float) -> tuple[FloatArray, FloatArray]:
+        """(w + eps phi, z), the candidate supersolution at mu (1 - delta).
+
+        At first order the lift costs the z equation mu beta g'(w) eps phi of
+        its margin mu beta delta g(w) and adds lam alpha f'(z) eps psi to the
+        w equation's; eps spends half of the smallest z margin.
+        """
+        eps = 0.5 * delta * float((model.g.value(self.w)
+                                   / (model.g.deriv(self.w) * self.phi)).min())
+        return self.w + eps * self.phi, self.z
+
+
+# From the starts _bisect_critical gives it, Newton on the extended system took
+# 3 to 7 steps per sample of configs/curve.ini and at most 12 over the families,
+# profiles and dimensions tried; a start that needs more is left to bisection.
+_FOLD_NEWTON_STEPS = 20
+
+
+def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
+                 tol_res: float, delta_blow: float) -> _Fold | None:
+    """Newton on the Moore-Spence extended system at fixed lam (Moore & Spence,
+    SIAM J. Numer. Anal. 17, 1980):
+
+        F(w, z; mu) = 0,   M(w, z; mu) (phi, psi) = 0,   sum(phi + psi) = 2n,
+
+    with M ``assemble_linearization``'s matrix.  A simple fold of the steady
+    branch is a regular root.  Each step solves one sparse system of size
+    4n + 1: M twice on the diagonal, the second derivatives of f and g coupling
+    (phi, psi) to (w, z), and the mu column (0, -beta g(w), 0, -beta g'(w) phi).
+    A step that would take (w, z) out of [0, 1 - delta_blow) or mu out of
+    (0, inf) is halved until it does not.  Converged when F meets
+    ``_steady_residual``'s tol_res test and M (phi, psi) the same test against
+    the coupling terms.  Returns None when halving cannot keep the iterate
+    admissible, a factorization is singular, the step cap runs out, or the
+    converged null vector is not positive.
+    """
+    from .spectra import assemble_linearization  # deferred: spectra builds on this module's outputs
+
+    n = grid.n_total
+    cap = 1.0 - delta_blow
+    alpha = model.alpha.sample(grid)
+    beta = model.beta.sample(grid)
+    norm_row = sp.csr_matrix(np.ones((1, 2 * n)))
+    zeros = np.zeros(n)
+
+    def admissible(x: FloatArray) -> bool:
+        return bool(x[-1] > 0.0 and x[:2 * n].min() >= 0.0 and x[:2 * n].max() < cap)
+
+    x = np.concatenate([start.w, start.z, start.phi, start.psi, [start.mu]])
+    for it in range(_FOLD_NEWTON_STEPS + 1):
+        w, z, phi, psi, mu = x[:n], x[n:2 * n], x[2 * n:3 * n], x[3 * n:4 * n], float(x[-1])
+        params = ParamPoint(lam=lam, mu=mu)
+        fw, fz, met = _steady_residual(grid, model, params, w, z, tol_res)
+        lin = assemble_linearization(grid, model, params, w, z).matrix
+        null = lin @ x[2 * n:4 * n]
+        dg = model.g.deriv(w)
+        couple_w = np.abs(lam * alpha * model.f.deriv(z) * psi).max()
+        couple_z = np.abs(mu * beta * dg * phi).max()
+        if (met and np.abs(null[:n]).max() <= tol_res * couple_w
+                and np.abs(null[n:]).max() <= tol_res * couple_z):
+            if phi.min() > 0.0 and psi.min() > 0.0:
+                return _Fold(w=w, z=z, phi=phi, psi=psi, mu=mu)
+            return None
+        if it == _FOLD_NEWTON_STEPS:
+            return None
+        curvature = sp.diags([-mu * beta * model.g.deriv2(w) * phi,
+                              -lam * alpha * model.f.deriv2(z) * psi],
+                             [-n, n], shape=(2 * n, 2 * n))
+        jac = sp.bmat(
+            [[lin, None, np.concatenate([zeros, -beta * model.g.value(w)])[:, None]],
+             [curvature, lin, np.concatenate([zeros, -beta * dg * phi])[:, None]],
+             [None, norm_row, None]], format="csc")
+        rhs = -np.concatenate([fw, fz, null, [phi.sum() + psi.sum() - 2.0 * n]])
+        try:
+            step = spla.splu(jac).solve(rhs)
+        except RuntimeError:
+            return None  # singular: the start is too far from a simple fold
+        if not np.all(np.isfinite(step)):
+            return None
+        t = 1.0
+        while not admissible(x + t * step):
+            t /= 2.0
+            if t < 2.0**-10:
+                return None
+        x = x + t * step
+    return None
+
+
+def _bisect_critical(grid: Grid, model: Model, lam: float, mu_bar: float,
+                     warm: _Fold | None, *,
                      bisect_tol: float,
+                     tol_stat: float,
+                     tol_res: float,
                      max_iter: int,
                      max_iter_doublings: int,
-                     floor_factor: float) -> CurveSample:
-    """Locate the largest admissible value of one parameter, the other fixed.
+                     delta_blow: float,
+                     floor_factor: float) -> tuple[CurveSample, _Fold | None]:
+    """Locate the largest admissible mu at fixed lam; also return the fold
+    that certified it, if one did.
 
-    ``membership(value, budget)`` runs the monotone iteration with an iteration
-    budget.  The upper end starts just beyond the analytic bound (guaranteed
+    Membership verdicts run the monotone iteration with an iteration budget.
+    The upper end starts just beyond the analytic bound mu_bar (guaranteed
     outside); the lower end is found by halving until an InLambda point shows
-    up.  Undetermined verdicts shrink the bracket from neither side: the budget
-    is doubled up to a cap, after which the bracket is accepted as is.
+    up.  Then the fold Newton runs from ``warm`` (the previous sample's fold)
+    or, failing that, from the lower end's minimal solution with phi = psi
+    the Laplacian's principal eigenfunction.  A fold mu_f inside the bracket
+    gives the bracket [mu_f (1 - d), mu_f (1 + d)], d = bisect_tol / 4, when
+    the lifted pair (w_f + eps phi_f, z_f) is a supersolution at the lower end
+    and the verdict at the upper end is NotInLambda.  Otherwise bisection
+    goes on from the bracket already held: Undetermined verdicts shrink it
+    from neither side, and the budget is doubled up to a cap, after which
+    the bracket is accepted as is.
     """
     evaluations = 0
-    hi = value_bar * (1.0 + 1e-9)
-    floor = value_bar * floor_factor
+
+    def membership(mu: float, budget: int) -> MembershipVerdict:
+        nonlocal evaluations
+        evaluations += 1
+        return monotone_minimal_solution(
+            grid, model, ParamPoint(lam=lam, mu=mu), tol_stat=tol_stat,
+            max_iter=budget, delta_blow=delta_blow, tol_res=tol_res)
+
+    hi = mu_bar * (1.0 + 1e-9)
+    floor = mu_bar * floor_factor
     budget = max_iter
     lo = None
-    probe = value_bar / 2.0
+    probe = mu_bar / 2.0
     while probe >= floor:
         verdict = membership(probe, budget)
-        evaluations += 1
         if isinstance(verdict, InLambda):
             lo = probe
             break
@@ -250,16 +425,37 @@ def _bisect_critical(membership: Callable[[float, int], MembershipVerdict],
             hi = probe
         probe /= 2.0
     if lo is None:
-        return CurveSample(lam=math.nan, mu_critical=math.nan,
+        return CurveSample(lam=lam, mu_critical=math.nan,
                            bracket_lo=0.0, bracket_hi=hi,
-                           status="no-bracket", evaluations=evaluations)
+                           status="no-bracket", evaluations=evaluations), None
+
+    _, phi = principal_laplacian_eigenpair(grid.laplacian)
+    phi = phi * (grid.n_total / phi.sum())
+    cold = _Fold(w=verdict.solution.w, z=verdict.solution.z, phi=phi, psi=phi, mu=lo)
+    fold = None
+    for start in (warm, cold):
+        if start is not None and fold is None:
+            fold = _fold_newton(grid, model, lam, start,
+                                tol_res=tol_res, delta_blow=delta_blow)
+    # A bracket halving left within tolerance (bisect_tol >= 1/2) needs no fold.
+    if fold is not None and lo < fold.mu < hi and (hi - lo) > bisect_tol * hi:
+        delta = bisect_tol / 4.0
+        below, above = fold.mu * (1.0 - delta), fold.mu * (1.0 + delta)
+        evaluations += 1
+        if (_is_supersolution(grid, model, ParamPoint(lam=lam, mu=below),
+                              *fold.lifted(model, delta), delta_blow=delta_blow)
+                and isinstance(membership(above, budget), NotInLambda)):
+            lo, hi = below, above
+        else:
+            fold = None
+    else:
+        fold = None
 
     status = "ok"
     budget_cap = max_iter * 2**max_iter_doublings
     while (hi - lo) > bisect_tol * hi:
         mid = 0.5 * (lo + hi)
         verdict = membership(mid, budget)
-        evaluations += 1
         if isinstance(verdict, InLambda):
             lo = mid
         elif isinstance(verdict, NotInLambda):
@@ -270,51 +466,45 @@ def _bisect_critical(membership: Callable[[float, int], MembershipVerdict],
             else:
                 status = "wide-bracket"
                 break
-    return CurveSample(lam=math.nan, mu_critical=0.5 * (lo + hi),
+    return CurveSample(lam=lam, mu_critical=0.5 * (lo + hi),
                        bracket_lo=lo, bracket_hi=hi,
-                       status=status, evaluations=evaluations)
+                       status=status, evaluations=evaluations), fold
 
 
 def trace_critical_curve(grid: Grid, model: Model, lam_samples, *,
                          bisect_tol: float = DEFAULT_BISECT_TOL,
                          tol_stat: float = DEFAULT_TOL_STAT,
+                         tol_res: float = DEFAULT_TOL_RES,
                          max_iter: int = 2000,
                          max_iter_doublings: int = 4,
                          delta_blow: float = DEFAULT_DELTA_BLOW,
                          floor_factor: float = 1e-6) -> CriticalCurve:
-    """Bisection trace of the existence-region boundary over given lam samples.
+    """Trace of the existence-region boundary over given lam samples.
 
-    Also bisects both axis intercepts the same way, holding the other
-    parameter at its bracket floor.
+    Each sample brackets the critical mu with ``_bisect_critical``, whose fold
+    Newton starts from the previous sample's fold.  The axis intercepts go
+    through the same function with the other parameter at its bracket floor;
+    the lam intercept uses the swapped model (f and g, alpha and beta
+    exchanged), whose critical mu is the original critical lam.
     """
     lam_bar, mu_bar = analytic_nonexistence_bound(grid, model)
+    settings = dict(bisect_tol=bisect_tol, tol_stat=tol_stat, tol_res=tol_res,
+                    max_iter=max_iter, max_iter_doublings=max_iter_doublings,
+                    delta_blow=delta_blow, floor_factor=floor_factor)
 
-    def verdict_at(lam: float, mu: float, budget: int) -> MembershipVerdict:
-        return monotone_minimal_solution(
-            grid, model, ParamPoint(lam=lam, mu=mu),
-            tol_stat=tol_stat, max_iter=budget, delta_blow=delta_blow)
-
-    def locate_mu(lam: float) -> CurveSample:
-        raw = _bisect_critical(
-            lambda mu, budget: verdict_at(lam, mu, budget), mu_bar,
-            bisect_tol=bisect_tol, max_iter=max_iter,
-            max_iter_doublings=max_iter_doublings, floor_factor=floor_factor)
-        return CurveSample(lam=lam, mu_critical=raw.mu_critical,
-                           bracket_lo=raw.bracket_lo, bracket_hi=raw.bracket_hi,
-                           status=raw.status, evaluations=raw.evaluations)
-
-    samples = [locate_mu(float(lam)) for lam in lam_samples]
+    samples = []
+    fold = None
+    for lam in lam_samples:
+        sample, fold = _bisect_critical(grid, model, float(lam), mu_bar, fold, **settings)
+        samples.append(sample)
 
     # Axis intercepts: the critical value of one parameter with the other at
     # its bracket floor (the curve is approached from inside the quadrant).
-    lam_star = _bisect_critical(
-        lambda lam, budget: verdict_at(lam, mu_bar * floor_factor, budget), lam_bar,
-        bisect_tol=bisect_tol, max_iter=max_iter,
-        max_iter_doublings=max_iter_doublings, floor_factor=floor_factor)
-    mu_star = _bisect_critical(
-        lambda mu, budget: verdict_at(lam_bar * floor_factor, mu, budget), mu_bar,
-        bisect_tol=bisect_tol, max_iter=max_iter,
-        max_iter_doublings=max_iter_doublings, floor_factor=floor_factor)
+    swapped = Model(f=model.g, g=model.f, alpha=model.beta, beta=model.alpha)
+    lam_star, _ = _bisect_critical(grid, swapped, mu_bar * floor_factor, lam_bar,
+                                   None, **settings)
+    mu_star, _ = _bisect_critical(grid, model, lam_bar * floor_factor, mu_bar,
+                                  None, **settings)
 
     return CriticalCurve(
         samples=tuple(samples),
@@ -339,11 +529,6 @@ def second_solution_search(grid: Grid, model: Model, params: ParamPoint,
     """
     from .spectra import assemble_linearization  # deferred: spectra builds on this module's outputs
 
-    op = grid.laplacian
-    alpha = model.alpha.sample(grid)
-    beta = model.beta.sample(grid)
-    alpha_max = float(alpha.max())
-    beta_max = float(beta.max())
     cap = 1.0 - delta_blow
 
     w0, z0 = minimal.w, minimal.z
@@ -352,20 +537,14 @@ def second_solution_search(grid: Grid, model: Model, params: ParamPoint,
     w = np.minimum(seed_amplitude * w0 / w0.max(), cap - 1e-12)
     z = np.minimum(seed_amplitude * z0 / z0.max(), cap - 1e-12)
 
-    def residual(wc: FloatArray, zc: FloatArray) -> tuple[FloatArray, FloatArray]:
-        return (op.apply(wc) - params.lam * alpha * model.f.value(zc),
-                op.apply(zc) - params.mu * beta * model.g.value(wc))
-
     def sup(fw: FloatArray, fz: FloatArray) -> float:
         return max(float(np.abs(fw).max()), float(np.abs(fz).max()))
 
-    fw, fz = residual(w, z)
+    fw, fz, met = _steady_residual(grid, model, params, w, z, tol_res)
     rnorm = sup(fw, fz)
     step_size = math.nan
     for it in range(1, max_newton + 1):
-        scale_w, scale_z = _residual_scale(params, alpha_max, beta_max, model, w, z)
-        if (float(np.abs(fw).max()) <= tol_res * scale_w
-                and float(np.abs(fz).max()) <= tol_res * scale_z):
+        if met:
             break
         lin = assemble_linearization(grid, model, params, w, z)
         try:
@@ -384,10 +563,10 @@ def second_solution_search(grid: Grid, model: Model, params: ParamPoint,
             if wn.min() < 0 or zn.min() < 0 or max(wn.max(), zn.max()) >= cap:
                 t /= 2
                 continue
-            fwn, fzn = residual(wn, zn)
+            fwn, fzn, metn = _steady_residual(grid, model, params, wn, zn, tol_res)
             rn = sup(fwn, fzn)
             if rn <= (1.0 - 0.25 * t) * rnorm:
-                w, z, fw, fz, rnorm = wn, zn, fwn, fzn, rn
+                w, z, fw, fz, met, rnorm = wn, zn, fwn, fzn, metn, rn
                 step_size = t * max(float(np.abs(dw).max()), float(np.abs(dz).max()))
                 accepted = True
                 break

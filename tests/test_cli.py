@@ -209,6 +209,21 @@ def test_curve_honours_floor_factor(decay_ini, tmp_path):
     assert stars[0] != stars[1]
 
 
+def test_curve_honours_tol_res(decay_ini, tmp_path):
+    # The membership verdicts and the fold Newton test residuals against
+    # run.tol_res; a target no residual meets leaves no in-lambda point.
+    tables = []
+    for tol in ("1e-8", "1e-30"):
+        out = tmp_path / tol
+        assert main(["curve", "--config", decay_ini, "--out", str(out), *CURVE_OVERRIDES,
+                     "--override", f"run.tol_res={tol}"]) == 0
+        _, _, rows = read_table(str(out / "curve.csv"))
+        tables.append(rows)
+    assert tables[0] != tables[1]
+    assert all(r[4] == "ok" for r in tables[0])
+    assert all(r[4] == "no-bracket" for r in tables[1])
+
+
 def test_rate_command(decay_ini, tmp_path):
     out = str(tmp_path / "out")
     assert main(["rate", "--config", decay_ini, "--out", out,

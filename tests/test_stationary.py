@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frozen
 from conftest import power2_model, unit_stack
@@ -18,7 +20,11 @@ from quenchlab import (
     mass_bound_check,
     monotone_minimal_solution,
     ordered_triple_artifact,
+    principal_laplacian_eigenpair,
+    rectangle,
     second_solution_search,
+    solve_poisson,
+    stationary,
     trace_critical_curve,
 )
 
@@ -152,6 +158,121 @@ def test_curve_trace_brackets_and_monotonicity():
     assert mus == sorted(mus, reverse=True)
     lo, hi = curve.lambda_star
     assert 0.0 < lo <= hi
+
+
+def test_curve_brackets_are_honest(monkeypatch):
+    # Each end of a certified bracket agrees with the membership verdict
+    # there, and the fold lies inside the bracket bisection alone finds.
+    g, _, _ = unit_stack(49)
+    model = power2_model()
+    lams = [0.3, 0.7, 1.1, 1.5]
+    curve = trace_critical_curve(g, model, lams, bisect_tol=5e-3)
+    for s in curve.samples:
+        # certified by the fold: the bracket is mu_f (1 -+ bisect_tol / 4)
+        assert s.bracket_hi - s.bracket_lo == pytest.approx(2.5e-3 * s.mu_critical, rel=1e-9)
+        above = monotone_minimal_solution(g, model, ParamPoint(s.lam, s.bracket_hi),
+                                          max_iter=2000)
+        assert isinstance(above, NotInLambda)
+        below = monotone_minimal_solution(g, model, ParamPoint(s.lam, s.bracket_lo),
+                                          max_iter=100_000)
+        assert isinstance(below, InLambda)
+    monkeypatch.setattr(stationary, "_fold_newton", lambda *args, **kwargs: None)
+    plain = trace_critical_curve(g, model, lams, bisect_tol=5e-3)
+    for s, p in zip(curve.samples, plain.samples):
+        assert p.status == "ok"
+        assert p.bracket_lo < s.mu_critical < p.bracket_hi
+
+
+def test_supersolution_check_unit_cases():
+    # the fold at lam = 1, from the minimal solution at mu = 1 as a cold start
+    g, _, _ = unit_stack(49)
+    model = power2_model()
+    sol = monotone_minimal_solution(g, model, ParamPoint(1.0, 1.0)).solution
+    _, phi = principal_laplacian_eigenpair(g.laplacian)
+    phi = phi * (g.n_total / phi.sum())
+    start = stationary._Fold(w=sol.w, z=sol.z, phi=phi, psi=phi, mu=1.0)
+    fold = stationary._fold_newton(g, model, 1.0, start, tol_res=1e-8, delta_blow=1e-4)
+    assert fold is not None
+    delta = 2.5e-4
+    below = ParamPoint(1.0, fold.mu * (1.0 - delta))
+    w, z = fold.lifted(model, delta)
+    assert stationary._is_supersolution(g, model, below, w, z)
+    # the same pair is no supersolution above the fold
+    assert not stationary._is_supersolution(g, model, ParamPoint(1.0, fold.mu * (1.0 + delta)),
+                                            w, z)
+
+    # A touching = 1 / max(A^{-1} 1) = 8 exceeds lam f(z) at every node, so
+    # only the range check can reject this pair
+    bubble = solve_poisson(g.laplacian, np.ones(g.n_total))
+    touching = bubble / bubble.max()
+    assert touching.max() == 1.0
+    assert np.all(g.laplacian.apply(touching) > below.lam * model.f.value(z))
+    assert not stationary._is_supersolution(g, model, below, touching, z)
+
+    # lower w at one node until A w - lam alpha f(z) there is minus half its
+    # slack; the neighbours and the z equation only gain
+    op = g.laplacian
+    slack = op.apply(w) - below.lam * model.alpha.sample(g) * model.f.value(z)
+    node = 17
+    short = w.copy()
+    short[node] -= 0.75 * slack[node] * g.h[0] ** 2
+    new_slack = op.apply(short) - below.lam * model.alpha.sample(g) * model.f.value(z)
+    assert np.flatnonzero(new_slack <= 0.0).tolist() == [node]
+    assert not stationary._is_supersolution(g, model, below, short, z)
+
+
+_GRIDS = {1: unit_stack(15)[0], 2: rectangle((0.0, 1.0), (0.0, 1.0), 7, 5)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["log", "exp", "power"]),
+       profile=st.sampled_from(["constant", "bump", "powerdist"]),
+       dimension=st.sampled_from([1, 2]),
+       a=st.floats(0.01, 0.2), b=st.floats(0.01, 0.2),
+       c=st.floats(0.9, 1.1), s=st.floats(0.5, 1.1))
+def test_supersolution_check_implies_membership(family, profile, dimension, a, b, c, s):
+    # Candidates: the minimal pair at (lam1, mu1), scaled by c, offered as a
+    # supersolution at s (lam1, mu1).
+    g = _GRIDS[dimension]
+    nl = Nonlinearity(family)
+    model = Model(f=nl, g=nl, alpha=Profile(profile), beta=Profile(profile))
+    lam_bar, mu_bar = analytic_nonexistence_bound(g, model)
+    first = monotone_minimal_solution(g, model, ParamPoint(a * lam_bar, b * mu_bar))
+    if not isinstance(first, InLambda):
+        return
+    w, z = c * first.solution.w, c * first.solution.z
+    params = ParamPoint(s * a * lam_bar, s * b * mu_bar)
+    if stationary._is_supersolution(g, model, params, w, z):
+        verdict = monotone_minimal_solution(g, model, params, max_iter=100_000)
+        assert isinstance(verdict, InLambda)
+        # the comparison argument: the minimal pair lies below the candidate
+        assert np.all(verdict.solution.w <= w + 1e-12)
+        assert np.all(verdict.solution.z <= z + 1e-12)
+    if c <= 1.0 < s - 1e-3:
+        # f(c z) >= c f(z): a solution scaled down is no supersolution above it
+        assert not stationary._is_supersolution(g, model, params, w, z)
+
+
+def test_curve_no_bracket_survives_fold_newton():
+    # floor_factor near 1 leaves no halving probe above the floor
+    g, _, _ = unit_stack(49)
+    curve = trace_critical_curve(g, power2_model(), [0.5], floor_factor=0.9)
+    (s,) = curve.samples
+    assert s.status == "no-bracket" and s.evaluations == 0
+    assert np.isnan(s.mu_critical)
+    assert curve.lambda_star[0] == 0.0 and curve.mu_star[0] == 0.0
+
+
+def test_curve_wide_bracket_survives_fold_newton():
+    # 40 iterations decide the halving probes but neither the escape check
+    # next to the fold nor the bisection midpoints near it
+    g, _, _ = unit_stack(49)
+    curve = trace_critical_curve(g, power2_model(), [0.5], max_iter=40,
+                                 max_iter_doublings=0)
+    (s,) = curve.samples
+    assert s.status == "wide-bracket"
+    assert s.bracket_hi - s.bracket_lo > 1e-3 * s.bracket_hi
+    assert s.bracket_lo < s.mu_critical < s.bracket_hi
 
 
 def test_mass_bound_on_minimal_solution(unit99):
