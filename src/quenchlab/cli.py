@@ -387,6 +387,7 @@ def write_json(path: str, payload: dict) -> None:
 
 def write_table(path: str, header: list[str], rows, echo: dict) -> None:
     """CSV with a leading config-echo comment line and 17-digit numeric cells."""
+    floats = ",".join(["%.17g"] * len(header)) + "\n"  # the bytes _fmt gives floats
     with open(path, "w") as handle:
         handle.write("# config: "
                      + json.dumps(_json_safe(echo), sort_keys=True,
@@ -394,7 +395,10 @@ def write_table(path: str, header: list[str], rows, echo: dict) -> None:
                      + "\n")
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(_fmt(cell) for cell in row) + "\n")
+            if len(row) == len(header) and all(isinstance(cell, float) for cell in row):
+                handle.write(floats % tuple(row))
+            else:
+                handle.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
 def read_table(path: str) -> tuple[dict, list[str], list[list[str]]]:

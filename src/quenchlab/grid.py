@@ -12,6 +12,9 @@ same sine spectrum gives the principal eigenpair in closed form.
 A grid owns its Laplacian: ``grid.laplacian`` is assembled once, on first
 use, and every library function takes its operator from there, so no caller
 can pair a grid with another grid's operator.
+
+``solve_poisson`` solves k fields at once as the columns of (n, k).  Fields
+are checked where they enter (``Grid.check_field``), not in the quadratures.
 """
 
 from __future__ import annotations
@@ -62,11 +65,11 @@ class Grid:
     def h(self) -> tuple[float, ...]:
         return tuple((hi - lo) / (n + 1) for (lo, hi), n in zip(self.extents, self.n_interior))
 
-    @property
+    @cached_property
     def n_total(self) -> int:
         return int(np.prod(self.n_interior))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
@@ -228,52 +231,61 @@ def assemble_laplacian(grid: Grid) -> DiscreteOperator:
                             stencil_norm=float(abs(mat).sum(axis=1).max()))
 
 
-def _backward_error(op: DiscreteOperator, x: FloatArray, b: FloatArray) -> float:
-    # Normwise backward error ||Mx-b|| / (||M|| ||x|| + ||b||) of M = s*I + c*A
-    # (||Mx-b||/||b|| alone is bounded below by cond(M)*eps).  The residual and
-    # ||M||_inf = s + c*||A||_inf for s, c >= 0 need no assembled M.
+def _backward_error(op: DiscreteOperator, x: FloatArray, b: FloatArray) -> FloatArray:
+    # Per column, ||Mx-b|| / (||M|| ||x|| + ||b||) for M = s*I + c*A (||Mx-b||/||b||
+    # alone is bounded below by cond(M)*eps), 0 for x = b = 0, nan on overflow.
+    # The residual and ||M||_inf = s + c*||A||_inf need no assembled M.
     s, c = op.identity_coeff, op.operator_coeff
     r = c * (op.stencil @ x) + s * x - b
-    denom = (s + c * op.stencil_norm) * np.linalg.norm(x) + np.linalg.norm(b)
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(r) / denom)
+    rn, xn, bn = (np.sqrt(np.add.reduce(a * a, axis=0)) for a in (r, x, b))
+    denom = (s + c * op.stencil_norm) * xn + bn
+    return rn / np.where(denom == 0.0, 1.0, denom)
 
 
 def solve_poisson(op: DiscreteOperator, rhs: FloatArray, *,
                   tol_lin: float = DEFAULT_TOL_LIN) -> FloatArray:
     """Solve op @ u = rhs for the interior field u, op = s*I + c*A, directly.
 
-    1D: LAPACK ``dpttrs`` with the operator's L D L^T factor (``dpttrf``); a
-    DST pair would cost about ten such solves.  2D: the orthonormal DST-I
+    ``rhs`` is one field (n,) or k fields as the columns of (n, k); each
+    (contiguous) result column is bit-identical to a lone solve.  1D: LAPACK
+    ``dpttrs`` with the operator's L D L^T factor (``dpttrf``); a DST pair
+    would cost about ten such solves.  2D: the orthonormal DST-I
     diagonalizes A (eigenvalues sum over axes of 4/h^2 sin^2(k*pi/(2(n+1)))),
     so u is the inverse transform of the transformed rhs over s + c*eigenvalue;
     one FFT worker keeps results bit-identical.  Raises SolverBreakdownError
-    when the normwise backward error exceeds tol_lin.
+    when a column's normwise backward error exceeds tol_lin.  Only the shape is
+    checked up front; a non-finite rhs fails the backward-error check and is
+    then reported as ValueError.
     """
     g = op.grid
-    b = g.check_field(rhs, "rhs")
+    b = np.asarray(rhs, dtype=float)
+    if b.shape[:1] != (g.n_total,) or b.ndim > 2:
+        raise ValueError(f"rhs has shape {b.shape}, expected ({g.n_total},) or ({g.n_total}, k)")
     if g.dimension == 1:
         d, e = op._tridiagonal_factor
         x, _ = lapack.dpttrs(d, e, b)
     else:
         from scipy.fft import dstn, idstn  # imported here: 1D runs skip its import time
 
-        modes = dstn(b.reshape(g.n_interior[::-1]), type=1, norm="ortho", workers=1)
-        x = idstn(modes * op._inverse_symbol, type=1, norm="ortho", workers=1).ravel()
+        stack = b.T.reshape(-1, *g.n_interior[::-1])  # (k, ny, nx)
+        modes = dstn(stack, type=1, axes=(-2, -1), norm="ortho", workers=1)
+        x = idstn(modes * op._inverse_symbol, type=1, axes=(-2, -1), norm="ortho",
+                  workers=1).reshape(b.shape[::-1]).T
 
-    err = _backward_error(op, x, b)
-    if not err <= tol_lin:
+    with np.errstate(all="ignore"):  # an overflow yields nan, which fails the check
+        err = _backward_error(op, x, b)
+    if not (err <= tol_lin).all():
+        if not np.isfinite(b).all():
+            raise ValueError("rhs contains non-finite entries")
         raise SolverBreakdownError(
-            f"linear solve backward error {err:.3e} exceeds tol_lin={tol_lin:g}"
+            f"linear solve backward error {np.max(err):.3e} exceeds tol_lin={tol_lin:g}"
         )
     return x
 
 
 def integrate(field: FloatArray, grid: Grid) -> float:
     """Quadrature of a field over the domain (boundary values implicitly 0)."""
-    arr = grid.check_field(field)
-    return float(np.dot(grid.quad_weights, arr))
+    return float(np.dot(grid.quad_weights, field))
 
 
 def gradient_inner(op: DiscreteOperator, u: FloatArray, v: FloatArray) -> float:
@@ -282,7 +294,7 @@ def gradient_inner(op: DiscreteOperator, u: FloatArray, v: FloatArray) -> float:
     By summation by parts this equals cell_volume * u^T A v exactly, which is
     how it is evaluated.
     """
-    return op.grid.cell_volume * float(np.dot(u, op.apply(v)))
+    return op.grid.cell_volume * float(np.dot(u, op.matrix @ v))
 
 
 def principal_laplacian_eigenpair(op: DiscreteOperator) -> tuple[float, FloatArray]:

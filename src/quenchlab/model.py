@@ -32,7 +32,7 @@ _EI_1 = float(expi(1.0))
 
 def _check_unit_range(s) -> tuple[FloatArray, bool]:
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+    if arr.size and (arr.min() < 0.0 or arr.max() >= 1.0):
         raise ValueError("nonlinearity argument outside [0, 1)")
     return arr, arr.ndim == 0
 

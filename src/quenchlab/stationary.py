@@ -33,6 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .errors import SolverBreakdownError
 from .grid import (
     FloatArray,
     Grid,
@@ -147,35 +148,43 @@ def monotone_minimal_solution(grid: Grid, model: Model, params: ParamPoint, *,
     escape = 1.0 - delta_blow
     op = grid.laplacian
 
-    n = grid.n_total
-    w = np.zeros(n)
-    z = np.zeros(n)
-    rhs_w_prev = np.zeros(n)
-    rhs_z_prev = np.zeros(n)
+    x = np.zeros((grid.n_total, 2), order="F")  # the iterate (w, z) as one block
+    w, z = x.T
+    source_prev = np.zeros_like(x)
     change = math.inf
 
     for it in range(1, max_iter + 1):
-        rhs_w = params.lam * alpha * model.f.value(z)
-        rhs_z = params.mu * beta * model.g.value(w)
-        dw = solve_poisson(op, np.maximum(rhs_w - rhs_w_prev, 0.0))
-        dz = solve_poisson(op, np.maximum(rhs_z - rhs_z_prev, 0.0))
-        np.maximum(dw, 0.0, out=dw)
-        np.maximum(dz, 0.0, out=dz)
-        w = w + dw
-        z = z + dz
-        rhs_w_prev = rhs_w
-        rhs_z_prev = rhs_z
+        source = np.array([params.lam * alpha * model.f.value(z),
+                           params.mu * beta * model.g.value(w)]).T
+        b = np.maximum(source - source_prev, 0.0)
+        try:
+            inc = solve_poisson(op, b)
+        except (SolverBreakdownError, ValueError):
+            # A source overflowed (exp does past s = 0.9986, below the escape
+            # level).  A^-1 >= 0 with (A^-1)_jj >= 1/A_jj, so for b >= 0 the
+            # next iterate is at least x + b/diag(A): escape needs no solve.
+            bound = float((x + b / op.matrix.diagonal()[:, None]).max())
+            if not bound >= escape:
+                raise
+            return NotInLambda(
+                evidence="iterate-escape",
+                detail={"iteration": it, "max_value": bound, "delta_blow": delta_blow},
+            )
+        np.maximum(inc, 0.0, out=inc)
+        x = x + inc
+        w, z = x.T
+        source_prev = source
         if iterate_hook is not None:
             iterate_hook(it, w, z)
 
-        top = max(float(w.max()), float(z.max()))
+        top = float(x.max())
         if top >= escape:
             return NotInLambda(
                 evidence="iterate-escape",
                 detail={"iteration": it, "max_value": top, "delta_blow": delta_blow},
             )
 
-        change = max(float(dw.max()), float(dz.max()))
+        change = float(inc.max())
         if change <= tol_stat:
             fw, fz, met = _steady_residual(grid, model, params, w, z, tol_res)
             if met:

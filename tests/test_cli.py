@@ -1,12 +1,16 @@
 """Command-line driver: configs, overrides, artifacts, exit codes."""
 
 import json
+import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quenchlab.cli import main, read_table
+from quenchlab.cli import _fmt, main, read_table, write_table
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DECAY = """\
 [domain]
@@ -360,3 +364,38 @@ def test_rate_accepts_second_state_recipe(decay_ini, tmp_path):
     assert code != 2
     rate = json.load(open(os.path.join(out, "rate.json")))
     assert rate["config"]["model"]["initial_kind"] == "convex_combo"
+
+
+def test_curve_exp_overflow_ends_in_a_verdict(tmp_path):
+    # 2D exp/powerdist: the fallback bisection of the lambda intercept meets
+    # Picard iterates whose exp sources overflow below the escape level.
+    # They are decided by the diagonal escape bound, not a solver error.
+    out = str(tmp_path / "out")
+    overrides = ["domain.dimension=2", "domain.b=2.0", "domain.nx=15", "domain.ny=7",
+                 "model.f_family=exp", "model.g_family=exp",
+                 "model.alpha_family=powerdist", "model.beta_family=powerdist",
+                 "run.lambda_samples=0.5", "run.bisect_tol=5e-3"]
+    args = ["curve", "--config", str(CONFIGS / "curve.ini"), "--out", out]
+    for item in overrides:
+        args += ["--override", item]
+    assert main(args) == 0
+    _, header, rows = read_table(os.path.join(out, "curve.csv"))
+    assert len(rows) == 1
+    sample = dict(zip(header, rows[0]))
+    assert sample["status"] == "ok"
+    assert float(sample["mu_critical"]) == pytest.approx(5.3315, rel=1e-4)
+
+
+def test_write_table_float_rows_match_cell_format(tmp_path):
+    cells = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 0.1,
+             1.0 / 3.0, 1.7976931348623157e308, float(np.float64(2.5e-7))]
+    rng = np.random.default_rng(4)
+    rows = [cells, rng.standard_normal(len(cells)).tolist(),
+            (10.0 ** rng.uniform(-300, 300, len(cells))).tolist(),
+            [3, True, "ok", np.float64(0.1), None] + cells[:6],  # not all floats
+            cells[:4]]  # narrower than the header
+    header = [f"c{i}" for i in range(len(cells))]
+    path = tmp_path / "table.csv"
+    write_table(str(path), header, rows, {"command": "test"})
+    lines = path.read_text().splitlines()[2:]
+    assert lines == [",".join(_fmt(cell) for cell in row) for row in rows]

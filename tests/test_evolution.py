@@ -1,11 +1,15 @@
 """Time stepping, quench detection, energy identity, ratio constants."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import power2_model, unit_stack
 from quenchlab import (
+    DiscreteOperator,
     ParamPoint,
+    evolution,
     StepperConfig,
     StepRangeError,
     TerminalStatus,
@@ -83,6 +87,55 @@ def test_horizon_run_bookkeeping(unit99):
     assert snap_times[0] == 0.0
     assert snap_times[-1] == trj.times[-1]
     assert all(t in set(trj.times.tolist()) for t in snap_times)
+
+
+def _spy_solves(monkeypatch):
+    """Replace evolution's solve_poisson by a wrapper; returns the list of
+    operators it was called with (kept alive, so their ids stay distinct)."""
+    ops = []
+    original = evolution.solve_poisson
+
+    def spy(op, rhs, **kwargs):
+        assert np.shape(rhs) == (op.grid.n_total, 2)  # (u, v) as one block
+        ops.append(op)
+        return original(op, rhs, **kwargs)
+
+    monkeypatch.setattr(evolution, "solve_poisson", spy)
+    return ops
+
+
+def test_fixed_step_run_solves_once_per_step(unit99, monkeypatch):
+    g, _, _ = unit99
+    ops = _spy_solves(monkeypatch)
+    trj = simulate(_zeros(g), g, power2_model(), ParamPoint(0.5, 0.5),
+                   fixed_config(1e-2), 0.5)
+    assert trj.n_steps == 50
+    assert len(ops) == trj.n_steps
+
+
+def test_half_step_pair_shares_one_shift(unit99, monkeypatch):
+    # An adaptive trial step is one full step (its own shift, one solve) and
+    # a pair of half steps (one shift, two solves).
+    g, _, _ = unit99
+    ops = _spy_solves(monkeypatch)
+    shifts = []
+    original = DiscreteOperator.shifted
+
+    def spy_shift(self, *args):
+        shifts.append(original(self, *args))
+        return shifts[-1]
+
+    monkeypatch.setattr(DiscreteOperator, "shifted", spy_shift)
+    trj = simulate(_zeros(g), g, power2_model(), ParamPoint(0.5, 0.5),
+                   StepperConfig(), 1.0)
+    assert trj.status is TerminalStatus.HORIZON
+    uses = Counter(id(op) for op in ops)
+    assert set(uses) == {id(op) for op in shifts}
+    per_shift = Counter(uses.values())
+    assert set(per_shift) == {1, 2}
+    assert per_shift[1] == per_shift[2] >= trj.n_steps
+    assert all(op.operator_coeff == 0.5 * full.operator_coeff
+               for op, full in zip(shifts[1::2], shifts[0::2]))
 
 
 def test_quench_run_levels_and_extrapolation(unit99):

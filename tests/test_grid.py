@@ -240,3 +240,52 @@ def test_boundary_distance():
     assert d.min() > 0.0
     assert d[0] == pytest.approx(g.h[0])
     assert d.max() == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("name", SOLVER_GRIDS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_solve_equals_column_solves_bitwise(name, k):
+    g = SOLVER_GRIDS[name]
+    op = assemble_laplacian(g).shifted(1.0, 0.37)
+    rhs = np.random.default_rng(8).standard_normal((g.n_total, k))
+    block = solve_poisson(op, rhs)
+    assert block.shape == (g.n_total, k)
+    for j in range(k):
+        assert block[:, j].tobytes() == solve_poisson(op, rhs[:, j]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["interval-13", "rectangle-11x7"])
+def test_block_solve_checks_every_column(name):
+    g = SOLVER_GRIDS[name]
+    op = assemble_laplacian(g).shifted(1.0, 0.37)
+    rhs = np.random.default_rng(9).random((g.n_total, 3)) + 0.1
+    with pytest.raises(SolverBreakdownError):
+        solve_poisson(op, rhs, tol_lin=0.0)
+    # One column so large that its norms overflow: its backward error is nan,
+    # which fails the check without a RuntimeWarning, while the others pass.
+    rhs[:, 1] *= 1e300
+    with pytest.raises(SolverBreakdownError, match="nan"):
+        solve_poisson(op, rhs)
+    solve_poisson(op, rhs[:, [0, 2]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_block_solve_rejects_non_finite_rhs(bad):
+    g = SOLVER_GRIDS["interval-13"]
+    op = assemble_laplacian(g)
+    rhs = np.ones((g.n_total, 2))
+    rhs[4, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_poisson(op, rhs)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_poisson(op, rhs[:, 1])
+
+
+@pytest.mark.parametrize("name", SOLVER_GRIDS)
+@pytest.mark.parametrize("shape", ["k,n", "n,k,1", "n+1"])
+def test_solve_rejects_misshapen_rhs(name, shape):
+    g = SOLVER_GRIDS[name]
+    n = g.n_total
+    dims = {"k,n": (2, n), "n,k,1": (n, 2, 1), "n+1": (n + 1,)}[shape]
+    with pytest.raises(ValueError, match="shape"):
+        solve_poisson(assemble_laplacian(g), np.ones(dims))

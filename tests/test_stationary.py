@@ -17,6 +17,7 @@ from quenchlab import (
     Undetermined,
     analytic_nonexistence_bound,
     integrate,
+    interval,
     mass_bound_check,
     monotone_minimal_solution,
     ordered_triple_artifact,
@@ -111,6 +112,56 @@ def test_nonexistence_by_iterate_escape(unit99):
     verdict = monotone_minimal_solution(g, power2_model(), ParamPoint(3.0, 3.0))
     assert isinstance(verdict, NotInLambda)
     assert verdict.evidence == "iterate-escape"
+
+
+def _spy_solves(monkeypatch):
+    """Replace stationary's solve_poisson by a wrapper; returns the list of
+    (rhs shape, exception type or None) it records per call."""
+    calls = []
+    original = stationary.solve_poisson
+
+    def spy(op, rhs, **kwargs):
+        try:
+            out = original(op, rhs, **kwargs)
+        except Exception as exc:
+            calls.append((np.shape(rhs), type(exc)))
+            raise
+        calls.append((np.shape(rhs), None))
+        return out
+
+    monkeypatch.setattr(stationary, "solve_poisson", spy)
+    return calls
+
+
+@pytest.mark.parametrize("params", [ParamPoint(1.0, 1.2), ParamPoint(3.0, 3.0)],
+                         ids=["in-lambda", "iterate-escape"])
+def test_one_block_solve_per_picard_iteration(unit99, monkeypatch, params):
+    g, _, _ = unit99
+    calls = _spy_solves(monkeypatch)
+    seen = []
+    monotone_minimal_solution(g, power2_model(), params,
+                              iterate_hook=lambda it, w, z: seen.append(it))
+    assert len(calls) == len(seen) == seen[-1]
+    assert {shape for shape, _ in calls} == {(g.n_total, 2)}
+
+
+@pytest.mark.parametrize("n, profile, lam", [(15, "powerdist", 8.74), (15, "constant", 0.72)],
+                         ids=["overflowing-solution", "inf-source"])
+def test_exp_overflow_is_iterate_escape(monkeypatch, n, profile, lam):
+    # exp(1/(1-s)) leaves the float range near s = 0.9986, below the escape
+    # level: the last Picard solve fails (backward error nan from an
+    # overflowing solution, or an inf source), and the diagonal bound
+    # x + b/diag(A) proves escape instead.
+    g = interval(0.0, 1.0, n)
+    model = Model(f=Nonlinearity("exp"), g=Nonlinearity("exp"),
+                  alpha=Profile(profile), beta=Profile(profile))
+    calls = _spy_solves(monkeypatch)
+    verdict = monotone_minimal_solution(g, model, ParamPoint(lam, lam))
+    assert isinstance(verdict, NotInLambda)
+    assert verdict.evidence == "iterate-escape"
+    assert verdict.detail["max_value"] >= 1.0 - verdict.detail["delta_blow"]
+    assert verdict.detail["iteration"] == len(calls)
+    assert calls[-1][1] is not None and all(exc is None for _, exc in calls[:-1])
 
 
 def test_undetermined_on_tiny_budget(unit99):
