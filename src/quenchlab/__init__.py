@@ -46,7 +46,6 @@ from .stationary import (
     analytic_nonexistence_bound,
     mass_bound_check,
     monotone_minimal_solution,
-    ordered_triple_artifact,
     second_solution_search,
     trace_critical_curve,
 )
@@ -58,12 +57,10 @@ from .spectra import (
 )
 from .evolution import (
     QuenchEvent,
-    RatioConstants,
     StepperConfig,
     TerminalStatus,
     Trajectory,
     lyapunov_energy,
-    ratio_constants,
     simulate,
     step,
 )

@@ -18,6 +18,8 @@ from .errors import ConfigError, InsufficientDecayError
 from .grid import FloatArray, Grid
 from .model import InitialData, Model, ParamPoint, materialize_initial
 from .stationary import (
+    DEFAULT_DELTA_BLOW,
+    DEFAULT_TOL_RES,
     InLambda,
     MembershipVerdict,
     NotInLambda,
@@ -30,6 +32,10 @@ from .evolution import TerminalStatus, Trajectory
 
 QUENCH_TIME_SLACK = 0.05
 RATE_FIT_SLACK = 0.95
+_ORDER_SLACK = 1e-10  # tolerance of classify_case's orderings of pairs
+# rate_certificate's fit window: its share of the tail, the onset and floor
+# (fractions of the initial squared distance) and the fewest samples to fit
+_RATE_WINDOW, _RATE_ONSET, _RATE_FLOOR, _RATE_MIN_POINTS = 0.6, 0.1, 1e-12, 5
 
 _RATE_DISCREPANCY_NOTE = (
     "The advertised decay constant min(2*lambda1, nu1/2) is not what the "
@@ -112,11 +118,10 @@ class QuenchCheck:
     note: str
 
 
-def verify_quench_bound(trajectory: Trajectory, bound: QuenchBound, *,
-                        slack: float = QUENCH_TIME_SLACK) -> QuenchCheck:
+def verify_quench_bound(trajectory: Trajectory, bound: QuenchBound) -> QuenchCheck:
     """Check the asserted bound: an applicable bound demands a quench no later
-    than bound * (1 + slack); an inapplicable one asserts nothing and passes
-    vacuously."""
+    than bound * (1 + QUENCH_TIME_SLACK); an inapplicable one asserts nothing
+    and passes vacuously."""
     quenched = trajectory.status is TerminalStatus.QUENCHED
     observed = trajectory.quench_time
     best = bound.best
@@ -131,11 +136,11 @@ def verify_quench_bound(trajectory: Trajectory, bound: QuenchBound, *,
             note="bound not applicable and no quench observed; vacuously true")
     if not quenched:
         hint = ("horizon ended before the bound elapsed"
-                if trajectory.horizon < best * (1.0 + slack)
+                if trajectory.horizon < best * (1.0 + QUENCH_TIME_SLACK)
                 else "trajectory outlived the bound")
         return QuenchCheck(passes=False, observed_time=None, bound_used=best,
                            note=f"applicable bound but no quench: {hint}")
-    passes = observed <= best * (1.0 + slack)
+    passes = observed <= best * (1.0 + QUENCH_TIME_SLACK)
     note = ("quench inside the certified window" if passes
             else "quench later than the certified bound allows")
     return QuenchCheck(passes=passes, observed_time=observed,
@@ -163,21 +168,16 @@ class RateCertificate:
     note: str = _RATE_DISCREPANCY_NOTE
 
 
-def rate_certificate(trajectory: Trajectory, lam1: float, nu1: float, *,
-                     window_fraction: float = 0.6,
-                     onset_fraction: float = 0.1,
-                     floor_factor: float = 1e-12,
-                     min_points: int = 5,
-                     rate_slack: float = RATE_FIT_SLACK) -> RateCertificate:
+def rate_certificate(trajectory: Trajectory, lam1: float, nu1: float) -> RateCertificate:
     """Fit the tail of log(squared distance to the reference) and compare
     against the certified decay constant.
 
-    The window starts after the distance has dropped below onset_fraction of
-    its initial value and is cut off where it reaches floor_factor times the
-    initial value, below which the samples measure solver precision rather
-    than decay.  Raises InsufficientDecayError when the trajectory never
-    reaches onset, ends above 1e-8 of the initial distance, or leaves fewer
-    than min_points samples to fit.
+    The fit window is the last 60% of the tail that starts once the distance
+    has dropped below 0.1 of its initial value and is cut off where it reaches
+    1e-12 times the initial value, below which the samples measure solver
+    precision rather than decay.  Raises InsufficientDecayError when the
+    trajectory never reaches onset, ends above 1e-8 of the initial distance,
+    or leaves fewer than 5 samples to fit.
     """
     dist2 = trajectory.dist2_u + trajectory.dist2_v
     if not np.all(np.isfinite(dist2)):
@@ -190,20 +190,20 @@ def rate_certificate(trajectory: Trajectory, lam1: float, nu1: float, *,
         raise InsufficientDecayError(
             "terminal distance is above 1e-8 of the initial one; "
             "the trajectory has not decayed enough to certify a rate")
-    below = np.nonzero(dist2 <= onset_fraction * d0)[0]
+    below = np.nonzero(dist2 <= _RATE_ONSET * d0)[0]
     if below.size == 0:
         raise InsufficientDecayError("distance never dropped below the onset fraction")
     t_onset = float(times[below[0]])
-    above_floor = np.nonzero(dist2 >= floor_factor * d0)[0]
+    above_floor = np.nonzero(dist2 >= _RATE_FLOOR * d0)[0]
     t_hi = float(times[above_floor[-1]]) if above_floor.size else float(times[-1])
     if t_hi <= t_onset:
         raise InsufficientDecayError("decay tail is entirely below the noise floor")
-    t_lo = t_hi - window_fraction * (t_hi - t_onset)
+    t_lo = t_hi - _RATE_WINDOW * (t_hi - t_onset)
     mask = (times >= t_lo) & (times <= t_hi) & (dist2 > 0.0)
     n_points = int(mask.sum())
-    if n_points < min_points:
+    if n_points < _RATE_MIN_POINTS:
         raise InsufficientDecayError(
-            f"only {n_points} samples in the fit window, need {min_points}")
+            f"only {n_points} samples in the fit window, need {_RATE_MIN_POINTS}")
     slope, intercept = np.polyfit(times[mask], np.log(dist2[mask]), 1)
     fitted_rate = -float(slope)
     gamma_claimed = min(2.0 * lam1, 0.5 * nu1)
@@ -212,7 +212,7 @@ def rate_certificate(trajectory: Trajectory, lam1: float, nu1: float, *,
         gamma_claimed=gamma_claimed, gamma_certified=gamma_certified,
         fitted_rate=fitted_rate, prefactor=float(np.exp(intercept)),
         window=(t_lo, t_hi), n_points=n_points,
-        passes=fitted_rate >= rate_slack * gamma_certified,
+        passes=fitted_rate >= RATE_FIT_SLACK * gamma_certified,
         nu1=nu1, lam1=lam1)
 
 
@@ -274,7 +274,8 @@ class CaseReport:
 def classify_case(grid: Grid, model: Model, params: ParamPoint,
                   recipe: InitialData, *,
                   seed_amplitude: float = 0.8,
-                  order_slack: float = 1e-10,
+                  delta_blow: float = DEFAULT_DELTA_BLOW,
+                  tol_res: float = DEFAULT_TOL_RES,
                   **membership_kwargs) -> CaseReport:
     """Route a configuration to its predicted behavior.
 
@@ -282,28 +283,31 @@ def classify_case(grid: Grid, model: Model, params: ParamPoint,
     points with no steady state (case b), then ordering of the initial data
     against the minimal steady state (a1) and, when one is found, against a
     second steady state (a21 below it, a22 above it).  Anything else is
-    reported as none-established rather than guessed.
+    reported as none-established rather than guessed.  ``delta_blow`` and
+    ``tol_res`` apply to the membership verdict and the second-state search.
     """
     notes: list[str] = []
+    shared = dict(delta_blow=delta_blow, tol_res=tol_res)
 
-    membership = monotone_minimal_solution(grid, model, params, **membership_kwargs)
+    membership = monotone_minimal_solution(grid, model, params, **shared,
+                                           **membership_kwargs)
     minimal = membership.solution if isinstance(membership, InLambda) else None
 
     def find_second(base: StationarySolution) -> StationarySolution | None:
         return second_solution_search(
-            grid, model, params, base, seed_amplitude=seed_amplitude)
+            grid, model, params, base, seed_amplitude=seed_amplitude, **shared)
 
     (u0, v0), second = initial_from_recipe(recipe, grid, lambda: membership,
                                            find_second)
     bound = quench_time_bound(u0, v0, grid, model, params)
 
     def below(a0, b0, pair) -> bool:
-        return bool(np.all(a0 <= pair[0] + order_slack)
-                    and np.all(b0 <= pair[1] + order_slack))
+        return bool(np.all(a0 <= pair[0] + _ORDER_SLACK)
+                    and np.all(b0 <= pair[1] + _ORDER_SLACK))
 
     def above(a0, b0, pair) -> bool:
-        return bool(np.all(a0 >= pair[0] - order_slack)
-                    and np.all(b0 >= pair[1] - order_slack))
+        return bool(np.all(a0 >= pair[0] - _ORDER_SLACK)
+                    and np.all(b0 >= pair[1] - _ORDER_SLACK))
 
     # Only data above the minimal state need a second state to compare against.
     if (second is None and minimal is not None

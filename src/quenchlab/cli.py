@@ -15,11 +15,11 @@ states and initial data on first use) and writes its artifacts from it; the
 Laplacian and its principal eigenvalue lambda1 come from the grid.  Every
 output embeds the fully resolved configuration, numeric CSV cells carry 17
 significant digits, and a rerun with the same inputs is bit-identical.
-``--threads`` is validated and echoed but has no effect.  Exit codes: 0 for
-success (for certify: certificate verified), 1 for a failed run, a failed
-certificate or a numerical error, 2 for configuration errors, including a
-ValueError while building the run or its initial data (for certify also:
-nothing to verify).
+``--threads`` is deprecated: validated and echoed, it has no effect.  Exit
+codes: 0 for success (for certify: certificate verified), 1 for a failed run,
+a failed certificate or a numerical error, 2 for configuration errors,
+including a ValueError while building the run or its initial data (for
+certify also: nothing to verify).
 """
 
 from __future__ import annotations
@@ -320,9 +320,11 @@ class Run:
 
     @cached_property
     def second(self) -> StationarySolution | None:
+        r = self.settings
         return second_solution_search(
             self.grid, self.model, self.params, self.minimal,
-            seed_amplitude=self.settings["seed_amplitude"])
+            seed_amplitude=r["seed_amplitude"], tol_res=r["tol_res"],
+            delta_blow=r["delta_blow"])
 
     @cached_property
     def initial(self) -> tuple[np.ndarray, np.ndarray]:
@@ -660,10 +662,9 @@ def _parse_args(argv):
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="INI configuration file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("QUENCHLAB_THREADS", "1")),
-                        help="accepted (>= 1) and echoed as config.threads; "
-                             "has no effect, every command runs in one thread")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="deprecated, to be removed: accepted (>= 1) and echoed "
+                             "as config.threads; every command runs in one thread")
     parser.add_argument("--override", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="override one configuration value; repeatable")

@@ -402,73 +402,3 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
 
     recorder.snapshot(t, u, v, force=True)
     return recorder.build(status, quench, horizon, u, v)
-
-
-@dataclass(frozen=True)
-class RatioConstants:
-    """Comparison constants c with u >= c_uv * v (and the mirror) along the
-    flow, each the minimum of a curvature term and an initial-slope term.
-    A None constant means neither term could be certified; notes say why."""
-
-    c_uv: float | None
-    c_vu: float | None
-    curvature_uv: float | None
-    initial_uv: float | None
-    curvature_vu: float | None
-    initial_vu: float | None
-    notes: tuple[str, ...]
-
-
-def ratio_constants(u0: FloatArray, v0: FloatArray, grid: Grid, model: Model,
-                    params: ParamPoint, w: FloatArray, z: FloatArray) -> RatioConstants:
-    """Certified lower bounds on the component ratios below the steady pair.
-
-    The curvature term compares reaction slopes at the extremes of the range
-    the components can visit (0 up to the steady state); the initial term is
-    the worst-case ratio of the initial time derivatives.  Terms are dropped
-    (with a note) when a denominator is not uniformly positive or a ratio
-    changes sign; if both terms drop the constant is None.
-    """
-    op = grid.laplacian
-    u0 = grid.check_field(u0, "u0")
-    v0 = grid.check_field(v0, "v0")
-    w = grid.check_field(w, "w")
-    z = grid.check_field(z, "z")
-    alpha = model.alpha.sample(grid)
-    beta = model.beta.sample(grid)
-    notes: list[str] = []
-
-    ratio_ab = float((alpha / beta).min())
-    ratio_ba = float((beta / alpha).min())
-    curv_uv = math.sqrt((params.lam / params.mu) * ratio_ab
-                        * model.f.deriv(0.0) / model.g.deriv(float(w.max())))
-    curv_vu = math.sqrt((params.mu / params.lam) * ratio_ba
-                        * model.g.deriv(0.0) / model.f.deriv(float(z.max())))
-
-    ut0 = -op.apply(u0) + params.lam * alpha * model.f.value(v0)
-    vt0 = -op.apply(v0) + params.mu * beta * model.g.value(u0)
-
-    def safe_inf_ratio(num, den, label):
-        floor = 1e-12 * float(np.abs(den).max())
-        if float(den.min()) <= floor:
-            notes.append(f"{label}: denominator not uniformly positive, term dropped")
-            return None
-        r = num / den
-        low = float(r.min())
-        if low <= 0.0:
-            notes.append(f"{label}: ratio is not positive everywhere, term dropped")
-            return None
-        return low
-
-    init_uv = safe_inf_ratio(ut0, vt0, "initial u_t/v_t")
-    init_vu = safe_inf_ratio(vt0, ut0, "initial v_t/u_t")
-
-    def combine(curv, init):
-        terms = [term for term in (curv, init) if term is not None]
-        return min(terms) if terms else None
-
-    return RatioConstants(
-        c_uv=combine(curv_uv, init_uv), c_vu=combine(curv_vu, init_vu),
-        curvature_uv=curv_uv, initial_uv=init_uv,
-        curvature_vu=curv_vu, initial_vu=init_vu,
-        notes=tuple(notes))

@@ -19,6 +19,9 @@ iterates and so proves existence without iterating (the linearized system has no
 characterization, so no eigenvalue estimate is used).  Bisection on the
 membership verdicts remains the fallback.
 
+The fold and the second (upper-branch) steady state are both found by one
+damped-Newton kernel, ``_damped_newton``.
+
 Every function here takes A from its grid (``grid.laplacian``) and, where an
 estimate needs it, the principal pair (lambda1, phi) of A in closed form.
 """
@@ -42,12 +45,14 @@ from .grid import (
     solve_poisson,
 )
 from .model import Model, ParamPoint
+from .spectra import assemble_linearization
 
 DEFAULT_TOL_STAT = 1e-10
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_DELTA_BLOW = 1e-4
 DEFAULT_TOL_RES = 1e-8
 DEFAULT_BISECT_TOL = 1e-3
+_MASS_SLACK = 1e-8  # absolute tolerance of mass_bound_check
 
 
 @dataclass(frozen=True)
@@ -314,6 +319,50 @@ class _Fold:
 # 3 to 7 steps per sample of configs/curve.ini and at most 12 over the families,
 # profiles and dimensions tried; a start that needs more is left to bisection.
 _FOLD_NEWTON_STEPS = 20
+# Upper-branch searches that succeeded took up to 64 steps over the families,
+# profiles, grids and seeds tried.
+_SECOND_NEWTON_STEPS = 79
+
+
+def _damped_newton(x: FloatArray, system: Callable, admissible: Callable[[FloatArray], bool],
+                   *, steps: int, floor: float, decrease: float | None = None
+                   ) -> tuple[FloatArray, FloatArray, int, float] | None:
+    """Damped Newton for system(x) = 0 from x.
+
+    ``system(x)`` returns (residual, converged, jacobian), jacobian a thunk for
+    the sparse Jacobian at x, called only to take a step.  A step solves
+    J step = -residual by sparse LU and moves to x + t step for the first t in
+    1, 1/2, ... >= ``floor`` that is ``admissible`` and, with ``decrease`` set,
+    shrinks the residual's sup norm by the factor 1 - decrease t (Deuflhard,
+    Newton Methods for Nonlinear Problems, 2004).  Returns (x, residual, steps,
+    t |step|_inf of the last step or nan), or None on a singular factor, a
+    non-finite step, no such t, or ``steps`` steps without convergence.
+    """
+    residual, converged, jacobian = system(x)
+    taken, change = 0, math.nan
+    while not converged:
+        if taken == steps:
+            return None
+        try:
+            step = spla.splu(jacobian()).solve(-residual)
+        except RuntimeError:
+            return None  # singular: the start is too far from a regular root
+        if not np.all(np.isfinite(step)):
+            return None
+        t = 1.0
+        while True:
+            trial = x + t * step
+            if admissible(trial):
+                evaluated = system(trial)
+                if decrease is None or (np.abs(evaluated[0]).max()
+                                        <= (1.0 - decrease * t) * np.abs(residual).max()):
+                    break
+            t /= 2.0
+            if t < floor:
+                return None
+        x, (residual, converged, jacobian) = trial, evaluated
+        taken, change = taken + 1, t * float(np.abs(step).max())
+    return x, residual, taken, change
 
 
 def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
@@ -328,14 +377,11 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
     4n + 1: M twice on the diagonal, the second derivatives of f and g coupling
     (phi, psi) to (w, z), and the mu column (0, -beta g(w), 0, -beta g'(w) phi).
     A step that would take (w, z) out of [0, 1 - delta_blow) or mu out of
-    (0, inf) is halved until it does not.  Converged when F meets
+    (0, inf) is halved, down to 2^-10.  Converged when F meets
     ``_steady_residual``'s tol_res test and M (phi, psi) the same test against
-    the coupling terms.  Returns None when halving cannot keep the iterate
-    admissible, a factorization is singular, the step cap runs out, or the
-    converged null vector is not positive.
+    the coupling terms.  Returns None when ``_damped_newton`` fails within
+    ``_FOLD_NEWTON_STEPS`` steps or the converged null vector is not positive.
     """
-    from .spectra import assemble_linearization  # deferred: spectra builds on this module's outputs
-
     n = grid.n_total
     cap = 1.0 - delta_blow
     alpha = model.alpha.sample(grid)
@@ -346,9 +392,9 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
     def admissible(x: FloatArray) -> bool:
         return bool(x[-1] > 0.0 and x[:2 * n].min() >= 0.0 and x[:2 * n].max() < cap)
 
-    x = np.concatenate([start.w, start.z, start.phi, start.psi, [start.mu]])
-    for it in range(_FOLD_NEWTON_STEPS + 1):
-        w, z, phi, psi, mu = x[:n], x[n:2 * n], x[2 * n:3 * n], x[3 * n:4 * n], float(x[-1])
+    def system(x: FloatArray):
+        w, z, phi, psi = x[:4 * n].reshape(4, n)
+        mu = float(x[-1])
         params = ParamPoint(lam=lam, mu=mu)
         fw, fz, met = _steady_residual(grid, model, params, w, z, tol_res)
         lin = assemble_linearization(grid, model, params, w, z).matrix
@@ -356,34 +402,26 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
         dg = model.g.deriv(w)
         couple_w = np.abs(lam * alpha * model.f.deriv(z) * psi).max()
         couple_z = np.abs(mu * beta * dg * phi).max()
-        if (met and np.abs(null[:n]).max() <= tol_res * couple_w
-                and np.abs(null[n:]).max() <= tol_res * couple_z):
-            if phi.min() > 0.0 and psi.min() > 0.0:
-                return _Fold(w=w, z=z, phi=phi, psi=psi, mu=mu)
-            return None
-        if it == _FOLD_NEWTON_STEPS:
-            return None
-        curvature = sp.diags([-mu * beta * model.g.deriv2(w) * phi,
-                              -lam * alpha * model.f.deriv2(z) * psi],
-                             [-n, n], shape=(2 * n, 2 * n))
-        jac = sp.bmat(
-            [[lin, None, np.concatenate([zeros, -beta * model.g.value(w)])[:, None]],
-             [curvature, lin, np.concatenate([zeros, -beta * dg * phi])[:, None]],
-             [None, norm_row, None]], format="csc")
-        rhs = -np.concatenate([fw, fz, null, [phi.sum() + psi.sum() - 2.0 * n]])
-        try:
-            step = spla.splu(jac).solve(rhs)
-        except RuntimeError:
-            return None  # singular: the start is too far from a simple fold
-        if not np.all(np.isfinite(step)):
-            return None
-        t = 1.0
-        while not admissible(x + t * step):
-            t /= 2.0
-            if t < 2.0**-10:
-                return None
-        x = x + t * step
-    return None
+        converged = (met and np.abs(null[:n]).max() <= tol_res * couple_w
+                     and np.abs(null[n:]).max() <= tol_res * couple_z)
+
+        def jacobian():
+            curvature = sp.diags([-mu * beta * model.g.deriv2(w) * phi,
+                                  -lam * alpha * model.f.deriv2(z) * psi],
+                                 [-n, n], shape=(2 * n, 2 * n))
+            return sp.bmat(
+                [[lin, None, np.concatenate([zeros, -beta * model.g.value(w)])[:, None]],
+                 [curvature, lin, np.concatenate([zeros, -beta * dg * phi])[:, None]],
+                 [None, norm_row, None]], format="csc")
+        return (np.concatenate([fw, fz, null, [phi.sum() + psi.sum() - 2.0 * n]]),
+                converged, jacobian)
+
+    found = _damped_newton(np.concatenate([start.w, start.z, start.phi, start.psi, [start.mu]]),
+                           system, admissible, steps=_FOLD_NEWTON_STEPS, floor=2.0**-10)
+    if found is None:
+        return None
+    fold = _Fold(*found[0][:4 * n].reshape(4, n), mu=float(found[0][-1]))
+    return fold if fold.phi.min() > 0.0 and fold.psi.min() > 0.0 else None
 
 
 def _bisect_critical(grid: Grid, model: Model, lam: float, mu_bar: float,
@@ -526,77 +564,47 @@ def second_solution_search(grid: Grid, model: Model, params: ParamPoint,
                            minimal: StationarySolution, *,
                            seed_amplitude: float = 0.8,
                            tol_res: float = DEFAULT_TOL_RES,
-                           max_newton: int = 80,
                            delta_blow: float = DEFAULT_DELTA_BLOW
                            ) -> StationarySolution | None:
     """Damped Newton search for a steady state above the minimal one.
 
-    Seeds from the minimal solution's shape scaled to ``seed_amplitude`` and
-    keeps every iterate inside [0, 1 - delta_blow) by step halving.  Returns
-    None when the search stalls, diverges, or lands back on the minimal
-    solution; success is best effort by design.
+    Seeds from the minimal solution's shape scaled to ``seed_amplitude``;
+    ``_damped_newton`` keeps every iterate inside [0, 1 - delta_blow) and
+    takes a step only when it decreases the residual, halving down to 2^-12.
+    Returns None when the search stalls, diverges, or lands back on the
+    minimal solution; success is best effort by design.
     """
-    from .spectra import assemble_linearization  # deferred: spectra builds on this module's outputs
-
+    n = grid.n_total
     cap = 1.0 - delta_blow
 
     w0, z0 = minimal.w, minimal.z
     if w0.max() <= 0 or z0.max() <= 0:
         return None
-    w = np.minimum(seed_amplitude * w0 / w0.max(), cap - 1e-12)
-    z = np.minimum(seed_amplitude * z0 / z0.max(), cap - 1e-12)
+    seed = np.minimum(np.concatenate([seed_amplitude * w0 / w0.max(),
+                                      seed_amplitude * z0 / z0.max()]), cap - 1e-12)
 
-    def sup(fw: FloatArray, fz: FloatArray) -> float:
-        return max(float(np.abs(fw).max()), float(np.abs(fz).max()))
+    def admissible(x: FloatArray) -> bool:
+        return bool(x.min() >= 0.0 and x.max() < cap)
 
-    fw, fz, met = _steady_residual(grid, model, params, w, z, tol_res)
-    rnorm = sup(fw, fz)
-    step_size = math.nan
-    for it in range(1, max_newton + 1):
-        if met:
-            break
-        lin = assemble_linearization(grid, model, params, w, z)
-        try:
-            delta = spla.spsolve(lin.matrix.tocsc(), -np.concatenate([fw, fz]))
-        except RuntimeError:
-            return None  # singular linearization: the search has hit the fold
-        if not np.all(np.isfinite(delta)):
-            return None
-        dw, dz = delta[:grid.n_total], delta[grid.n_total:]
+    def system(x: FloatArray):
+        fw, fz, met = _steady_residual(grid, model, params, x[:n], x[n:], tol_res)
+        return (np.concatenate([fw, fz]), met, lambda: assemble_linearization(
+            grid, model, params, x[:n], x[n:]).matrix.tocsc())
 
-        t = 1.0
-        accepted = False
-        while t >= 2.0**-12:
-            wn = w + t * dw
-            zn = z + t * dz
-            if wn.min() < 0 or zn.min() < 0 or max(wn.max(), zn.max()) >= cap:
-                t /= 2
-                continue
-            fwn, fzn, metn = _steady_residual(grid, model, params, wn, zn, tol_res)
-            rn = sup(fwn, fzn)
-            if rn <= (1.0 - 0.25 * t) * rnorm:
-                w, z, fw, fz, met, rnorm = wn, zn, fwn, fzn, metn, rn
-                step_size = t * max(float(np.abs(dw).max()), float(np.abs(dz).max()))
-                accepted = True
-                break
-            t /= 2
-        if not accepted:
-            return None
-    else:
+    found = _damped_newton(seed, system, admissible, steps=_SECOND_NEWTON_STEPS,
+                           floor=2.0**-12, decrease=0.25)
+    if found is None:
         return None
-
+    x, residual, taken, change = found
     # Reject convergence back to the minimal pair and anything not ordered
     # above it; the genuine upper branch clears both margins comfortably.
-    gap = max(float((w - w0).max()), float((z - z0).max()))
-    if gap <= 1e-6:
-        return None
-    if float((w - w0).min()) < 0.0 or float((z - z0).min()) < 0.0:
+    rise = x - np.concatenate([w0, z0])
+    if rise.max() <= 1e-6 or rise.min() < 0.0:
         return None
     return StationarySolution(
-        w=w, z=z, params=params, iterations=it,
-        final_change=step_size,
-        residual_w=float(np.abs(fw).max()),
-        residual_z=float(np.abs(fz).max()))
+        w=x[:n], z=x[n:], params=params, iterations=taken + 1, final_change=change,
+        residual_w=float(np.abs(residual[:n]).max()),
+        residual_z=float(np.abs(residual[n:]).max()))
 
 
 @dataclass(frozen=True)
@@ -608,14 +616,6 @@ class MassBoundReport:
     mass_z: float
     bound_z: float
     passes: bool
-
-    @property
-    def slack_w(self) -> float:
-        return self.bound_w - self.mass_w
-
-    @property
-    def slack_z(self) -> float:
-        return self.bound_z - self.mass_z
 
 
 def _weighted_masses(grid: Grid, model: Model, first: FloatArray,
@@ -637,7 +637,7 @@ def _weighted_masses(grid: Grid, model: Model, first: FloatArray,
 
 
 def mass_bound_check(w: FloatArray, z: FloatArray, grid: Grid, model: Model,
-                     params: ParamPoint, *, slack: float = 1e-8) -> MassBoundReport:
+                     params: ParamPoint) -> MassBoundReport:
     """Check integral(w * phi) <= lambda1 * integral(phi/alpha) / (lam * f(0))
     and the mirror inequality, with phi the unit-mass principal eigenfunction.
     """
@@ -645,26 +645,7 @@ def mass_bound_check(w: FloatArray, z: FloatArray, grid: Grid, model: Model,
         grid, model, w, z, ("w", "z"))
     bound_w = lam1 * k_alpha / (params.lam * model.f.at_zero)
     bound_z = lam1 * k_beta / (params.mu * model.g.at_zero)
-    passes = (bound_w - mass_w >= -slack) and (bound_z - mass_z >= -slack)
+    passes = (bound_w - mass_w >= -_MASS_SLACK) and (bound_z - mass_z >= -_MASS_SLACK)
     return MassBoundReport(mass_w=mass_w, bound_w=bound_w,
                            mass_z=mass_z, bound_z=bound_z, passes=passes)
 
-
-def ordered_triple_artifact(grid: Grid,
-                            first: tuple[FloatArray, FloatArray],
-                            second: tuple[FloatArray, FloatArray],
-                            third: tuple[FloatArray, FloatArray], *,
-                            margin: float = 1e-8) -> bool:
-    """Flag three steady pairs that are strictly ordered with an interior margin.
-
-    No such chain exists for this system, so a True return marks the middle
-    solution as a numerical artifact.  Strictness is measured against the
-    boundary-distance profile: a - b >= margin * dist(x, boundary) everywhere.
-    """
-    rho = margin * grid.boundary_distance()
-
-    def strictly_below(lo: tuple[FloatArray, FloatArray],
-                       hi: tuple[FloatArray, FloatArray]) -> bool:
-        return all(np.all(h - l >= rho) for l, h in zip(lo, hi))
-
-    return strictly_below(first, second) and strictly_below(second, third)

@@ -213,6 +213,30 @@ def test_curve_honours_floor_factor(decay_ini, tmp_path):
     assert stars[0] != stars[1]
 
 
+def test_second_search_honours_tol_res_and_delta_blow(decay_ini, tmp_path):
+    # convex_combo data need the second steady state (max w about 0.82 here).
+    # Its Newton search stops earlier under a looser run.tol_res, and finds
+    # nothing when run.delta_blow puts the escape level below it.
+    def run(command, name, override):
+        out = tmp_path / name
+        code = main([command, "--config", decay_ini, "--out", str(out),
+                     "--override", "model.initial_kind=convex_combo",
+                     "--override", "run.horizon=0.05", "--override", override])
+        return code, out
+
+    tables = []
+    for tol in ("1e-8", "1e-3"):
+        code, out = run("simulate", tol, f"run.tol_res={tol}")
+        assert code == 0
+        tables.append(read_table(str(out / "trajectory.csv"))[2])
+    assert tables[0] != tables[1]
+    for command in ("simulate", "certify"):  # certify searches in classify_case
+        code, out = run(command, f"low-cap-{command}", "run.delta_blow=0.2")
+        assert code == 2
+        saved = json.load(open(out / "error.json"))
+        assert "second steady state" in saved["error"]["message"]
+
+
 def test_curve_honours_tol_res(decay_ini, tmp_path):
     # The membership verdicts and the fold Newton test residuals against
     # run.tol_res; a target no residual meets leaves no in-lambda point.
@@ -267,14 +291,6 @@ def test_certify_exit_codes(decay_ini, quench_ini, tmp_path):
     assert code == 2
     report3 = json.load(open(os.path.join(out3, "certify.json")))
     assert report3["case"] == "none-established"
-
-
-def test_threads_env_default(decay_ini, tmp_path, monkeypatch):
-    out = str(tmp_path / "out")
-    monkeypatch.setenv("QUENCHLAB_THREADS", "3")
-    assert main(["stationary", "--config", decay_ini, "--out", out]) == 0
-    verdict = json.load(open(os.path.join(out, "verdict.json")))
-    assert verdict["config"]["threads"] == 3
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

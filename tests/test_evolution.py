@@ -1,11 +1,11 @@
-"""Time stepping, quench detection, energy identity, ratio constants."""
+"""Time stepping, quench detection, energy identity."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import power2_model, unit_stack
+from conftest import power2_model
 from quenchlab import (
     DiscreteOperator,
     ParamPoint,
@@ -17,7 +17,6 @@ from quenchlab import (
     interval,
     lyapunov_energy,
     monotone_minimal_solution,
-    ratio_constants,
     simulate,
     step,
 )
@@ -230,38 +229,6 @@ def test_energy_value_definition(unit99):
               - integrate(1.3 * model.beta.sample(g) * model.g.antideriv(u), g))
     assert lyapunov_energy(u, v, g, model, params) == pytest.approx(
         expect, rel=1e-12)
-
-
-def test_ratio_constants_asymmetric_rest():
-    g, _, eig = unit_stack(99)
-    model = power2_model()
-    u0, v0 = np.zeros(g.n_total), np.zeros(g.n_total)
-    rc = ratio_constants(u0, v0, g, model, ParamPoint(1.0, 4.0),
-                         np.zeros(g.n_total), np.zeros(g.n_total))
-    # from rest the forcing-ratio term is lam f(0) / (mu g(0)) = 1/4 and
-    # the curvature term sqrt((lam/mu) f'(0)/g'(0)) = 1/2
-    assert rc.initial_uv == pytest.approx(0.25, rel=1e-12)
-    assert rc.curvature_uv == pytest.approx(0.5, rel=1e-12)
-    assert rc.c_uv == pytest.approx(0.25, rel=1e-12)
-    assert rc.c_vu == pytest.approx(2.0, rel=1e-12)
-
-
-def test_ratio_bound_holds_along_monotone_run():
-    g, _, _ = unit_stack(99)
-    model = power2_model()
-    params = ParamPoint(0.3, 0.9)
-    s = monotone_minimal_solution(g, model, params).solution
-    rc = ratio_constants(np.zeros(g.n_total), np.zeros(g.n_total), g, model,
-                         params, s.w, s.z)
-    assert rc.c_uv is not None and rc.c_vu is not None
-    dt = 1e-3
-    u, v = _zeros(g)
-    for _ in range(1500):
-        un, vn = step(u, v, dt, g, model, params)
-        ut, vt = (un - u) / dt, (vn - v) / dt
-        assert float((ut - rc.c_uv * vt).min()) >= -1e-8
-        assert float((vt - rc.c_vu * ut).min()) >= -1e-8
-        u, v = un, vn
 
 
 def test_ordered_data_stay_ordered(unit99):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,6 @@ from quenchlab import (
     interval,
     mass_bound_check,
     monotone_minimal_solution,
-    ordered_triple_artifact,
     principal_laplacian_eigenpair,
     rectangle,
     second_solution_search,
@@ -182,6 +182,70 @@ def test_second_solution_upper_branch(unit199):
     assert second.w.max() == pytest.approx(frozen.SECOND_PEAK_POWER2[1.0], abs=1e-4)
     assert float((second.w - minimal.w).min()) >= 0.0
     assert second.residual <= 1e-8
+    # exact values of this search, so the Newton kernel cannot drift silently
+    assert second.iterations == 7
+    assert second.final_change == 2.2025118254855604e-07
+    assert float(second.w.max()) == 0.6510344226386776
+
+
+def _scalar_system(value, slope, calls=None, converged=lambda r: False):
+    """system(x) for the damped-Newton kernel from scalar F and F'."""
+    def system(x):
+        if calls is not None:
+            calls.append(float(x[0]))
+        r = np.array([value(x[0])])
+        return r, converged(r), lambda: sp.csc_matrix([[slope(x[0])]])
+    return system
+
+
+def _always(_):
+    return True
+
+
+def test_damped_newton_failures():
+    newton = stationary._damped_newton
+    x0 = np.array([1.0])
+    singular = _scalar_system(lambda x: x, lambda x: 0.0)
+    assert newton(x0, singular, _always, steps=5, floor=0.5) is None
+    overflow = _scalar_system(lambda x: 1e300, lambda x: 1e-300)
+    assert newton(x0, overflow, _always, steps=5, floor=0.5) is None
+    # no admissible trial: t = 1, 1/2, 1/4, 1/8 are tried, then the floor stops it
+    tried = []
+    def never(x):
+        tried.append(float(x[0]))
+        return False
+    assert newton(x0, _scalar_system(lambda x: x, lambda x: 1.0), never,
+                  steps=5, floor=2.0**-3) is None
+    assert tried == [0.0, 0.5, 0.75, 0.875]
+    # F(x) = x + 1 reports no convergence: the cap stops it after 3 steps
+    calls = []
+    assert newton(x0, _scalar_system(lambda x: x + 1.0, lambda x: 1.0, calls),
+                  _always, steps=3, floor=0.5) is None
+    assert calls == [1.0, -1.0, -1.0, -1.0]
+
+
+def test_damped_newton_root_and_sufficient_decrease():
+    newton = stationary._damped_newton
+    found = newton(np.array([0.0]),
+                   _scalar_system(lambda x: x - 3.0, lambda x: 1.0,
+                                  converged=lambda r: r[0] == 0.0),
+                   _always, steps=3, floor=0.5)
+    x, residual, taken, change = found
+    assert (x[0], residual[0], taken, change) == (3.0, 0.0, 1, 3.0)
+    # Newton on arctan from 2 overshoots to -3.53, where |arctan| is larger:
+    # undamped, the full step is taken; with the decrease test it is
+    # rejected for the half step, and the iteration converges
+    def arctan(calls):
+        return _scalar_system(np.arctan, lambda x: 1.0 / (1.0 + x * x), calls,
+                              converged=lambda r: abs(r[0]) <= 1e-12)
+    calls = []
+    assert newton(np.array([2.0]), arctan(calls), _always, steps=1, floor=0.5) is None
+    assert calls == pytest.approx([2.0, -3.54], abs=0.01)
+    calls = []
+    found = newton(np.array([2.0]), arctan(calls), _always, steps=40,
+                   floor=2.0**-12, decrease=0.25)
+    assert calls[:3] == pytest.approx([2.0, -3.54, -0.77], abs=0.01)
+    assert abs(found[0][0]) <= 1e-12
 
 
 def test_second_solution_rejects_minimal_rediscovery(unit199):
@@ -340,18 +404,3 @@ def test_mass_bound_on_minimal_solution(unit99):
                                            rel=1e-12)
     assert report.mass_w == pytest.approx(integrate(s.w * phi, g), rel=1e-12)
     assert report.mass_w < report.bound_w
-
-
-def test_ordered_triple_artifact(unit99):
-    g, _, _ = unit99
-    params = ParamPoint(1.0, 1.0)
-    minimal = monotone_minimal_solution(g, power2_model(), params).solution
-    second = second_solution_search(g, power2_model(), params, minimal)
-    assert second is not None
-    mid = (0.5 * (minimal.w + second.w), 0.5 * (minimal.z + second.z))
-    assert ordered_triple_artifact(g, (minimal.w, minimal.z), mid,
-                                   (second.w, second.z))
-    # a non-strict sandwich is not a third solution
-    assert not ordered_triple_artifact(g, (minimal.w, minimal.z),
-                                       (minimal.w, minimal.z),
-                                       (second.w, second.z))
