@@ -1,4 +1,4 @@
-"""Command-line surface: INI configuration, run orchestration, CSV/JSON output.
+"""Command-line surface: INI configuration, run orchestration, CSV/JSON/NPY output.
 
 Commands
     stationary   minimal steady state and membership verdict
@@ -13,8 +13,9 @@ Configuration lives in one INI file with sections [domain], [model], [run];
 one ``Run`` from the resolved configuration (grid, model, parameters; steady
 states and initial data on first use) and writes its artifacts from it; the
 Laplacian and its principal eigenvalue lambda1 come from the grid.  Every
-output embeds the fully resolved configuration, numeric CSV cells carry 17
-significant digits, and a rerun with the same inputs is bit-identical.
+CSV and JSON output embeds the fully resolved configuration, numeric CSV
+cells carry 17 significant digits, state snapshots are raw float64 NPY, and a
+rerun with the same inputs is bit-identical.
 ``--threads`` is deprecated: validated and echoed, it has no effect.  Exit
 codes: 0 for success (for certify: certificate verified), 1 for a failed run,
 a failed certificate or a numerical error, 2 for configuration errors,
@@ -530,11 +531,11 @@ def _write_trajectory(trajectory, grid, out: str, echo: dict) -> None:
     write_table(os.path.join(out, "trajectory.csv"), columns,
                 np.column_stack(data).tolist(), echo)
 
-    coords, ones = grid.coordinates(), np.ones(grid.n_total)
-    rows = (row for t, u, v in trajectory.snapshots
-            for row in np.column_stack([t * ones, coords, u, v]).tolist())
-    write_table(os.path.join(out, "snapshots.csv"),
-                ["t"] + ["x", "y"][: grid.dimension] + ["u", "v"], rows, echo)
+    # Snapshot row j is (t, u, v) as one float64 array, shape (k, 1 + 2n), at
+    # the nodes listed once in nodes.csv; np.save bytes are deterministic.
+    np.save(os.path.join(out, "snapshots.npy"),
+            np.array([np.concatenate(([t], u, v)) for t, u, v in trajectory.snapshots]))
+    _write_fields(os.path.join(out, "nodes.csv"), grid, [], [], echo)
 
 
 def cmd_simulate(run: Run, out: str) -> int:

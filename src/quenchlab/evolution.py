@@ -132,15 +132,20 @@ def step(u: FloatArray, v: FloatArray, dt: float, grid: Grid, model: Model,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    solver = grid.laplacian.shifted(1.0, dt)
-    alpha = model.alpha.sample(grid)
-    beta = model.beta.sample(grid)
-    return _imex_step(u, v, dt, solver, alpha, beta, model, params, tol_lin)
+    react = _reaction(grid, model, params)(u, v)
+    return _imex_step(u, v, dt, grid.laplacian.shifted(1.0, dt), react, tol_lin)
 
 
-def _imex_step(u, v, dt, solver, alpha, beta, model, params, tol_lin):
-    rhs = np.array([u + dt * (params.lam * alpha * model.f.value(v)),
-                    v + dt * (params.mu * beta * model.g.value(u))]).T
+def _reaction(grid, model, params):
+    """(u, v) -> (lam alpha f(v), mu beta g(u)): the explicit terms at one
+    state, which every step from that state shares."""
+    lam_alpha = params.lam * model.alpha.sample(grid)
+    mu_beta = params.mu * model.beta.sample(grid)
+    return lambda u, v: (lam_alpha * model.f.value(v), mu_beta * model.g.value(u))
+
+
+def _imex_step(u, v, dt, solver, react, tol_lin):
+    rhs = np.array([u + dt * react[0], v + dt * react[1]]).T
     new = solve_poisson(solver, rhs, tol_lin=tol_lin)  # (u, v) as one block
     top = float(new.max())
     if top >= 1.0:
@@ -247,7 +252,8 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
     two-half-step advance, so crossing times are consistent with the accepted
     states.  Each crossing is logged per component; when a component crosses
     the innermost level the run stops there and the event time extrapolates
-    the three crossings geometrically.
+    the three crossings geometrically.  All attempts from a state, and the
+    bisections and final partial step in its crossing step, share one reaction.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -256,24 +262,21 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
     v = np.array(grid.check_field(initial[1], "v0"), dtype=float, copy=True)
     if max(float(u.max()), float(v.max())) >= 1.0:
         raise ValueError("initial data must stay below the blow-up level 1")
-    alpha = model.alpha.sample(grid)
-    beta = model.beta.sample(grid)
+    reaction = _reaction(grid, model, params)
     if reference is not None:
         reference = (grid.check_field(reference[0], "reference u"),
                      grid.check_field(reference[1], "reference v"))
 
-    def imex(uc, vc, dt, solver):
-        return _imex_step(uc, vc, dt, solver, alpha, beta, model, params, config.tol_lin)
-
-    def single(uc, vc, dt):
-        return imex(uc, vc, dt, op.shifted(1.0, dt))
+    def single(uc, vc, react, dt):
+        return _imex_step(uc, vc, dt, op.shifted(1.0, dt), react, config.tol_lin)
 
     if config.fixed_dt:
         advance = single
     else:
-        def advance(uc, vc, dt):
+        def advance(uc, vc, react, dt):
             half = op.shifted(1.0, 0.5 * dt)  # one factorization for both half steps
-            return imex(*imex(uc, vc, 0.5 * dt, half), 0.5 * dt, half)
+            um, vm = _imex_step(uc, vc, 0.5 * dt, half, react, config.tol_lin)
+            return _imex_step(um, vm, 0.5 * dt, half, reaction(um, vm), config.tol_lin)
 
     recorder = _Recorder(grid, model, params, config, reference)
     recorder.record(0.0, u, v, math.nan)
@@ -295,13 +298,13 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
                              level_times=tuple(level_times[which]))
         return recorder.build(TerminalStatus.QUENCHED, quench, horizon, u, v)
 
-    def bisect_crossing(uc, vc, dt, level, which):
+    def bisect_crossing(uc, vc, react, dt, level, which):
         """Largest-accuracy step fraction theta with max(component) = level."""
         lo, hi = 0.0, 1.0
         for _ in range(_LEVEL_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             try:
-                um, vm = advance(uc, vc, mid * dt)
+                um, vm = advance(uc, vc, react, mid * dt)
             except StepRangeError:
                 hi = mid
                 continue
@@ -317,8 +320,11 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
     status = TerminalStatus.HORIZON
     quench = None
     time_slack = 1e-12 * horizon
+    react = None  # the reaction at (u, v), shared by every attempt from there
 
     while t < horizon - time_slack:
+        if react is None:
+            react = reaction(u, v)
         top = max(float(u.max()), float(v.max()))
         if config.fixed_dt:
             dt_eff = min(config.dt_max, horizon - t)
@@ -328,11 +334,11 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
 
         try:
             if config.fixed_dt:
-                un, vn = advance(u, v, dt_eff)
+                un, vn = advance(u, v, react, dt_eff)
                 err = 0.0
             else:
-                u1, v1 = single(u, v, dt_eff)
-                un, vn = advance(u, v, dt_eff)
+                u1, v1 = single(u, v, react, dt_eff)
+                un, vn = advance(u, v, react, dt_eff)
                 err = max(float(np.abs(un - u1).max()),
                           float(np.abs(vn - v1).max()))
         except StepRangeError:
@@ -358,7 +364,7 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
             new_max = float(new_field.max())
             while level_cursor[which] < 3 and new_max >= levels[level_cursor[which]]:
                 idx = level_cursor[which]
-                theta = bisect_crossing(u, v, dt_eff, levels[idx], which)
+                theta = bisect_crossing(u, v, react, dt_eff, levels[idx], which)
                 level_times[which][idx] = t + theta * dt_eff
                 level_cursor[which] = idx + 1
                 if idx == 2:
@@ -370,24 +376,24 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
             if (len(crossed_final) == 2
                     and abs(crossed_final[0][0] - crossed_final[1][0]) <= 1e-9):
                 which = "both"
-            uq, vq = advance(u, v, theta * dt_eff)
+            uq, vq = advance(u, v, react, theta * dt_eff)
             t_cross = t + theta * dt_eff
             recorder.accepted += 1
             recorder.record(t_cross, uq, vq, theta * dt_eff, u, v)
-            recorder.snapshot(t_cross, uq, vq, force=True)
             t_event, extrapolated = _aitken_quench_time(tuple(level_times[lead]))
             quench = QuenchEvent(
                 time=t_event, which=which,
                 level=float((uq if lead == "u" else vq).max()),
                 extrapolated=extrapolated,
                 level_times=tuple(level_times[lead]))
-            u, v = uq, vq
+            t, u, v = t_cross, uq, vq  # the closing snapshot records the crossing
             status = TerminalStatus.QUENCHED
             break
 
         u_prev, v_prev = u, v
         t += dt_eff
         u, v = un, vn
+        react = None
         recorder.accepted += 1
         recorder.record(t, u, v, dt_eff, u_prev, v_prev)
         recorder.snapshot(t, u, v)

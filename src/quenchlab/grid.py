@@ -61,7 +61,7 @@ class Grid:
             if n < 1:
                 raise ValueError(f"need at least one interior node per axis, got {n}")
 
-    @property
+    @cached_property
     def h(self) -> tuple[float, ...]:
         return tuple((hi - lo) / (n + 1) for (lo, hi), n in zip(self.extents, self.n_interior))
 
@@ -80,6 +80,12 @@ class Grid:
         for (lo, hi), n, hh in zip(self.extents, self.n_interior, self.h):
             out.append(lo + hh * np.arange(1, n + 1))
         return tuple(out)
+
+    @cached_property
+    def sampled(self) -> dict:
+        """Memo of fields sampled on this grid, keyed by what sampled them
+        (``Profile.sample``); the values are read-only arrays."""
+        return {}
 
     @cached_property
     def laplacian(self) -> "DiscreteOperator":
@@ -234,12 +240,27 @@ def assemble_laplacian(grid: Grid) -> DiscreteOperator:
 def _backward_error(op: DiscreteOperator, x: FloatArray, b: FloatArray) -> FloatArray:
     # Per column, ||Mx-b|| / (||M|| ||x|| + ||b||) for M = s*I + c*A (||Mx-b||/||b||
     # alone is bounded below by cond(M)*eps), 0 for x = b = 0, nan on overflow.
-    # The residual and ||M||_inf = s + c*||A||_inf need no assembled M.
+    # The residual comes from the constant stencil by slicing, on the fields
+    # along the last axis ((k, n) in 1D, (k, ny, nx) in 2D), and ||M||_inf is
+    # s + c*||A||_inf: no M is assembled.
+    g = op.grid
     s, c = op.identity_coeff, op.operator_coeff
-    r = c * (op.stencil @ x) + s * x - b
-    rn, xn, bn = (np.sqrt(np.add.reduce(a * a, axis=0)) for a in (r, x, b))
-    denom = (s + c * op.stencil_norm) * xn + bn
-    return rn / np.where(denom == 0.0, 1.0, denom)
+    xt, bt = x.T, b.T
+    shape = (-1, *g.n_interior[::-1])
+    xs = xt.reshape(shape)
+    weights = [c / hh**2 for hh in g.h]
+    r = (s + 2.0 * sum(weights)) * xs - bt.reshape(shape)
+    for axis, w in zip((-1, -2), weights):  # x is the last axis, y the one before
+        nb, rv = np.swapaxes(w * xs, axis, -1), np.swapaxes(r, axis, -1)
+        rv[..., 1:] -= nb[..., :-1]
+        rv[..., :-1] -= nb[..., 1:]
+    r = r.reshape(xt.shape)
+    rn = np.sqrt(np.einsum("...i,...i->...", r, r))
+    xn = np.sqrt(np.einsum("...i,...i->...", xt, xt))
+    bn = np.sqrt(np.einsum("...i,...i->...", bt, bt))
+    # A zero denominator has x = b = 0, so rn = 0 and the quotient is 0
+    # (5e-324 is the least positive double).
+    return rn / np.maximum((s + c * op.stencil_norm) * xn + bn, 5e-324)
 
 
 def solve_poisson(op: DiscreteOperator, rhs: FloatArray, *,

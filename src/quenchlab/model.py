@@ -143,8 +143,19 @@ class Profile:
             raise ValueError(f"bump width must be positive, got {self.width}")
         if self.family == "powerdist" and not self.kappa > 0:
             raise ValueError(f"powerdist exponent must be positive, got {self.kappa}")
+        if self.center is not None:  # hashable: a profile keys its samples
+            object.__setattr__(self, "center", tuple(self.center))
 
     def sample(self, grid: Grid) -> FloatArray:
+        """The weight at the grid's nodes, evaluated once per (profile, grid)
+        and returned read-only."""
+        out = grid.sampled.get(self)
+        if out is None:
+            out = grid.sampled[self] = self._evaluate(grid)
+            out.flags.writeable = False
+        return out
+
+    def _evaluate(self, grid: Grid) -> FloatArray:
         if self.family == "constant":
             return np.full(grid.n_total, float(self.c))
         if self.family == "bump":

@@ -123,9 +123,9 @@ def test_simulate_artifacts_and_rerun_determinism(decay_ini, tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["simulate", "--config", decay_ini, "--out", out1]) == 0
     assert main(["simulate", "--config", decay_ini, "--out", out2]) == 0
-    for name in ("trajectory.csv", "snapshots.csv", "run.json"):
-        with open(os.path.join(out1, name)) as f1, \
-                open(os.path.join(out2, name)) as f2:
+    for name in ("trajectory.csv", "snapshots.npy", "nodes.csv", "run.json"):
+        with open(os.path.join(out1, name), "rb") as f1, \
+                open(os.path.join(out2, name), "rb") as f2:
             assert f1.read() == f2.read(), f"{name} differs between reruns"
     echo, header, rows = read_table(os.path.join(out1, "trajectory.csv"))
     assert header == ["t", "max_u", "max_v", "ut_l2", "vt_l2", "energy",
@@ -133,8 +133,22 @@ def test_simulate_artifacts_and_rerun_determinism(decay_ini, tmp_path):
     run = json.load(open(os.path.join(out1, "run.json")))
     assert run["status"] == "horizon"
     assert run["final_time"] == pytest.approx(1.0, abs=1e-12)
-    _, sheader, _ = read_table(os.path.join(out1, "snapshots.csv"))
-    assert sheader == ["t", "x", "u", "v"]
+    # Snapshots: float64 rows (t, u, v) with the node coordinates once, in
+    # nodes.csv, in field order.
+    snaps = np.load(os.path.join(out1, "snapshots.npy"))
+    assert snaps.dtype == np.float64
+    assert snaps.ndim == 2 and snaps.shape[0] >= 2 and snaps.shape[1] == 1 + 2 * 49
+    t = snaps[:, 0]
+    assert t[0] == 0.0 and np.all(np.diff(t) > 0.0)
+    assert t[-1] == run["final_time"]
+    assert not snaps[0, 1:].any()  # initial_kind = zero
+    assert snaps[-1, 1:50].max() == run["final_max_u"]
+    assert snaps[-1, 50:].max() == run["final_max_v"]
+    _, nheader, nrows = read_table(os.path.join(out1, "nodes.csv"))
+    assert nheader == ["x"]
+    x = np.array([float(row[0]) for row in nrows])
+    assert len(x) == 49 and np.all(np.diff(x) > 0.0)
+    assert x == pytest.approx(np.arange(1, 50) / 50, abs=1e-15)
 
 
 CURVE_OVERRIDES = ["--override", "run.lambda_samples=0.5, 1.0",

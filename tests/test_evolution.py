@@ -8,8 +8,12 @@ import pytest
 from conftest import power2_model
 from quenchlab import (
     DiscreteOperator,
+    Model,
+    Nonlinearity,
     ParamPoint,
+    Profile,
     evolution,
+    gradient_inner,
     StepperConfig,
     StepRangeError,
     TerminalStatus,
@@ -136,6 +140,116 @@ def test_half_step_pair_shares_one_shift(unit99, monkeypatch):
     assert all(op.operator_coeff == 0.5 * full.operator_coeff
                for op, full in zip(shifts[1::2], shifts[0::2]))
 
+
+
+def _spy_reactions(monkeypatch):
+    """Wrap Nonlinearity.value; returns the list of (nonlinearity id, argument
+    bytes) of its calls."""
+    calls = []
+    original = Nonlinearity.value
+
+    def spy(self, s):
+        calls.append((id(self), np.asarray(s, dtype=float).tobytes()))
+        return original(self, s)
+
+    monkeypatch.setattr(Nonlinearity, "value", spy)
+    return calls
+
+
+def test_reaction_evaluated_once_per_attempt(unit99, monkeypatch):
+    # An adaptive attempt makes three solves (the full step and two half
+    # steps) but evaluates f and g only at its start state, shared with every
+    # other attempt from there, and at the half-step state.
+    g, _, _ = unit99
+    model = power2_model()
+    ops = _spy_solves(monkeypatch)
+    calls = _spy_reactions(monkeypatch)
+    trj = simulate(_zeros(g), g, model, ParamPoint(0.5, 0.5), StepperConfig(), 1.0)
+    assert trj.status is TerminalStatus.HORIZON
+    assert len(ops) % 3 == 0
+    attempts = len(ops) // 3
+    per_function = Counter(key for key, _ in calls)
+    assert per_function == {id(model.f): trj.n_steps + attempts,
+                            id(model.g): trj.n_steps + attempts}
+    assert len(set(calls)) == len(calls)  # no state evaluated twice
+
+
+def test_quench_run_evaluates_each_state_once(unit99, monkeypatch):
+    # Every attempt from an accepted state, the level bisections inside the
+    # crossing step and the final partial step share one reaction there.
+    g, _, _ = unit99
+    model = power2_model()
+    calls = _spy_reactions(monkeypatch)
+    trj = simulate(_zeros(g), g, model, ParamPoint(12.0, 12.0),
+                   StepperConfig(snapshot_stride=1), 1.0)
+    assert trj.status is TerminalStatus.QUENCHED
+    calls = Counter(calls)
+    assert len(trj.snapshots) == trj.n_steps + 1
+    for _, u, v in trj.snapshots[:-1]:
+        assert calls[(id(model.f), v.tobytes())] == 1
+        assert calls[(id(model.g), u.tobytes())] == 1
+
+
+def test_quench_run_snapshots_end_at_the_crossing(unit99):
+    # The closing snapshot is the crossing state at the crossing time, once;
+    # no second copy of it at the previous step's time.
+    g, _, _ = unit99
+    trj = simulate(_zeros(g), g, power2_model(), ParamPoint(12.0, 12.0),
+                   StepperConfig(), 1.0)
+    assert trj.status is TerminalStatus.QUENCHED
+    times = [t for t, _, _ in trj.snapshots]
+    assert np.all(np.diff(times) > 0.0)
+    t, u, v = trj.snapshots[-1]
+    assert t == trj.times[-1]
+    assert u.tobytes() == trj.final_u.tobytes() and v.tobytes() == trj.final_v.tobytes()
+
+def _weighted_model():
+    return Model(f=Nonlinearity("log"), g=Nonlinearity("power", p=1.5),
+                 alpha=Profile("bump", c=1.2, width=6.0),
+                 beta=Profile("powerdist", c=2.0, kappa=0.5))
+
+
+def test_fixed_step_simulate_equals_public_steps():
+    g = interval(0.0, 1.0, 49)
+    model, params = _weighted_model(), ParamPoint(0.9, 0.6)
+    trj = simulate(_zeros(g), g, model, params, fixed_config(1e-2, snapshot_stride=1), 0.2)
+    assert trj.n_steps == 20 and len(trj.snapshots) == 21
+    u, v = _zeros(g)
+    for dt, (t, us, vs) in zip(trj.dt[1:], trj.snapshots[1:]):
+        u, v = step(u, v, dt, g, model, params)
+        assert us.tobytes() == u.tobytes() and vs.tobytes() == v.tobytes()
+    assert trj.final_u.tobytes() == u.tobytes()
+
+
+@pytest.mark.parametrize("family", ["bump", "powerdist"])
+def test_weights_are_sampled_once_per_grid(family, monkeypatch):
+    # Profile.sample evaluates a weight once per (profile, grid), however many
+    # steps record an energy, and the recorded energies equal the formula with
+    # freshly evaluated weights bit for bit.
+    g = interval(0.0, 1.0, 49)  # a new grid: nothing sampled on it yet
+    model = Model(f=Nonlinearity("power", p=2.0), g=Nonlinearity("log"),
+                  alpha=Profile(family, c=1.2), beta=Profile(family, c=0.7))
+    params = ParamPoint(0.8, 1.1)
+    evaluated = []
+    original = Profile._evaluate
+
+    def spy(self, grid):
+        evaluated.append(self)
+        return original(self, grid)
+
+    monkeypatch.setattr(Profile, "_evaluate", spy)
+    short = simulate(_zeros(g), g, model, params, fixed_config(1e-2, snapshot_stride=1), 0.05)
+    assert evaluated == [model.alpha, model.beta]
+    trj = simulate(_zeros(g), g, model, params, fixed_config(1e-2, snapshot_stride=1), 0.5)
+    assert trj.n_steps == 10 * short.n_steps
+    assert evaluated == [model.alpha, model.beta]
+    assert not model.alpha.sample(g).flags.writeable
+
+    alpha, beta = original(model.alpha, g), original(model.beta, g)
+    for energy, (_, u, v) in zip(trj.energy, trj.snapshots):
+        assert energy == (gradient_inner(g.laplacian, u, v)
+                          - params.lam * integrate(alpha * model.f.antideriv(v), g)
+                          - params.mu * integrate(beta * model.g.antideriv(u), g))
 
 def test_quench_run_levels_and_extrapolation(unit99):
     g, _, eig = unit99

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from quenchlab import (
     SolverBreakdownError,
@@ -14,6 +15,7 @@ from quenchlab import (
     rectangle,
     solve_poisson,
 )
+from quenchlab.grid import _backward_error
 
 
 def test_interval_stencil_entries():
@@ -289,3 +291,32 @@ def test_solve_rejects_misshapen_rhs(name, shape):
     dims = {"k,n": (2, n), "n,k,1": (n, 2, 1), "n+1": (n + 1,)}[shape]
     with pytest.raises(ValueError, match="shape"):
         solve_poisson(assemble_laplacian(g), np.ones(dims))
+
+
+def _assembled_backward_error(op, x, b):
+    # Oracle: the same normwise formula from the assembled sparse matrix.
+    m = op.matrix
+    return (np.linalg.norm(m @ x - b, axis=0)
+            / (scipy.sparse.linalg.norm(m, np.inf) * np.linalg.norm(x, axis=0)
+               + np.linalg.norm(b, axis=0)))
+
+
+@pytest.mark.parametrize("name", SOLVER_GRIDS)
+@pytest.mark.parametrize("coeffs", [(0.0, 1.0), (1.0, 0.37), (1.0, 1e-6)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_stencil_backward_error_matches_assembled(name, coeffs, k):
+    # The check forms Mx - b from the constant stencil by slicing; it must
+    # agree with the assembled product to a few ulps, at the solution (a
+    # rounding-level residual) and off it.
+    g = SOLVER_GRIDS[name]
+    op = assemble_laplacian(g).shifted(*coeffs)
+    rng = np.random.default_rng(13)
+    b = rng.standard_normal((g.n_total, k)) if k > 1 else rng.standard_normal(g.n_total)
+    x = solve_poisson(op, b)
+    eps = np.finfo(float).eps
+    for trial in (x, x + 1e-6 * rng.standard_normal(x.shape)):
+        err = _backward_error(op, trial, b)
+        oracle = _assembled_backward_error(op, trial, b)
+        assert np.shape(err) == np.shape(oracle)
+        np.testing.assert_allclose(err, oracle, rtol=8 * eps, atol=8 * eps)
+    assert np.all(_backward_error(op, np.zeros_like(b), np.zeros_like(b)) == 0.0)
