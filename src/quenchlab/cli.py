@@ -489,6 +489,8 @@ def cmd_curve(run: Run, out: str) -> int:
         "bisect_tol": curve.bisect_tol,
         "non_increasing": curve.is_non_increasing(),
         "n_samples": len(curve.samples),
+        "diagnostics": [{"lam": s.lam, "evaluations": s.evaluations,
+                         "certificate": s.certificate} for s in curve.samples],
         "config": run.echo,
     })
     return 0

@@ -238,6 +238,25 @@ def _aitken_quench_time(level_times: tuple[float, float, float]) -> tuple[float,
     return t3, False
 
 
+def _memoized_advance(advance, u, v, react, dt):
+    """theta -> advance(u, v, react, theta * dt), each fraction computed once
+    (a StepRangeError too): the level bisections of one crossing step, for
+    u and v and for successive levels, share their first midpoints."""
+    outcomes = {}
+
+    def advance_by(theta):
+        if theta not in outcomes:
+            try:
+                outcomes[theta] = advance(u, v, react, theta * dt)
+            except StepRangeError as exc:
+                outcomes[theta] = exc
+        if isinstance(outcomes[theta], StepRangeError):
+            raise outcomes[theta]
+        return outcomes[theta]
+
+    return advance_by
+
+
 def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
              params: ParamPoint, config: StepperConfig, horizon: float, *,
              reference: tuple[FloatArray, FloatArray] | None = None) -> Trajectory:
@@ -250,9 +269,10 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
     over the staged quench levels.  Quench levels are located inside the
     crossing step by bisection on the step fraction, which re-runs the same
     two-half-step advance, so crossing times are consistent with the accepted
-    states.  Each crossing is logged per component; when a component crosses
-    the innermost level the run stops there and the event time extrapolates
-    the three crossings geometrically.  All attempts from a state, and the
+    states; within one crossing step each fraction is advanced once.  Each
+    crossing is logged per component; when a component crosses the innermost
+    level the run stops there and the event time extrapolates the three
+    crossings geometrically.  All attempts from a state, and the
     bisections and final partial step in its crossing step, share one reaction.
     """
     if horizon <= 0:
@@ -298,13 +318,13 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
                              level_times=tuple(level_times[which]))
         return recorder.build(TerminalStatus.QUENCHED, quench, horizon, u, v)
 
-    def bisect_crossing(uc, vc, react, dt, level, which):
+    def bisect_crossing(advance_by, level, which):
         """Largest-accuracy step fraction theta with max(component) = level."""
         lo, hi = 0.0, 1.0
         for _ in range(_LEVEL_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             try:
-                um, vm = advance(uc, vc, react, mid * dt)
+                um, vm = advance_by(mid)
             except StepRangeError:
                 hi = mid
                 continue
@@ -360,11 +380,12 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
         # Accepted.  Before committing, resolve any staged level crossings
         # inside this step, in increasing-level order per component.
         crossed_final: list[tuple[float, str]] = []
+        advance_by = _memoized_advance(advance, u, v, react, dt_eff)
         for which, new_field in (("u", un), ("v", vn)):
             new_max = float(new_field.max())
             while level_cursor[which] < 3 and new_max >= levels[level_cursor[which]]:
                 idx = level_cursor[which]
-                theta = bisect_crossing(u, v, react, dt_eff, levels[idx], which)
+                theta = bisect_crossing(advance_by, levels[idx], which)
                 level_times[which][idx] = t + theta * dt_eff
                 level_cursor[which] = idx + 1
                 if idx == 2:
@@ -376,7 +397,7 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
             if (len(crossed_final) == 2
                     and abs(crossed_final[0][0] - crossed_final[1][0]) <= 1e-9):
                 which = "both"
-            uq, vq = advance(u, v, react, theta * dt_eff)
+            uq, vq = advance_by(theta)
             t_cross = t + theta * dt_eff
             recorder.accepted += 1
             recorder.record(t_cross, uq, vq, theta * dt_eff, u, v)

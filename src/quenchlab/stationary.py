@@ -17,7 +17,11 @@ just below a supersolution, a pair (w, z) below the escape level with
 A w >= lam alpha f(z) and A z >= mu beta g(w), which bounds the monotone
 iterates and so proves existence without iterating (the linearized system has no variational
 characterization, so no eigenvalue estimate is used).  Bisection on the
-membership verdicts remains the fallback.
+membership verdicts remains the fallback.  A curve is traced in three
+phases: per sample, the halving for an admissible lower end, the fold Newton
+and the supersolution check; then the escape checks of all samples together,
+as one block iteration (``_monotone_verdicts``); then, per sample, bisection
+where a check failed.
 
 The fold and the second (upper-branch) steady state are both found by one
 damped-Newton kernel, ``_damped_newton``.
@@ -139,72 +143,128 @@ def monotone_minimal_solution(grid: Grid, model: Model, params: ParamPoint, *,
     - an iterate reaches max >= 1 - delta_blow: NotInLambda (iterate escape);
     - lam or mu beyond the analytic nonexistence box: NotInLambda, no iteration;
     - budget exhausted: Undetermined with a max_iter hint.
+
+    This is ``_monotone_verdicts`` on one point; ``iterate_hook(it, w, z)``
+    sees each iterate.
+    """
+    (verdict,) = _monotone_verdicts(grid, model, [params], tol_stat=tol_stat,
+                                    max_iter=max_iter, delta_blow=delta_blow,
+                                    tol_res=tol_res, iterate_hook=iterate_hook)
+    return verdict
+
+
+def _solve_pairs(op, b: FloatArray, m: int) -> tuple[FloatArray, dict[int, Exception]]:
+    """Solve the block b = [b_w | b_z] of m points; if that fails, each
+    point's (n, 2) pair alone.  Returns the increments and, by point, the
+    error of each pair that failed on its own."""
+    try:
+        return solve_poisson(op, b), {}
+    except (SolverBreakdownError, ValueError) as exc:
+        if m == 1:
+            return np.zeros_like(b), {0: exc}
+    inc, failed = np.zeros_like(b), {}
+    for j in range(m):
+        try:
+            inc[:, [j, m + j]] = solve_poisson(op, b[:, [j, m + j]])
+        except (SolverBreakdownError, ValueError) as exc:
+            failed[j] = exc
+    return inc, failed
+
+
+def _monotone_verdicts(grid: Grid, model: Model, points: list[ParamPoint], *,
+                       tol_stat: float, max_iter: int, delta_blow: float, tol_res: float,
+                       iterate_hook: Callable[[int, FloatArray, FloatArray], None] | None = None
+                       ) -> list[MembershipVerdict]:
+    """``monotone_minimal_solution``'s verdict at every point, from one block
+    iteration: the iterates (w, z) of the m undecided points are the columns
+    [w_1 .. w_m | z_1 .. z_m] of one (n, 2m) block, advanced by one
+    ``solve_poisson`` call per iteration, and a point leaves the block once
+    decided, before its source is evaluated again.  Points beyond the
+    analytic box never join.  Each column is computed exactly as a lone
+    verdict computes it, so every verdict is bit-identical to a lone one.
+    ``iterate_hook``, for one point, sees each of its iterates.
     """
     lam_bar, mu_bar = analytic_nonexistence_bound(grid, model)
-    if params.lam > lam_bar or params.mu > mu_bar:
-        return NotInLambda(
-            evidence="analytic-bound",
-            detail={"lam_bar": lam_bar, "mu_bar": mu_bar,
-                    "lam": params.lam, "mu": params.mu},
-        )
+    verdicts: list[MembershipVerdict | None] = [None] * len(points)
+    for k, p in enumerate(points):
+        if p.lam > lam_bar or p.mu > mu_bar:
+            verdicts[k] = NotInLambda(
+                evidence="analytic-bound",
+                detail={"lam_bar": lam_bar, "mu_bar": mu_bar, "lam": p.lam, "mu": p.mu})
+    active = [k for k, v in enumerate(verdicts) if v is None]
 
-    alpha = model.alpha.sample(grid)
-    beta = model.beta.sample(grid)
+    alpha = model.alpha.sample(grid)[:, None]
+    beta = model.beta.sample(grid)[:, None]
     escape = 1.0 - delta_blow
     op = grid.laplacian
-
-    x = np.zeros((grid.n_total, 2), order="F")  # the iterate (w, z) as one block
-    w, z = x.T
+    m = len(active)
+    x = np.zeros((grid.n_total, 2 * m), order="F")
     source_prev = np.zeros_like(x)
-    change = math.inf
+    change = np.full(m, math.inf)
+
+    def escaped(it: int, top: float) -> NotInLambda:
+        return NotInLambda(evidence="iterate-escape",
+                           detail={"iteration": it, "max_value": top, "delta_blow": delta_blow})
 
     for it in range(1, max_iter + 1):
-        source = np.array([params.lam * alpha * model.f.value(z),
-                           params.mu * beta * model.g.value(w)]).T
+        if not m:
+            break
+        source = np.empty_like(x)
+        np.multiply(np.array([points[k].lam for k in active]) * alpha,
+                    model.f.value(x[:, m:]), out=source[:, :m])
+        np.multiply(np.array([points[k].mu for k in active]) * beta,
+                    model.g.value(x[:, :m]), out=source[:, m:])
         b = np.maximum(source - source_prev, 0.0)
-        try:
-            inc = solve_poisson(op, b)
-        except (SolverBreakdownError, ValueError):
+        inc, failed = _solve_pairs(op, b, m)
+        for j, exc in failed.items():
             # A source overflowed (exp does past s = 0.9986, below the escape
             # level).  A^-1 >= 0 with (A^-1)_jj >= 1/A_jj, so for b >= 0 the
             # next iterate is at least x + b/diag(A): escape needs no solve.
-            bound = float((x + b / op.matrix.diagonal()[:, None]).max())
+            pair = [j, m + j]
+            bound = float((x[:, pair] + b[:, pair] / op.matrix.diagonal()[:, None]).max())
             if not bound >= escape:
-                raise
-            return NotInLambda(
-                evidence="iterate-escape",
-                detail={"iteration": it, "max_value": bound, "delta_blow": delta_blow},
-            )
+                raise exc
+            verdicts[active[j]] = escaped(it, bound)
         np.maximum(inc, 0.0, out=inc)
         x = x + inc
-        w, z = x.T
         source_prev = source
-        if iterate_hook is not None:
-            iterate_hook(it, w, z)
+        if iterate_hook is not None and not failed:
+            iterate_hook(it, x[:, 0], x[:, 1])
 
-        top = float(x.max())
-        if top >= escape:
-            return NotInLambda(
-                evidence="iterate-escape",
-                detail={"iteration": it, "max_value": top, "delta_blow": delta_blow},
-            )
+        top = np.maximum(x[:, :m].max(axis=0), x[:, m:].max(axis=0))
+        change = np.maximum(inc[:, :m].max(axis=0), inc[:, m:].max(axis=0))
+        for j, k in enumerate(active):
+            if verdicts[k] is not None:
+                continue
+            if top[j] >= escape:
+                verdicts[k] = escaped(it, float(top[j]))
+            elif change[j] <= tol_stat:
+                w, z = x[:, j].copy(), x[:, m + j].copy()
+                fw, fz, met = _steady_residual(grid, model, points[k], w, z, tol_res)
+                if met:
+                    verdicts[k] = InLambda(solution=StationarySolution(
+                        w=w, z=z, params=points[k], iterations=it,
+                        final_change=float(change[j]), residual_w=float(np.abs(fw).max()),
+                        residual_z=float(np.abs(fz).max())))
+                else:
+                    verdicts[k] = Undetermined(
+                        iterations=it, last_change=float(change[j]),
+                        hint="iteration converged but the residual target was not met; "
+                             "check the linear-solver tolerance")
 
-        change = float(inc.max())
-        if change <= tol_stat:
-            fw, fz, met = _steady_residual(grid, model, params, w, z, tol_res)
-            if met:
-                return InLambda(solution=StationarySolution(
-                    w=w, z=z, params=params, iterations=it,
-                    final_change=change, residual_w=float(np.abs(fw).max()),
-                    residual_z=float(np.abs(fz).max())))
-            return Undetermined(
-                iterations=it, last_change=change,
-                hint="iteration converged but the residual target was not met; "
-                     "check the linear-solver tolerance")
+        keep = [j for j, k in enumerate(active) if verdicts[k] is None]
+        if len(keep) < m:
+            cols = keep + [m + j for j in keep]
+            x, source_prev = np.asfortranarray(x[:, cols]), np.asfortranarray(source_prev[:, cols])
+            change = change[keep]
+            active = [active[j] for j in keep]
+            m = len(active)
 
-    return Undetermined(
-        iterations=max_iter, last_change=change,
-        hint="increase max_iter; the iteration had not settled or escaped")
+    for j, k in enumerate(active):
+        verdicts[k] = Undetermined(
+            iterations=max_iter, last_change=float(change[j]),
+            hint="increase max_iter; the iteration had not settled or escaped")
+    return verdicts
 
 
 def analytic_nonexistence_bound(grid: Grid, model: Model) -> tuple[float, float]:
@@ -232,9 +292,10 @@ class CurveSample:
     does not.  Where the fold Newton converges and both checks pass, the ends
     are mu_f (1 -+ bisect_tol/4) around its fold mu_f, the lower one proved by
     a supersolution and the upper one by iterate escape; otherwise bisection
-    on membership verdicts sets them.  ``evaluations`` counts the parameter
-    points decided: membership verdicts plus supersolution checks (Newton
-    steps are not counted).
+    on membership verdicts sets them.  ``certificate`` says which: "fold" or
+    "bisection".  ``evaluations`` counts the parameter points decided:
+    membership verdicts plus supersolution checks (Newton steps are not
+    counted).
     """
 
     lam: float
@@ -243,6 +304,7 @@ class CurveSample:
     bracket_hi: float
     status: str  # "ok" | "wide-bracket" | "no-bracket"
     evaluations: int
+    certificate: str  # "fold" | "bisection"
 
 
 @dataclass(frozen=True)
@@ -315,7 +377,7 @@ class _Fold:
         return self.w + eps * self.phi, self.z
 
 
-# From the starts _bisect_critical gives it, Newton on the extended system took
+# From the starts _critical_mus gives it, Newton on the extended system took
 # 3 to 7 steps per sample of configs/curve.ini and at most 12 over the families,
 # profiles and dimensions tried; a start that needs more is left to bisection.
 _FOLD_NEWTON_STEPS = 20
@@ -365,6 +427,71 @@ def _damped_newton(x: FloatArray, system: Callable, admissible: Callable[[FloatA
     return x, residual, taken, change
 
 
+class _Refill:
+    """A CSR or CSC matrix whose pattern is fixed once, from the positions
+    (rows, cols) of its entries.  Called with their values, in that order, it
+    gives the matrix ``sp.bmat`` assembles from them, bit for bit: indices
+    sorted, and no zeros stored."""
+
+    def __init__(self, kind, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
+        labelled = kind((np.arange(1.0, len(rows) + 1.0), (rows, cols)), shape=shape)
+        self.kind, self.shape = kind, shape
+        self.indices, self.indptr = labelled.indices, labelled.indptr
+        self.order = labelled.data.astype(np.intp) - 1
+
+    def __call__(self, values: FloatArray):
+        data = values[self.order]
+        if data.all():
+            return self.kind((data, self.indices, self.indptr), shape=self.shape)
+        out = self.kind((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+        out.eliminate_zeros()
+        return out
+
+
+class _FoldMatrices:
+    """The matrices of ``_fold_newton`` at fixed lam: M, as
+    ``assemble_linearization`` assembles it, and the Jacobian of the extended
+    system.  Their patterns are built once; each state refills their values."""
+
+    def __init__(self, grid: Grid, model: Model, lam: float):
+        n = grid.n_total
+        a = grid.laplacian.matrix.tocoo()
+        node = np.arange(n)
+        # M = [[A, -lam alpha f'(z)], [-mu beta g'(w), A]], entries in the order of their values
+        rows = np.concatenate([a.row, a.row + n, node, node + n])
+        cols = np.concatenate([a.col, a.col + n, node + n, node])
+        self._lin = _Refill(sp.csr_matrix, rows, cols, (2 * n, 2 * n))
+        # M twice on the diagonal, the curvature block below, the mu column
+        # and the normalization row
+        mu_col, norm_row = np.full(n, 4 * n), np.full(2 * n, 4 * n)
+        self._extended = _Refill(
+            sp.csc_matrix,
+            np.concatenate([rows, rows + 2 * n, node + 3 * n, node + 2 * n, node + n, node + 3 * n,
+                            norm_row]),
+            np.concatenate([cols, cols + 2 * n, node, node + n, mu_col, mu_col,
+                            np.arange(2 * n, 4 * n)]),
+            (4 * n + 1, 4 * n + 1))
+        self.stencil = a.data
+        self.model, self.lam = model, lam
+        self.alpha, self.beta = model.alpha.sample(grid), model.beta.sample(grid)
+        self.ones = np.ones(2 * n)
+
+    def at(self, w: FloatArray, z: FloatArray, phi: FloatArray, psi: FloatArray, mu: float):
+        """(lam alpha f'(z), mu beta g'(w), M, a thunk for the extended
+        Jacobian) at the state (w, z, phi, psi; mu)."""
+        f, g, lam, alpha, beta = self.model.f, self.model.g, self.lam, self.alpha, self.beta
+        coupling_w = lam * alpha * f.deriv(z)
+        dg = g.deriv(w)
+        coupling_z = mu * beta * dg
+        values = np.concatenate([self.stencil, self.stencil, -coupling_w, -coupling_z])
+
+        def extended() -> sp.csc_matrix:
+            return self._extended(np.concatenate([
+                values, values, -mu * beta * g.deriv2(w) * phi, -lam * alpha * f.deriv2(z) * psi,
+                -beta * g.value(w), -beta * dg * phi, self.ones]))
+        return coupling_w, coupling_z, self._lin(values), extended
+
+
 def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
                  tol_res: float, delta_blow: float) -> _Fold | None:
     """Newton on the Moore-Spence extended system at fixed lam (Moore & Spence,
@@ -375,7 +502,8 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
     with M ``assemble_linearization``'s matrix.  A simple fold of the steady
     branch is a regular root.  Each step solves one sparse system of size
     4n + 1: M twice on the diagonal, the second derivatives of f and g coupling
-    (phi, psi) to (w, z), and the mu column (0, -beta g(w), 0, -beta g'(w) phi).
+    (phi, psi) to (w, z), and the mu column (0, -beta g(w), 0, -beta g'(w) phi);
+    ``_FoldMatrices`` refills M and this Jacobian on patterns built once.
     A step that would take (w, z) out of [0, 1 - delta_blow) or mu out of
     (0, inf) is halved, down to 2^-10.  Converged when F meets
     ``_steady_residual``'s tol_res test and M (phi, psi) the same test against
@@ -384,10 +512,7 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
     """
     n = grid.n_total
     cap = 1.0 - delta_blow
-    alpha = model.alpha.sample(grid)
-    beta = model.beta.sample(grid)
-    norm_row = sp.csr_matrix(np.ones((1, 2 * n)))
-    zeros = np.zeros(n)
+    matrices = _FoldMatrices(grid, model, lam)
 
     def admissible(x: FloatArray) -> bool:
         return bool(x[-1] > 0.0 and x[:2 * n].min() >= 0.0 and x[:2 * n].max() < cap)
@@ -395,24 +520,13 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
     def system(x: FloatArray):
         w, z, phi, psi = x[:4 * n].reshape(4, n)
         mu = float(x[-1])
-        params = ParamPoint(lam=lam, mu=mu)
-        fw, fz, met = _steady_residual(grid, model, params, w, z, tol_res)
-        lin = assemble_linearization(grid, model, params, w, z).matrix
+        fw, fz, met = _steady_residual(grid, model, ParamPoint(lam=lam, mu=mu), w, z, tol_res)
+        coupling_w, coupling_z, lin, jacobian = matrices.at(w, z, phi, psi, mu)
         null = lin @ x[2 * n:4 * n]
-        dg = model.g.deriv(w)
-        couple_w = np.abs(lam * alpha * model.f.deriv(z) * psi).max()
-        couple_z = np.abs(mu * beta * dg * phi).max()
+        couple_w = np.abs(coupling_w * psi).max()
+        couple_z = np.abs(coupling_z * phi).max()
         converged = (met and np.abs(null[:n]).max() <= tol_res * couple_w
                      and np.abs(null[n:]).max() <= tol_res * couple_z)
-
-        def jacobian():
-            curvature = sp.diags([-mu * beta * model.g.deriv2(w) * phi,
-                                  -lam * alpha * model.f.deriv2(z) * psi],
-                                 [-n, n], shape=(2 * n, 2 * n))
-            return sp.bmat(
-                [[lin, None, np.concatenate([zeros, -beta * model.g.value(w)])[:, None]],
-                 [curvature, lin, np.concatenate([zeros, -beta * dg * phi])[:, None]],
-                 [None, norm_row, None]], format="csc")
         return (np.concatenate([fw, fz, null, [phi.sum() + psi.sum() - 2.0 * n]]),
                 converged, jacobian)
 
@@ -424,98 +538,118 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
     return fold if fold.phi.min() > 0.0 and fold.psi.min() > 0.0 else None
 
 
-def _bisect_critical(grid: Grid, model: Model, lam: float, mu_bar: float,
-                     warm: _Fold | None, *,
-                     bisect_tol: float,
-                     tol_stat: float,
-                     tol_res: float,
-                     max_iter: int,
-                     max_iter_doublings: int,
-                     delta_blow: float,
-                     floor_factor: float) -> tuple[CurveSample, _Fold | None]:
-    """Locate the largest admissible mu at fixed lam; also return the fold
-    that certified it, if one did.
+def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
+                  bisect_tol: float,
+                  tol_stat: float,
+                  tol_res: float,
+                  max_iter: int,
+                  max_iter_doublings: int,
+                  delta_blow: float,
+                  floor_factor: float) -> list[CurveSample]:
+    """Locate the largest admissible mu at each lam, in three phases.
 
-    Membership verdicts run the monotone iteration with an iteration budget.
-    The upper end starts just beyond the analytic bound mu_bar (guaranteed
-    outside); the lower end is found by halving until an InLambda point shows
-    up.  Then the fold Newton runs from ``warm`` (the previous sample's fold)
-    or, failing that, from the lower end's minimal solution with phi = psi
-    the Laplacian's principal eigenfunction.  A fold mu_f inside the bracket
-    gives the bracket [mu_f (1 - d), mu_f (1 + d)], d = bisect_tol / 4, when
-    the lifted pair (w_f + eps phi_f, z_f) is a supersolution at the lower end
-    and the verdict at the upper end is NotInLambda.  Otherwise bisection
-    goes on from the bracket already held: Undetermined verdicts shrink it
-    from neither side, and the budget is doubled up to a cap, after which
-    the bracket is accepted as is.
+    1. Per sample, in order: membership verdicts (the monotone iteration
+       with an iteration budget) find the lower end by halving from mu_bar/2
+       until an InLambda point shows up; the upper end starts just beyond
+       the analytic bound mu_bar (guaranteed outside).  The fold Newton
+       runs from the previous sample's fold or, failing that, from the lower
+       end's minimal solution with phi = psi the Laplacian's principal
+       eigenfunction.  A fold mu_f inside the bracket is a candidate when
+       the lifted pair (w_f + eps phi_f, z_f) is a supersolution at
+       mu_f (1 - d), d = bisect_tol / 4; a candidate's fold starts the next
+       sample's Newton.
+    2. One ``_monotone_verdicts`` block decides every candidate's upper end
+       mu_f (1 + d); where it is NotInLambda the bracket is
+       [mu_f (1 - d), mu_f (1 + d)].
+    3. Per sample, where no fold certified the bracket, bisection goes on
+       from the bracket already held: Undetermined verdicts shrink it from
+       neither side, and the budget is doubled up to a cap, after which the
+       bracket is accepted as is.
     """
-    evaluations = 0
+    delta = bisect_tol / 4.0
+    budget_cap = max_iter * 2**max_iter_doublings
+    settings = dict(tol_stat=tol_stat, delta_blow=delta_blow, tol_res=tol_res)
+    evaluations = [0] * len(lams)
 
-    def membership(mu: float, budget: int) -> MembershipVerdict:
-        nonlocal evaluations
-        evaluations += 1
-        return monotone_minimal_solution(
-            grid, model, ParamPoint(lam=lam, mu=mu), tol_stat=tol_stat,
-            max_iter=budget, delta_blow=delta_blow, tol_res=tol_res)
-
-    hi = mu_bar * (1.0 + 1e-9)
-    floor = mu_bar * floor_factor
-    budget = max_iter
-    lo = None
-    probe = mu_bar / 2.0
-    while probe >= floor:
-        verdict = membership(probe, budget)
-        if isinstance(verdict, InLambda):
-            lo = probe
-            break
-        if isinstance(verdict, NotInLambda):
-            hi = probe
-        probe /= 2.0
-    if lo is None:
-        return CurveSample(lam=lam, mu_critical=math.nan,
-                           bracket_lo=0.0, bracket_hi=hi,
-                           status="no-bracket", evaluations=evaluations), None
+    def membership(k: int, mu: float, budget: int) -> MembershipVerdict:
+        evaluations[k] += 1
+        return monotone_minimal_solution(grid, model, ParamPoint(lam=lams[k], mu=mu),
+                                         max_iter=budget, **settings)
 
     _, phi = principal_laplacian_eigenpair(grid.laplacian)
     phi = phi * (grid.n_total / phi.sum())
-    cold = _Fold(w=verdict.solution.w, z=verdict.solution.z, phi=phi, psi=phi, mu=lo)
-    fold = None
-    for start in (warm, cold):
-        if start is not None and fold is None:
-            fold = _fold_newton(grid, model, lam, start,
-                                tol_res=tol_res, delta_blow=delta_blow)
-    # A bracket halving left within tolerance (bisect_tol >= 1/2) needs no fold.
-    if fold is not None and lo < fold.mu < hi and (hi - lo) > bisect_tol * hi:
-        delta = bisect_tol / 4.0
-        below, above = fold.mu * (1.0 - delta), fold.mu * (1.0 + delta)
-        evaluations += 1
-        if (_is_supersolution(grid, model, ParamPoint(lam=lam, mu=below),
-                              *fold.lifted(model, delta), delta_blow=delta_blow)
-                and isinstance(membership(above, budget), NotInLambda)):
-            lo, hi = below, above
-        else:
-            fold = None
-    else:
+    brackets: list[tuple[float | None, float]] = []  # (lo, hi); lo None: no bracket
+    candidates: list[_Fold | None] = []
+    warm = None
+    for k, lam in enumerate(lams):
+        hi = mu_bar * (1.0 + 1e-9)
+        lo = None
+        probe = mu_bar / 2.0
+        while probe >= mu_bar * floor_factor:
+            verdict = membership(k, probe, max_iter)
+            if isinstance(verdict, InLambda):
+                lo = probe
+                break
+            if isinstance(verdict, NotInLambda):
+                hi = probe
+            probe /= 2.0
+        brackets.append((lo, hi))
         fold = None
+        if lo is not None:
+            cold = _Fold(w=verdict.solution.w, z=verdict.solution.z, phi=phi, psi=phi, mu=lo)
+            for start in (warm, cold):
+                if start is not None and fold is None:
+                    fold = _fold_newton(grid, model, lam, start,
+                                        tol_res=tol_res, delta_blow=delta_blow)
+            # A bracket halving left within tolerance (bisect_tol >= 1/2) needs no fold.
+            if fold is not None and lo < fold.mu < hi and (hi - lo) > bisect_tol * hi:
+                evaluations[k] += 1
+                below = ParamPoint(lam=lam, mu=fold.mu * (1.0 - delta))
+                if not _is_supersolution(grid, model, below, *fold.lifted(model, delta),
+                                         delta_blow=delta_blow):
+                    fold = None
+            else:
+                fold = None
+        candidates.append(fold)
+        warm = fold
 
-    status = "ok"
-    budget_cap = max_iter * 2**max_iter_doublings
-    while (hi - lo) > bisect_tol * hi:
-        mid = 0.5 * (lo + hi)
-        verdict = membership(mid, budget)
-        if isinstance(verdict, InLambda):
-            lo = mid
-        elif isinstance(verdict, NotInLambda):
-            hi = mid
-        else:
-            if budget < budget_cap:
+    pending = [k for k, fold in enumerate(candidates) if fold is not None]
+    above = [ParamPoint(lam=lams[k], mu=candidates[k].mu * (1.0 + delta)) for k in pending]
+    escapes = _monotone_verdicts(grid, model, above, max_iter=max_iter, **settings)
+    certified = set()
+    for k, verdict in zip(pending, escapes):
+        evaluations[k] += 1
+        if isinstance(verdict, NotInLambda):
+            mu_f = candidates[k].mu
+            brackets[k] = (mu_f * (1.0 - delta), mu_f * (1.0 + delta))
+            certified.add(k)
+
+    samples = []
+    for k, (lo, hi) in enumerate(brackets):
+        certificate = "fold" if k in certified else "bisection"
+        if lo is None:
+            samples.append(CurveSample(lam=lams[k], mu_critical=math.nan, bracket_lo=0.0,
+                                       bracket_hi=hi, status="no-bracket",
+                                       evaluations=evaluations[k], certificate=certificate))
+            continue
+        status = "ok"
+        budget = max_iter
+        while (hi - lo) > bisect_tol * hi:
+            mid = 0.5 * (lo + hi)
+            verdict = membership(k, mid, budget)
+            if isinstance(verdict, InLambda):
+                lo = mid
+            elif isinstance(verdict, NotInLambda):
+                hi = mid
+            elif budget < budget_cap:
                 budget *= 2
             else:
                 status = "wide-bracket"
                 break
-    return CurveSample(lam=lam, mu_critical=0.5 * (lo + hi),
-                       bracket_lo=lo, bracket_hi=hi,
-                       status=status, evaluations=evaluations), fold
+        samples.append(CurveSample(lam=lams[k], mu_critical=0.5 * (lo + hi),
+                                   bracket_lo=lo, bracket_hi=hi, status=status,
+                                   evaluations=evaluations[k], certificate=certificate))
+    return samples
 
 
 def trace_critical_curve(grid: Grid, model: Model, lam_samples, *,
@@ -528,9 +662,13 @@ def trace_critical_curve(grid: Grid, model: Model, lam_samples, *,
                          floor_factor: float = 1e-6) -> CriticalCurve:
     """Trace of the existence-region boundary over given lam samples.
 
-    Each sample brackets the critical mu with ``_bisect_critical``, whose fold
-    Newton starts from the previous sample's fold.  The axis intercepts go
-    through the same function with the other parameter at its bracket floor;
+    ``_critical_mus`` brackets the critical mu at every sample in three
+    phases: per sample, the halving for the lower end, the fold Newton
+    (started from the previous sample's fold) and the supersolution check
+    below the fold; then one block iteration for the escape checks above
+    all the folds together; then, per sample, bisection where no fold
+    certified the bracket.  The axis intercepts go through the same
+    function, one at a time, with the other parameter at its bracket floor;
     the lam intercept uses the swapped model (f and g, alpha and beta
     exchanged), whose critical mu is the original critical lam.
     """
@@ -539,19 +677,13 @@ def trace_critical_curve(grid: Grid, model: Model, lam_samples, *,
                     max_iter=max_iter, max_iter_doublings=max_iter_doublings,
                     delta_blow=delta_blow, floor_factor=floor_factor)
 
-    samples = []
-    fold = None
-    for lam in lam_samples:
-        sample, fold = _bisect_critical(grid, model, float(lam), mu_bar, fold, **settings)
-        samples.append(sample)
+    samples = _critical_mus(grid, model, [float(lam) for lam in lam_samples], mu_bar, **settings)
 
     # Axis intercepts: the critical value of one parameter with the other at
     # its bracket floor (the curve is approached from inside the quadrant).
     swapped = Model(f=model.g, g=model.f, alpha=model.beta, beta=model.alpha)
-    lam_star, _ = _bisect_critical(grid, swapped, mu_bar * floor_factor, lam_bar,
-                                   None, **settings)
-    mu_star, _ = _bisect_critical(grid, model, lam_bar * floor_factor, mu_bar,
-                                  None, **settings)
+    (lam_star,) = _critical_mus(grid, swapped, [mu_bar * floor_factor], lam_bar, **settings)
+    (mu_star,) = _critical_mus(grid, model, [lam_bar * floor_factor], mu_bar, **settings)
 
     return CriticalCurve(
         samples=tuple(samples),

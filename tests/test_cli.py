@@ -214,6 +214,25 @@ def test_curve_artifacts(decay_ini, tmp_path):
     assert meta["non_increasing"] is True
 
 
+def test_curve_json_diagnostics(decay_ini, tmp_path, monkeypatch):
+    # One entry per sample: the parameter points it decided and what
+    # certified its bracket; without the fold Newton, bisection does.
+    from quenchlab import stationary
+
+    docs = []
+    for name in ("fold", "bisection"):
+        if name == "bisection":
+            monkeypatch.setattr(stationary, "_fold_newton", lambda *args, **kwargs: None)
+        out = tmp_path / name
+        assert main(["curve", "--config", decay_ini, "--out", str(out), *CURVE_OVERRIDES]) == 0
+        docs.append(json.load(open(out / "curve.json"))["diagnostics"])
+    for doc, certificate in zip(docs, ("fold", "bisection")):
+        assert [d["lam"] for d in doc] == [0.5, 1.0]
+        assert [d["certificate"] for d in doc] == [certificate] * 2
+    # a certified sample: its halving probes, the supersolution and the escape check
+    assert all(2 < f["evaluations"] < b["evaluations"] for f, b in zip(*docs))
+
+
 def test_curve_honours_floor_factor(decay_ini, tmp_path):
     # The intercepts hold the other parameter at floor_factor times its bound.
     stars = []

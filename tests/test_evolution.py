@@ -190,6 +190,42 @@ def test_quench_run_evaluates_each_state_once(unit99, monkeypatch):
         assert calls[(id(model.g), u.tobytes())] == 1
 
 
+def test_quench_run_solves_each_system_once(unit99, monkeypatch):
+    # In a symmetric run u and v cross each level in the same step, and the
+    # bisections for successive levels share their first midpoints: each
+    # step fraction is advanced once per crossing step.
+    g, _, _ = unit99
+    ops = _spy_solves(monkeypatch)
+    rhs = []
+    original = evolution.solve_poisson
+
+    def spy(op, b, **kwargs):
+        rhs.append((op.identity_coeff, op.operator_coeff, np.asarray(b).tobytes()))
+        return original(op, b, **kwargs)
+
+    monkeypatch.setattr(evolution, "solve_poisson", spy)
+    trj = simulate(_zeros(g), g, power2_model(), ParamPoint(12.0, 12.0), StepperConfig(), 1.0)
+    assert trj.status is TerminalStatus.QUENCHED and trj.quench.which == "both"
+    assert len(ops) == len(rhs) == len(set(rhs))
+
+
+def test_memoized_advance_remembers_range_errors():
+    calls = []
+
+    def advance(u, v, react, dt):
+        calls.append(dt)
+        if dt > 0.5:
+            raise StepRangeError(f"step of size {dt}")
+        return u + dt, v - dt
+
+    advance_by = evolution._memoized_advance(advance, 1.0, 2.0, None, 0.8)
+    assert advance_by(0.5) == advance_by(0.5) == (1.4, 1.6)
+    for _ in range(2):
+        with pytest.raises(StepRangeError):
+            advance_by(1.0)
+    assert calls == [0.4, 0.8]
+
+
 def test_quench_run_snapshots_end_at_the_crossing(unit99):
     # The closing snapshot is the crossing state at the crossing time, once;
     # no second copy of it at the previous step's time.

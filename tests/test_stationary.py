@@ -17,6 +17,7 @@ from quenchlab import (
     Profile,
     Undetermined,
     analytic_nonexistence_bound,
+    assemble_linearization,
     integrate,
     interval,
     mass_bound_check,
@@ -404,3 +405,122 @@ def test_mass_bound_on_minimal_solution(unit99):
                                            rel=1e-12)
     assert report.mass_w == pytest.approx(integrate(s.w * phi, g), rel=1e-12)
     assert report.mass_w < report.bound_w
+
+
+def _verdict_record(verdict):
+    """Everything a verdict carries, with arrays as bytes."""
+    if isinstance(verdict, InLambda):
+        s = verdict.solution
+        return ("in", s.params, s.iterations, s.final_change, s.residual_w, s.residual_z,
+                s.w.tobytes(), s.z.tobytes())
+    if isinstance(verdict, NotInLambda):
+        return ("not", verdict.evidence, repr(verdict.detail))
+    return ("undetermined", verdict.iterations, verdict.last_change, verdict.hint)
+
+
+# Fractions t of the analytic box (t lam_bar, 0.9 t mu_bar): in-Lambda within
+# the budget (0.02), over it (0.1 or 0.2), escaping, beyond the box (1.01),
+# and, with exp, one point per grid and profile whose source overflows below
+# the escape level (0.5565 to 0.8095).
+_BATCH_FRACTIONS = (0.02, 0.1, 0.2, 0.5, 0.9, 1.01, 0.8095, 0.6975, 0.7725, 0.5565)
+
+
+@pytest.mark.parametrize("family", ["log", "exp", "power"])
+@pytest.mark.parametrize("profile", ["constant", "bump"])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_batched_verdicts_equal_lone_verdicts(monkeypatch, family, profile, dimension):
+    g = interval(0.0, 1.0, 49) if dimension == 1 else rectangle((0.0, 1.0), (0.0, 1.0), 15, 7)
+    nl = Nonlinearity(family)
+    model = Model(f=nl, g=nl, alpha=Profile(profile), beta=Profile(profile))
+    lam_bar, mu_bar = analytic_nonexistence_bound(g, model)
+    points = [ParamPoint(t * lam_bar, 0.9 * t * mu_bar) for t in _BATCH_FRACTIONS]
+    settings = dict(tol_stat=1e-10, max_iter=12, delta_blow=1e-4, tol_res=1e-8)
+    calls = _spy_solves(monkeypatch)
+    lone = [monotone_minimal_solution(g, model, p, **settings) for p in points]
+    overflows = sum(exc is not None for _, exc in calls)
+    del calls[:]
+    batched = stationary._monotone_verdicts(g, model, points, **settings)
+    assert [_verdict_record(v) for v in batched] == [_verdict_record(v) for v in lone]
+    kinds = {(v.status, getattr(v, "evidence", None)) for v in lone}
+    assert kinds == {("in-lambda", None), ("undetermined", None),
+                     ("not-in-lambda", "iterate-escape"), ("not-in-lambda", "analytic-bound")}
+    # an overflow fails the block solve, and then its point's lone solve
+    assert overflows == (1 if family == "exp" else 0)
+    assert [exc is not None for _, exc in calls].count(True) == 2 * overflows
+
+
+def _bmat_fold_matrices(g, model, lam, w, z, phi, psi, mu):
+    """The fold Newton's M and extended Jacobian assembled by sp.bmat, the
+    reference for their refills."""
+    n = g.n_total
+    alpha, beta = model.alpha.sample(g), model.beta.sample(g)
+    lin = assemble_linearization(g, model, ParamPoint(lam, mu), w, z).matrix
+    zeros = np.zeros(n)
+    curvature = sp.diags([-mu * beta * model.g.deriv2(w) * phi,
+                          -lam * alpha * model.f.deriv2(z) * psi],
+                         [-n, n], shape=(2 * n, 2 * n))
+    extended = sp.bmat(
+        [[lin, None, np.concatenate([zeros, -beta * model.g.value(w)])[:, None]],
+         [curvature, lin, np.concatenate([zeros, -beta * model.g.deriv(w) * phi])[:, None]],
+         [None, sp.csr_matrix(np.ones((1, 2 * n))), None]], format="csc")
+    return lin, extended
+
+
+def _same_sparse(a, b):
+    return (type(a) is type(b) and a.shape == b.shape
+            and a.indptr.tobytes() == b.indptr.tobytes()
+            and a.indices.tobytes() == b.indices.tobytes()
+            and a.data.tobytes() == b.data.tobytes())
+
+
+@pytest.mark.parametrize("family", ["log", "exp", "power"])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_fold_matrices_refill_equals_bmat(family, dimension):
+    g = interval(0.0, 1.0, 49) if dimension == 1 else rectangle((0.0, 2.0), (0.0, 1.0), 11, 7)
+    n = g.n_total
+    nl = Nonlinearity(family)
+    rng = np.random.default_rng(7)
+    # a bump this narrow underflows to 0 away from its centre: zero couplings
+    for alpha, beta in ((Profile("bump"), Profile("powerdist")),
+                        (Profile("constant", c=0.7), Profile("bump", width=1e4))):
+        model = Model(f=nl, g=nl, alpha=alpha, beta=beta)
+        lam = float(rng.uniform(0.1, 3.0))
+        matrices = stationary._FoldMatrices(g, model, lam)
+        for trial in range(4):
+            w, z = rng.uniform(0.0, 0.95, (2, n))
+            phi, psi = rng.uniform(0.1, 2.0, (2, n))
+            if trial == 3:  # exact zeros in the curvature and mu-column entries
+                phi[::3], psi[1::4] = 0.0, -0.0
+            mu = float(rng.uniform(0.1, 3.0))
+            lin, extended = _bmat_fold_matrices(g, model, lam, w, z, phi, psi, mu)
+            _, _, refilled, jacobian = matrices.at(w, z, phi, psi, mu)
+            assert _same_sparse(refilled, lin)
+            assert _same_sparse(jacobian(), extended)
+    # the zeros above were dropped, in M and in the extended Jacobian
+    assert lin.nnz < 2 * g.laplacian.matrix.nnz + 2 * n
+    assert extended.nnz < 2 * lin.nnz + 6 * n
+
+
+def test_escape_checks_share_one_block_solve_per_iteration(monkeypatch):
+    g, _, _ = unit_stack(49)
+    calls = _spy_solves(monkeypatch)
+    batches = []
+    original = stationary._monotone_verdicts
+
+    def spy(grid, model, points, **kwargs):
+        before = len(calls)
+        verdicts = original(grid, model, points, **kwargs)
+        batches.append((points, calls[before:], verdicts))
+        return verdicts
+
+    monkeypatch.setattr(stationary, "_monotone_verdicts", spy)
+    curve = trace_critical_curve(g, power2_model(), [0.3, 0.7, 1.1, 1.5], bisect_tol=5e-3)
+    assert [s.certificate for s in curve.samples] == ["fold"] * 4
+    ((points, solves, verdicts),) = [b for b in batches if len(b[0]) > 1]
+    assert [p.lam for p in points] == [0.3, 0.7, 1.1, 1.5]
+    escaped_at = [v.detail["iteration"] for v in verdicts]
+    # one (n, 2m) solve per iteration, m the points still in the block
+    assert [shape for shape, _ in solves] == [
+        (g.n_total, 2 * sum(it <= last for last in escaped_at))
+        for it in range(1, max(escaped_at) + 1)]
+    assert len(solves) < sum(escaped_at)
