@@ -13,19 +13,72 @@ power iteration on M converges to it.  A nonpositive nu1 (or a sign-changing
 eigenvector) means the state under study is not linearly stable; that outcome
 is reported as an exception carrying the estimate, since every downstream
 certificate needs nu1 > 0.
+
+Newton's solves with M and with the fold's [[M, 0], [K, M]] go through
+``CoupledBand``, a banded LAPACK kernel; inverse iteration keeps a sparse LU.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import EigenConvergenceError, IndefiniteOperatorError
 from .grid import FloatArray, Grid, integrate
 from .model import Model, ParamPoint
+
+
+class CoupledBand:
+    """Matrices with ``fields`` unknowns per node, A on every diagonal block
+    and diagonal couplings between fields, factored by LAPACK ``dgbtrf``.
+    Vectors stack the fields, each in the grid's node order; the band orders
+    the unknowns node by node, 2D nodes along the shorter axis first, so its
+    half-width is ``fields`` in 1D and fields * min(nx, ny) in 2D."""
+
+    def __init__(self, grid: Grid, fields: int):
+        n = grid.n_total
+        nodes = np.arange(n)
+        if grid.dimension == 2 and grid.n_interior[0] > grid.n_interior[1]:
+            nodes = nodes.reshape(grid.n_interior[::-1]).T.ravel()
+        place = np.empty_like(nodes)
+        place[nodes] = np.arange(n)
+        a = grid.laplacian.stencil.tocoo()
+        offset = fields * (place[a.row] - place[a.col])
+        self.k = k = max(int(offset.max()), fields - 1)  # kl = ku
+        # dgbtrf's band storage, column by column, holds entry (i, j) at (3k + 1) j + 2k + i - j
+        self.shape, self.nodes = (3 * k + 1, fields * n), nodes
+        self.start = (3 * k + 1) * fields * np.arange(n) + 2 * k  # entry (p, p) of node p
+        self.stencil = (np.concatenate([self.start[place[a.col]] + (3 * k + 1) * c + offset
+                                        for c in range(fields)]),
+                        np.concatenate([a.data] * fields))
+        # band unknown p is the stacked unknown index[p]
+        self.index = (np.arange(fields) * n + nodes[:, None]).ravel()
+        self.unband = np.empty_like(self.index)
+        self.unband[self.index] = np.arange(fields * n)
+
+    def factor(self, couplings) -> Callable | None:
+        """Factor the matrix with these (row field, column field, values by
+        node) couplings.  Returns solve(rhs, trans=0), solving with the matrix
+        (trans=1: its transpose) for a stacked vector or the columns of one,
+        or None when a pivot is exactly zero."""
+        k, (at, values), index, unband = self.k, self.stencil, self.index, self.unband
+        ab = np.zeros(self.shape, order="F")
+        band = ab.reshape(-1, order="F")  # a view
+        band[at] = values
+        for row, col, coupling in couplings:
+            band[self.start + 3 * k * col + row] = coupling[self.nodes]
+        lu, piv, info = lapack.dgbtrf(ab, k, k, overwrite_ab=1)
+        if info > 0:
+            return None
+
+        def solve(rhs: FloatArray, trans: int = 0) -> FloatArray:
+            return lapack.dgbtrs(lu, k, k, rhs[index], piv, trans=trans)[0][unband]
+        return solve
 
 
 @dataclass(frozen=True)
@@ -101,8 +154,9 @@ def principal_eigenpair(lin: LinearizedOperator, *,
         if y.sum() < 0:
             norm = -norm
         x = y / norm
-        nu = float(x @ (m @ x))
-        residual = float(np.linalg.norm(m @ x - nu * x)) / max(abs(nu), 1e-30)
+        mx = m @ x
+        nu = float(x @ mx)
+        residual = float(np.linalg.norm(mx - nu * x)) / max(abs(nu), 1e-30)
         if residual <= tol:
             break
     else:

@@ -17,14 +17,13 @@ just below a supersolution, a pair (w, z) below the escape level with
 A w >= lam alpha f(z) and A z >= mu beta g(w), which bounds the monotone
 iterates and so proves existence without iterating (the linearized system has no variational
 characterization, so no eigenvalue estimate is used).  Bisection on the
-membership verdicts remains the fallback.  A curve is traced in three
-phases: per sample, the halving for an admissible lower end, the fold Newton
-and the supersolution check; then the escape checks of all samples together,
-as one block iteration (``_monotone_verdicts``); then, per sample, bisection
-where a check failed.
+membership verdicts remains the fallback.  A curve is traced fold first
+(``_critical_mus``): each sample's Newton starts from the previous fold, and
+halving for a bracket runs only where that fails.
 
 The fold and the second (upper-branch) steady state are both found by one
-damped-Newton kernel, ``_damped_newton``.
+damped-Newton kernel, ``_damped_newton``, whose linear solves go through the
+banded kernel ``spectra.CoupledBand``.
 
 Every function here takes A from its grid (``grid.laplacian``) and, where an
 estimate needs it, the principal pair (lambda1, phi) of A in closed form.
@@ -37,8 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SolverBreakdownError
 from .grid import (
@@ -49,7 +46,7 @@ from .grid import (
     solve_poisson,
 )
 from .model import Model, ParamPoint
-from .spectra import assemble_linearization
+from .spectra import CoupledBand
 
 DEFAULT_TOL_STAT = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -391,25 +388,25 @@ def _damped_newton(x: FloatArray, system: Callable, admissible: Callable[[FloatA
                    ) -> tuple[FloatArray, FloatArray, int, float] | None:
     """Damped Newton for system(x) = 0 from x.
 
-    ``system(x)`` returns (residual, converged, jacobian), jacobian a thunk for
-    the sparse Jacobian at x, called only to take a step.  A step solves
-    J step = -residual by sparse LU and moves to x + t step for the first t in
+    ``system(x)`` returns (residual, converged, factor), factor a thunk,
+    called only to take a step, for a function solving with the Jacobian at x
+    (None when its banded factor has an exactly zero pivot).  A step solves
+    J step = -residual and moves to x + t step for the first t in
     1, 1/2, ... >= ``floor`` that is ``admissible`` and, with ``decrease`` set,
     shrinks the residual's sup norm by the factor 1 - decrease t (Deuflhard,
     Newton Methods for Nonlinear Problems, 2004).  Returns (x, residual, steps,
     t |step|_inf of the last step or nan), or None on a singular factor, a
     non-finite step, no such t, or ``steps`` steps without convergence.
     """
-    residual, converged, jacobian = system(x)
+    residual, converged, factor = system(x)
     taken, change = 0, math.nan
     while not converged:
         if taken == steps:
             return None
-        try:
-            step = spla.splu(jacobian()).solve(-residual)
-        except RuntimeError:
-            return None  # singular: the start is too far from a regular root
-        if not np.all(np.isfinite(step)):
+        solve = factor()  # None: singular, the start is too far from a regular root
+        with np.errstate(all="ignore"):  # overflow and 0/0 end in the finiteness test
+            step = None if solve is None else solve(-residual)
+        if step is None or not np.all(np.isfinite(step)):
             return None
         t = 1.0
         while True:
@@ -422,74 +419,21 @@ def _damped_newton(x: FloatArray, system: Callable, admissible: Callable[[FloatA
             t /= 2.0
             if t < floor:
                 return None
-        x, (residual, converged, jacobian) = trial, evaluated
+        x, (residual, converged, factor) = trial, evaluated
         taken, change = taken + 1, t * float(np.abs(step).max())
     return x, residual, taken, change
 
 
-class _Refill:
-    """A CSR or CSC matrix whose pattern is fixed once, from the positions
-    (rows, cols) of its entries.  Called with their values, in that order, it
-    gives the matrix ``sp.bmat`` assembles from them, bit for bit: indices
-    sorted, and no zeros stored."""
-
-    def __init__(self, kind, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
-        labelled = kind((np.arange(1.0, len(rows) + 1.0), (rows, cols)), shape=shape)
-        self.kind, self.shape = kind, shape
-        self.indices, self.indptr = labelled.indices, labelled.indptr
-        self.order = labelled.data.astype(np.intp) - 1
-
-    def __call__(self, values: FloatArray):
-        data = values[self.order]
-        if data.all():
-            return self.kind((data, self.indices, self.indptr), shape=self.shape)
-        out = self.kind((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
-        out.eliminate_zeros()
-        return out
-
-
-class _FoldMatrices:
-    """The matrices of ``_fold_newton`` at fixed lam: M, as
-    ``assemble_linearization`` assembles it, and the Jacobian of the extended
-    system.  Their patterns are built once; each state refills their values."""
-
-    def __init__(self, grid: Grid, model: Model, lam: float):
-        n = grid.n_total
-        a = grid.laplacian.matrix.tocoo()
-        node = np.arange(n)
-        # M = [[A, -lam alpha f'(z)], [-mu beta g'(w), A]], entries in the order of their values
-        rows = np.concatenate([a.row, a.row + n, node, node + n])
-        cols = np.concatenate([a.col, a.col + n, node + n, node])
-        self._lin = _Refill(sp.csr_matrix, rows, cols, (2 * n, 2 * n))
-        # M twice on the diagonal, the curvature block below, the mu column
-        # and the normalization row
-        mu_col, norm_row = np.full(n, 4 * n), np.full(2 * n, 4 * n)
-        self._extended = _Refill(
-            sp.csc_matrix,
-            np.concatenate([rows, rows + 2 * n, node + 3 * n, node + 2 * n, node + n, node + 3 * n,
-                            norm_row]),
-            np.concatenate([cols, cols + 2 * n, node, node + n, mu_col, mu_col,
-                            np.arange(2 * n, 4 * n)]),
-            (4 * n + 1, 4 * n + 1))
-        self.stencil = a.data
-        self.model, self.lam = model, lam
-        self.alpha, self.beta = model.alpha.sample(grid), model.beta.sample(grid)
-        self.ones = np.ones(2 * n)
-
-    def at(self, w: FloatArray, z: FloatArray, phi: FloatArray, psi: FloatArray, mu: float):
-        """(lam alpha f'(z), mu beta g'(w), M, a thunk for the extended
-        Jacobian) at the state (w, z, phi, psi; mu)."""
-        f, g, lam, alpha, beta = self.model.f, self.model.g, self.lam, self.alpha, self.beta
-        coupling_w = lam * alpha * f.deriv(z)
-        dg = g.deriv(w)
-        coupling_z = mu * beta * dg
-        values = np.concatenate([self.stencil, self.stencil, -coupling_w, -coupling_z])
-
-        def extended() -> sp.csc_matrix:
-            return self._extended(np.concatenate([
-                values, values, -mu * beta * g.deriv2(w) * phi, -lam * alpha * f.deriv2(z) * psi,
-                -beta * g.value(w), -beta * dg * phi, self.ones]))
-        return coupling_w, coupling_z, self._lin(values), extended
+def _bordered_solve(solve: Callable, b: FloatArray, c: FloatArray, rhs: FloatArray) -> FloatArray:
+    """Solve [[J, b], [c^T, 0]] (x, s) = rhs, ``solve`` solving with J and J^T,
+    by mixed block elimination (Govaerts & Pryce, IMA J. Numer. Anal. 13, 1993):
+    s1 from J^T v = c, then x and a correction s2 from J; stable even at a fold."""
+    f, g = rhs[:-1], rhs[-1]
+    v = solve(c, trans=1)
+    s1 = (g - v @ f) / -(b @ v)
+    w, xi = solve(np.column_stack([b, f - b * s1])).T
+    s2 = (g - c @ xi) / -(c @ w)
+    return np.append(xi - w * s2, s1 + s2)
 
 
 def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
@@ -500,19 +444,21 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
         F(w, z; mu) = 0,   M(w, z; mu) (phi, psi) = 0,   sum(phi + psi) = 2n,
 
     with M ``assemble_linearization``'s matrix.  A simple fold of the steady
-    branch is a regular root.  Each step solves one sparse system of size
-    4n + 1: M twice on the diagonal, the second derivatives of f and g coupling
-    (phi, psi) to (w, z), and the mu column (0, -beta g(w), 0, -beta g'(w) phi);
-    ``_FoldMatrices`` refills M and this Jacobian on patterns built once.
-    A step that would take (w, z) out of [0, 1 - delta_blow) or mu out of
-    (0, inf) is halved, down to 2^-10.  Converged when F meets
-    ``_steady_residual``'s tol_res test and M (phi, psi) the same test against
-    the coupling terms.  Returns None when ``_damped_newton`` fails within
-    ``_FOLD_NEWTON_STEPS`` steps or the converged null vector is not positive.
+    branch is a regular root.  The Jacobian is J = [[M, 0], [K, M]], K the
+    second derivatives of f and g, bordered by the mu column
+    (0, -beta g(w), 0, -beta g'(w) phi) and the normalization row; a step
+    factors J once (``CoupledBand``) and eliminates the border
+    (``_bordered_solve``).  A step that would take (w, z) out of
+    [0, 1 - delta_blow) or mu out of (0, inf) is halved, down to 2^-10.
+    Converged when F meets ``_steady_residual``'s tol_res test and
+    M (phi, psi) the same test against the coupling terms.  Returns None when
+    ``_damped_newton`` fails within ``_FOLD_NEWTON_STEPS`` steps or the
+    converged null vector is not positive.
     """
-    n = grid.n_total
-    cap = 1.0 - delta_blow
-    matrices = _FoldMatrices(grid, model, lam)
+    n, cap = grid.n_total, 1.0 - delta_blow
+    op, band = grid.laplacian, CoupledBand(grid, 4)
+    f, g, alpha, beta = model.f, model.g, model.alpha.sample(grid), model.beta.sample(grid)
+    zeros, normal = np.zeros(n), np.concatenate([np.zeros(2 * n), np.ones(2 * n)])
 
     def admissible(x: FloatArray) -> bool:
         return bool(x[-1] > 0.0 and x[:2 * n].min() >= 0.0 and x[:2 * n].max() < cap)
@@ -521,14 +467,21 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
         w, z, phi, psi = x[:4 * n].reshape(4, n)
         mu = float(x[-1])
         fw, fz, met = _steady_residual(grid, model, ParamPoint(lam=lam, mu=mu), w, z, tol_res)
-        coupling_w, coupling_z, lin, jacobian = matrices.at(w, z, phi, psi, mu)
-        null = lin @ x[2 * n:4 * n]
-        couple_w = np.abs(coupling_w * psi).max()
-        couple_z = np.abs(coupling_z * phi).max()
-        converged = (met and np.abs(null[:n]).max() <= tol_res * couple_w
-                     and np.abs(null[n:]).max() <= tol_res * couple_z)
-        return (np.concatenate([fw, fz, null, [phi.sum() + psi.sum() - 2.0 * n]]),
-                converged, jacobian)
+        coupling_w, dg = lam * alpha * f.deriv(z), g.deriv(w)
+        coupling_z = mu * beta * dg
+        null_w, null_z = op.apply(phi) - coupling_w * psi, op.apply(psi) - coupling_z * phi
+        converged = (met and np.abs(null_w).max() <= tol_res * np.abs(coupling_w * psi).max()
+                     and np.abs(null_z).max() <= tol_res * np.abs(coupling_z * phi).max())
+
+        def factor() -> Callable | None:
+            solve = band.factor([(0, 1, -coupling_w), (1, 0, -coupling_z),
+                                 (2, 3, -coupling_w), (3, 2, -coupling_z),
+                                 (2, 1, -lam * alpha * f.deriv2(z) * psi),
+                                 (3, 0, -mu * beta * g.deriv2(w) * phi)])
+            mu_column = np.concatenate([zeros, -beta * g.value(w), zeros, -beta * dg * phi])
+            return None if solve is None else lambda r: _bordered_solve(solve, mu_column, normal, r)
+        return (np.concatenate([fw, fz, null_w, null_z, [phi.sum() + psi.sum() - 2.0 * n]]),
+                converged, factor)
 
     found = _damped_newton(np.concatenate([start.w, start.z, start.phi, start.psi, [start.mu]]),
                            system, admissible, steps=_FOLD_NEWTON_STEPS, floor=2.0**-10)
@@ -548,70 +501,71 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
                   floor_factor: float) -> list[CurveSample]:
     """Locate the largest admissible mu at each lam, in three phases.
 
-    1. Per sample, in order: membership verdicts (the monotone iteration
-       with an iteration budget) find the lower end by halving from mu_bar/2
-       until an InLambda point shows up; the upper end starts just beyond
-       the analytic bound mu_bar (guaranteed outside).  The fold Newton
-       runs from the previous sample's fold or, failing that, from the lower
-       end's minimal solution with phi = psi the Laplacian's principal
-       eigenfunction.  A fold mu_f inside the bracket is a candidate when
+    1. Per sample, fold first: the Newton runs from the previous sample's
+       fold, and its fold mu_f in (0, mu_bar (1 + 1e-9)) is a candidate when
        the lifted pair (w_f + eps phi_f, z_f) is a supersolution at
-       mu_f (1 - d), d = bisect_tol / 4; a candidate's fold starts the next
-       sample's Newton.
+       mu_f (1 - d), d = bisect_tol / 4.  Otherwise (and at the first
+       sample) halving from mu_bar/2 brackets mu by membership verdicts, and
+       the Newton runs cold from the InLambda end's minimal solution, phi =
+       psi the Laplacian's principal eigenfunction; its fold inside that
+       bracket is a candidate on the same check.  A candidate starts the
+       next sample's Newton.
     2. One ``_monotone_verdicts`` block decides every candidate's upper end
        mu_f (1 + d); where it is NotInLambda the bracket is
        [mu_f (1 - d), mu_f (1 + d)].
-    3. Per sample, where no fold certified the bracket, bisection goes on
-       from the bracket already held: Undetermined verdicts shrink it from
-       neither side, and the budget is doubled up to a cap, after which the
-       bracket is accepted as is.
+    3. Elsewhere bisection goes on from the halving's bracket (halved now if
+       the fold skipped it): Undetermined verdicts shrink it from neither
+       side, and the budget is doubled up to a cap, after which the bracket
+       is accepted as is.
     """
     delta = bisect_tol / 4.0
     budget_cap = max_iter * 2**max_iter_doublings
     settings = dict(tol_stat=tol_stat, delta_blow=delta_blow, tol_res=tol_res)
+    newton = dict(tol_res=tol_res, delta_blow=delta_blow)
     evaluations = [0] * len(lams)
+    top = mu_bar * (1.0 + 1e-9)
 
     def membership(k: int, mu: float, budget: int) -> MembershipVerdict:
         evaluations[k] += 1
         return monotone_minimal_solution(grid, model, ParamPoint(lam=lams[k], mu=mu),
                                          max_iter=budget, **settings)
 
-    _, phi = principal_laplacian_eigenpair(grid.laplacian)
-    phi = phi * (grid.n_total / phi.sum())
-    brackets: list[tuple[float | None, float]] = []  # (lo, hi); lo None: no bracket
-    candidates: list[_Fold | None] = []
-    warm = None
-    for k, lam in enumerate(lams):
-        hi = mu_bar * (1.0 + 1e-9)
-        lo = None
-        probe = mu_bar / 2.0
+    def halve(k: int) -> tuple[float | None, float, MembershipVerdict | None]:
+        # (lo, hi, the verdict at lo); lo None: no bracket
+        hi, probe = top, mu_bar / 2.0
         while probe >= mu_bar * floor_factor:
             verdict = membership(k, probe, max_iter)
             if isinstance(verdict, InLambda):
-                lo = probe
-                break
+                return probe, hi, verdict
             if isinstance(verdict, NotInLambda):
                 hi = probe
             probe /= 2.0
-        brackets.append((lo, hi))
-        fold = None
-        if lo is not None:
-            cold = _Fold(w=verdict.solution.w, z=verdict.solution.z, phi=phi, psi=phi, mu=lo)
-            for start in (warm, cold):
-                if start is not None and fold is None:
-                    fold = _fold_newton(grid, model, lam, start,
-                                        tol_res=tol_res, delta_blow=delta_blow)
-            # A bracket halving left within tolerance (bisect_tol >= 1/2) needs no fold.
-            if fold is not None and lo < fold.mu < hi and (hi - lo) > bisect_tol * hi:
-                evaluations[k] += 1
-                below = ParamPoint(lam=lam, mu=fold.mu * (1.0 - delta))
-                if not _is_supersolution(grid, model, below, *fold.lifted(model, delta),
-                                         delta_blow=delta_blow):
-                    fold = None
-            else:
+        return None, hi, None
+
+    def supersolution_below(k: int, fold: _Fold) -> bool:
+        evaluations[k] += 1
+        below = ParamPoint(lam=lams[k], mu=fold.mu * (1.0 - delta))
+        return _is_supersolution(grid, model, below, *fold.lifted(model, delta),
+                                 delta_blow=delta_blow)
+
+    _, phi = principal_laplacian_eigenpair(grid.laplacian)
+    phi = phi * (grid.n_total / phi.sum())
+    brackets: list[tuple[float | None, float] | None] = []  # None: not halved yet
+    candidates: list[_Fold | None] = []
+    fold = None
+    for k, lam in enumerate(lams):
+        if fold is not None:
+            fold = _fold_newton(grid, model, lam, fold, **newton)
+        if fold is not None and 0.0 < fold.mu < top and supersolution_below(k, fold):
+            brackets.append(None)
+        else:
+            lo, hi, verdict = halve(k)
+            brackets.append((lo, hi))
+            fold = None if lo is None else _fold_newton(grid, model, lam, _Fold(
+                w=verdict.solution.w, z=verdict.solution.z, phi=phi, psi=phi, mu=lo), **newton)
+            if not (fold is not None and lo < fold.mu < hi and supersolution_below(k, fold)):
                 fold = None
         candidates.append(fold)
-        warm = fold
 
     pending = [k for k, fold in enumerate(candidates) if fold is not None]
     above = [ParamPoint(lam=lams[k], mu=candidates[k].mu * (1.0 + delta)) for k in pending]
@@ -625,16 +579,10 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
             certified.add(k)
 
     samples = []
-    for k, (lo, hi) in enumerate(brackets):
-        certificate = "fold" if k in certified else "bisection"
-        if lo is None:
-            samples.append(CurveSample(lam=lams[k], mu_critical=math.nan, bracket_lo=0.0,
-                                       bracket_hi=hi, status="no-bracket",
-                                       evaluations=evaluations[k], certificate=certificate))
-            continue
-        status = "ok"
-        budget = max_iter
-        while (hi - lo) > bisect_tol * hi:
+    for k, bracket in enumerate(brackets):
+        lo, hi = bracket or halve(k)[:2]
+        status, budget = "ok" if lo is not None else "no-bracket", max_iter
+        while lo is not None and (hi - lo) > bisect_tol * hi:
             mid = 0.5 * (lo + hi)
             verdict = membership(k, mid, budget)
             if isinstance(verdict, InLambda):
@@ -646,9 +594,10 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
             else:
                 status = "wide-bracket"
                 break
-        samples.append(CurveSample(lam=lams[k], mu_critical=0.5 * (lo + hi),
-                                   bracket_lo=lo, bracket_hi=hi, status=status,
-                                   evaluations=evaluations[k], certificate=certificate))
+        samples.append(CurveSample(
+            lam=lams[k], mu_critical=math.nan if lo is None else 0.5 * (lo + hi),
+            bracket_lo=0.0 if lo is None else lo, bracket_hi=hi, status=status,
+            evaluations=evaluations[k], certificate="fold" if k in certified else "bisection"))
     return samples
 
 
@@ -662,15 +611,11 @@ def trace_critical_curve(grid: Grid, model: Model, lam_samples, *,
                          floor_factor: float = 1e-6) -> CriticalCurve:
     """Trace of the existence-region boundary over given lam samples.
 
-    ``_critical_mus`` brackets the critical mu at every sample in three
-    phases: per sample, the halving for the lower end, the fold Newton
-    (started from the previous sample's fold) and the supersolution check
-    below the fold; then one block iteration for the escape checks above
-    all the folds together; then, per sample, bisection where no fold
-    certified the bracket.  The axis intercepts go through the same
-    function, one at a time, with the other parameter at its bracket floor;
-    the lam intercept uses the swapped model (f and g, alpha and beta
-    exchanged), whose critical mu is the original critical lam.
+    ``_critical_mus`` brackets the critical mu at every sample, fold first.
+    The axis intercepts go through the same function, one at a time, with
+    the other parameter at its bracket floor (the curve is approached from
+    inside the quadrant); the lam intercept uses the swapped model (f and g,
+    alpha and beta exchanged), whose critical mu is the original critical lam.
     """
     lam_bar, mu_bar = analytic_nonexistence_bound(grid, model)
     settings = dict(bisect_tol=bisect_tol, tol_stat=tol_stat, tol_res=tol_res,
@@ -679,8 +624,6 @@ def trace_critical_curve(grid: Grid, model: Model, lam_samples, *,
 
     samples = _critical_mus(grid, model, [float(lam) for lam in lam_samples], mu_bar, **settings)
 
-    # Axis intercepts: the critical value of one parameter with the other at
-    # its bracket floor (the curve is approached from inside the quadrant).
     swapped = Model(f=model.g, g=model.f, alpha=model.beta, beta=model.alpha)
     (lam_star,) = _critical_mus(grid, swapped, [mu_bar * floor_factor], lam_bar, **settings)
     (mu_star,) = _critical_mus(grid, model, [lam_bar * floor_factor], mu_bar, **settings)
@@ -718,10 +661,13 @@ def second_solution_search(grid: Grid, model: Model, params: ParamPoint,
     def admissible(x: FloatArray) -> bool:
         return bool(x.min() >= 0.0 and x.max() < cap)
 
+    band, alpha, beta = CoupledBand(grid, 2), model.alpha.sample(grid), model.beta.sample(grid)
+
     def system(x: FloatArray):
         fw, fz, met = _steady_residual(grid, model, params, x[:n], x[n:], tol_res)
-        return (np.concatenate([fw, fz]), met, lambda: assemble_linearization(
-            grid, model, params, x[:n], x[n:]).matrix.tocsc())
+        return (np.concatenate([fw, fz]), met, lambda: band.factor(  # M, as in _fold_newton
+            [(0, 1, -params.lam * alpha * model.f.deriv(x[n:])),
+             (1, 0, -params.mu * beta * model.g.deriv(x[:n]))]))
 
     found = _damped_newton(seed, system, admissible, steps=_SECOND_NEWTON_STEPS,
                            floor=2.0**-12, decrease=0.25)

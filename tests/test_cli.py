@@ -229,8 +229,12 @@ def test_curve_json_diagnostics(decay_ini, tmp_path, monkeypatch):
     for doc, certificate in zip(docs, ("fold", "bisection")):
         assert [d["lam"] for d in doc] == [0.5, 1.0]
         assert [d["certificate"] for d in doc] == [certificate] * 2
-    # a certified sample: its halving probes, the supersolution and the escape check
-    assert all(2 < f["evaluations"] < b["evaluations"] for f, b in zip(*docs))
+    # the first sample: its halving probes, the supersolution and the escape
+    # check; a later one starts from the previous fold and needs only the two
+    fold, bisection = docs
+    assert 2 < fold[0]["evaluations"]
+    assert [f["evaluations"] for f in fold[1:]] == [2] * (len(fold) - 1)
+    assert all(f["evaluations"] < b["evaluations"] for f, b in zip(fold, bisection))
 
 
 def test_curve_honours_floor_factor(decay_ini, tmp_path):

@@ -13,8 +13,10 @@ from quenchlab import (
     integrate,
     monotone_minimal_solution,
     principal_eigenpair,
+    rectangle,
     second_solution_search,
 )
+from quenchlab.spectra import CoupledBand
 
 
 def _minimal(stack, lam, mu=None):
@@ -57,6 +59,26 @@ def test_matches_dense_oracle(unit99):
     pair = principal_eigenpair(lin)
     dense = oracles.dense_principal_eigenvalue(lin.matrix)
     assert abs(pair.nu1 - dense) / abs(dense) <= 1e-10
+
+
+@pytest.mark.parametrize("nx, ny", [(11, 7), (7, 11)])
+def test_matches_dense_oracle_2d(nx, ny):
+    # and the banded factor of M solves like a dense one in both orientations
+    # of its node ordering (shorter axis first)
+    g = rectangle((0.0, 1.0), (0.0, 1.0), nx, ny)
+    model, params = power2_model(), ParamPoint(2.0, 2.5)
+    s = monotone_minimal_solution(g, model, params).solution
+    lin = assemble_linearization(g, model, params, s.w, s.z)
+    pair = principal_eigenpair(lin)
+    dense = oracles.dense_principal_eigenvalue(lin.matrix)
+    assert abs(pair.nu1 - dense) / abs(dense) <= 1e-10
+    rhs = np.random.default_rng(3).standard_normal((2 * g.n_total, 2))
+    solve = CoupledBand(g, 2).factor(
+        [(0, 1, -params.lam * model.alpha.sample(g) * model.f.deriv(s.z)),
+         (1, 0, -params.mu * model.beta.sample(g) * model.g.deriv(s.w))])
+    for trans, matrix in ((0, lin.matrix), (1, lin.matrix.T)):
+        exact = np.linalg.solve(matrix.toarray(), rhs)
+        assert np.abs(solve(rhs, trans=trans) - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 def test_eigenfunctions_positive_and_normalized(unit99):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ from quenchlab import (
     stationary,
     trace_critical_curve,
 )
+from quenchlab.spectra import CoupledBand
 
 
 def test_first_iterate_closed_form(unit99):
@@ -185,8 +187,8 @@ def test_second_solution_upper_branch(unit199):
     assert second.residual <= 1e-8
     # exact values of this search, so the Newton kernel cannot drift silently
     assert second.iterations == 7
-    assert second.final_change == 2.2025118254855604e-07
-    assert float(second.w.max()) == 0.6510344226386776
+    assert second.final_change == 2.2025118156984478e-07
+    assert float(second.w.max()) == 0.651034422638678
 
 
 def _scalar_system(value, slope, calls=None, converged=lambda r: False):
@@ -195,7 +197,8 @@ def _scalar_system(value, slope, calls=None, converged=lambda r: False):
         if calls is not None:
             calls.append(float(x[0]))
         r = np.array([value(x[0])])
-        return r, converged(r), lambda: sp.csc_matrix([[slope(x[0])]])
+        d = slope(x[0])
+        return r, converged(r), lambda: None if d == 0.0 else (lambda rhs: rhs / d)
     return system
 
 
@@ -223,6 +226,22 @@ def test_damped_newton_failures():
     assert newton(x0, _scalar_system(lambda x: x + 1.0, lambda x: 1.0, calls),
                   _always, steps=3, floor=0.5) is None
     assert calls == [1.0, -1.0, -1.0, -1.0]
+
+
+def test_singular_banded_factor_is_a_failed_step():
+    # One node, A = [8]: M = [[8, -8], [-8, 8]] leaves an exactly zero
+    # second pivot, and a nan coupling factors but gives a nan step; either
+    # ends the search in None, with no exception and no warning
+    g = interval(0.0, 1.0, 1)
+    band = CoupledBand(g, 2)
+    for coupling, pivot_zero in ((-8.0, True), (np.nan, False)):
+        couplings = [(0, 1, np.array([coupling])), (1, 0, np.array([-8.0]))]
+        assert (band.factor(couplings) is None) == pivot_zero
+
+        def system(x):
+            return x - 1.0, False, lambda: band.factor(couplings)
+        assert stationary._damped_newton(np.zeros(2), system, _always, steps=5,
+                                         floor=0.5) is None
 
 
 def test_damped_newton_root_and_sufficient_decrease():
@@ -297,6 +316,81 @@ def test_curve_brackets_are_honest(monkeypatch):
     for s, p in zip(curve.samples, plain.samples):
         assert p.status == "ok"
         assert p.bracket_lo < s.mu_critical < p.bracket_hi
+
+
+def _spy_curve(monkeypatch):
+    """Records the fold Newton's starts and the membership verdicts of a trace
+    by lam: (lam, start mu) and (lam, mu)."""
+    starts, probes = [], []
+    fold_newton, membership = stationary._fold_newton, stationary.monotone_minimal_solution
+
+    def spy_newton(grid, model, lam, start, **kwargs):
+        starts.append((lam, start.mu))
+        return fold_newton(grid, model, lam, start, **kwargs)
+
+    def spy_membership(grid, model, params, **kwargs):
+        probes.append((params.lam, params.mu))
+        return membership(grid, model, params, **kwargs)
+
+    monkeypatch.setattr(stationary, "_fold_newton", spy_newton)
+    monkeypatch.setattr(stationary, "monotone_minimal_solution", spy_membership)
+    return starts, probes
+
+
+def test_curve_fold_first_falls_back(monkeypatch):
+    g, _, _ = unit_stack(49)
+    model = power2_model()
+    _, mu_bar = analytic_nonexistence_bound(g, model)
+    lams = [0.5, 1.0]
+    plain = trace_critical_curve(g, model, lams, bisect_tol=5e-3).samples
+
+    # The warm fold fails its supersolution check at lam = 1: the sample is
+    # halved, and the cold Newton from the halving's lower end certifies it.
+    starts, probes = _spy_curve(monkeypatch)
+    check = stationary._is_supersolution
+    rejected = []
+
+    def reject_first_at_1(grid, model, params, w, z, **kwargs):
+        if params.lam == 1.0 and not rejected:
+            rejected.append(params.mu)
+            return False
+        return check(grid, model, params, w, z, **kwargs)
+
+    monkeypatch.setattr(stationary, "_is_supersolution", reject_first_at_1)
+    curve = trace_critical_curve(g, model, lams, bisect_tol=5e-3)
+    first, second = curve.samples
+    assert first == plain[0] and second.certificate == "fold"
+    (warm, cold) = [mu for lam, mu in starts if lam == 1.0]
+    assert warm == pytest.approx(first.mu_critical, rel=1e-14)  # the fold of lam = 0.5
+    halving = [mu for lam, mu in probes if lam == 1.0]
+    assert halving[0] == mu_bar / 2.0 and cold == halving[-1]
+    assert second.evaluations == len(halving) + 3
+    assert second.mu_critical == pytest.approx(plain[1].mu_critical, rel=1e-12)
+
+    # The escape checks fail (Undetermined or InLambda): every sample is
+    # halved, then bisected, and its bracket is honest.
+    monkeypatch.setattr(stationary, "_is_supersolution", check)
+    verdicts = stationary._monotone_verdicts
+    for outcome in ("undetermined", "in-lambda"):
+        def failing(grid, model, points, **kwargs):
+            if "iterate_hook" in kwargs:  # a lone verdict
+                return verdicts(grid, model, points, **kwargs)
+            lower = [ParamPoint(p.lam, p.mu / 2.0) for p in points]
+            return (verdicts(grid, model, lower, **kwargs) if outcome == "in-lambda"
+                    else [Undetermined(1, 1.0, "forced")] * len(points))
+
+        monkeypatch.setattr(stationary, "_monotone_verdicts", failing)
+        del starts[:], probes[:]
+        curve = trace_critical_curve(g, model, lams, bisect_tol=5e-3)
+        for s in curve.samples:
+            assert (s.certificate, s.status) == ("bisection", "ok")
+            assert s.bracket_hi - s.bracket_lo <= 5e-3 * s.bracket_hi
+            assert (s.lam, mu_bar / 2.0) in probes
+            assert isinstance(stationary.monotone_minimal_solution(
+                g, model, ParamPoint(s.lam, s.bracket_lo), max_iter=100_000), InLambda)
+            assert isinstance(stationary.monotone_minimal_solution(
+                g, model, ParamPoint(s.lam, s.bracket_hi), max_iter=100_000), NotInLambda)
+        assert [lam for lam, _ in starts if lam in lams] == [0.5, 1.0]  # warm at 1.0
 
 
 def test_supersolution_check_unit_cases():
@@ -451,7 +545,7 @@ def test_batched_verdicts_equal_lone_verdicts(monkeypatch, family, profile, dime
 
 def _bmat_fold_matrices(g, model, lam, w, z, phi, psi, mu):
     """The fold Newton's M and extended Jacobian assembled by sp.bmat, the
-    reference for their refills."""
+    reference for its banded bordered step."""
     n = g.n_total
     alpha, beta = model.alpha.sample(g), model.beta.sample(g)
     lin = assemble_linearization(g, model, ParamPoint(lam, mu), w, z).matrix
@@ -466,39 +560,45 @@ def _bmat_fold_matrices(g, model, lam, w, z, phi, psi, mu):
     return lin, extended
 
 
-def _same_sparse(a, b):
-    return (type(a) is type(b) and a.shape == b.shape
-            and a.indptr.tobytes() == b.indptr.tobytes()
-            and a.indices.tobytes() == b.indices.tobytes()
-            and a.data.tobytes() == b.data.tobytes())
-
-
 @pytest.mark.parametrize("family", ["log", "exp", "power"])
 @pytest.mark.parametrize("dimension", [1, 2])
-def test_fold_matrices_refill_equals_bmat(family, dimension):
-    g = interval(0.0, 1.0, 49) if dimension == 1 else rectangle((0.0, 2.0), (0.0, 1.0), 11, 7)
-    n = g.n_total
+def test_fold_step_matches_sparse_lu(family, dimension, monkeypatch):
+    # The banded bordered step solves the extended Jacobian that sp.bmat
+    # assembles, at a cold start and at the converged fold (where M is
+    # singular), for the Newton right-hand side and a generic one; in 2D with
+    # nx > ny and nx < ny, the two orientations of the node ordering
+    grids = ([interval(0.0, 1.0, 49)] if dimension == 1
+             else [rectangle((0.0, 2.0), (0.0, 1.0), 11, 7),
+                   rectangle((0.0, 1.0), (0.0, 2.0), 7, 11)])
     nl = Nonlinearity(family)
+    model = Model(f=nl, g=nl, alpha=Profile("bump"), beta=Profile("powerdist"))
     rng = np.random.default_rng(7)
-    # a bump this narrow underflows to 0 away from its centre: zero couplings
-    for alpha, beta in ((Profile("bump"), Profile("powerdist")),
-                        (Profile("constant", c=0.7), Profile("bump", width=1e4))):
-        model = Model(f=nl, g=nl, alpha=alpha, beta=beta)
-        lam = float(rng.uniform(0.1, 3.0))
-        matrices = stationary._FoldMatrices(g, model, lam)
-        for trial in range(4):
-            w, z = rng.uniform(0.0, 0.95, (2, n))
-            phi, psi = rng.uniform(0.1, 2.0, (2, n))
-            if trial == 3:  # exact zeros in the curvature and mu-column entries
-                phi[::3], psi[1::4] = 0.0, -0.0
-            mu = float(rng.uniform(0.1, 3.0))
-            lin, extended = _bmat_fold_matrices(g, model, lam, w, z, phi, psi, mu)
-            _, _, refilled, jacobian = matrices.at(w, z, phi, psi, mu)
-            assert _same_sparse(refilled, lin)
-            assert _same_sparse(jacobian(), extended)
-    # the zeros above were dropped, in M and in the extended Jacobian
-    assert lin.nnz < 2 * g.laplacian.matrix.nnz + 2 * n
-    assert extended.nnz < 2 * lin.nnz + 6 * n
+    systems = []
+    newton = stationary._damped_newton
+    monkeypatch.setattr(stationary, "_damped_newton",
+                        lambda x, system, *a, **k: systems.append(system) or newton(x, system, *a, **k))
+    for g in grids:
+        n = g.n_total
+        lam_bar, mu_bar = analytic_nonexistence_bound(g, model)
+        lam, mu = 0.3 * lam_bar, mu_bar / 2.0
+        while not isinstance(verdict := monotone_minimal_solution(g, model, ParamPoint(lam, mu)),
+                             InLambda):
+            mu /= 2.0  # the halving of the curve trace
+        sol = verdict.solution
+        _, phi = principal_laplacian_eigenpair(g.laplacian)
+        phi = phi * (n / phi.sum())
+        cold = stationary._Fold(w=sol.w, z=sol.z, phi=phi, psi=phi, mu=mu)
+        fold = stationary._fold_newton(g, model, lam, cold, tol_res=1e-8, delta_blow=1e-4)
+        assert fold is not None
+        for state, at_fold in ((cold, False), (fold, True)):
+            x = np.concatenate([state.w, state.z, state.phi, state.psi, [state.mu]])
+            residual, converged, factor = systems[-1](x)
+            assert converged == at_fold
+            solve = factor()
+            _, extended = _bmat_fold_matrices(g, model, lam, *x[:4 * n].reshape(4, n), x[-1])
+            for rhs in (-residual, rng.standard_normal(4 * n + 1)):
+                exact = spla.spsolve(extended, rhs)
+                assert np.abs(solve(rhs) - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 def test_escape_checks_share_one_block_solve_per_iteration(monkeypatch):
