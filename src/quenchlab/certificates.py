@@ -273,7 +273,6 @@ class CaseReport:
 
 def classify_case(grid: Grid, model: Model, params: ParamPoint,
                   recipe: InitialData, *,
-                  seed_amplitude: float = 0.8,
                   delta_blow: float = DEFAULT_DELTA_BLOW,
                   tol_res: float = DEFAULT_TOL_RES,
                   **membership_kwargs) -> CaseReport:
@@ -294,8 +293,7 @@ def classify_case(grid: Grid, model: Model, params: ParamPoint,
     minimal = membership.solution if isinstance(membership, InLambda) else None
 
     def find_second(base: StationarySolution) -> StationarySolution | None:
-        return second_solution_search(
-            grid, model, params, base, seed_amplitude=seed_amplitude, **shared)
+        return second_solution_search(grid, model, params, base, **shared)
 
     (u0, v0), second = initial_from_recipe(recipe, grid, lambda: membership,
                                            find_second)

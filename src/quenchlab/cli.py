@@ -97,6 +97,15 @@ def _choice(*allowed: str):
     return cast
 
 
+def _between(lo: float, hi: float):
+    def cast(raw: str) -> float:
+        value = float(raw)
+        if not lo < value < hi:
+            raise ValueError(f"must lie in ({lo}, {hi}); got {value}")
+        return value
+    return cast
+
+
 def _profile_keys(prefix: str) -> dict:
     return {
         f"{prefix}_family": (_choice(*_PROFILE_CHOICES), "constant"),
@@ -139,23 +148,16 @@ _SCHEMA: dict[str, dict] = {
         "dt_init": (_float, 1e-4),
         "dt_min": (_float, 1e-12),
         "dt_max": (_float, 0.05),
-        "safety": (_float, 0.9),
-        "tol_step": (_float, 1e-6),
+        "tol_step": (_between(0, math.inf), 1e-6),
         "quench_delta": (_float, 1e-3),
         "snapshot_stride": (_int, 10),
-        "quench_cap": (_float, 0.25),
-        "growth_limit": (_float, 2.0),
-        "tol_lin": (_float, 1e-12),
         "tol_stat": (_float, 1e-10),
         "max_iter": (_int, 10_000),
-        "delta_blow": (_float, 1e-4),
+        "delta_blow": (_between(0, 1), 1e-4),
         "tol_res": (_float, 1e-8),
-        "bisect_tol": (_float, 1e-3),
+        "bisect_tol": (_between(0, 1), 1e-3),
         "lambda_samples": (_float_list, ()),
-        "curve_max_iter": (_int, 2000),
-        "floor_factor": (_float, 1e-6),
-        "seed_amplitude": (_float, 0.8),
-        "eigen_coupling_scale": (_float, 1.0),
+        "floor_factor": (_between(0, 1), 1e-6),
         "reference": (_choice(*_REFERENCE_CHOICES), "none"),
     },
 }
@@ -243,10 +245,8 @@ def build_stepper(cfg: dict) -> StepperConfig:
     r = cfg["run"]
     return StepperConfig(
         dt_init=r["dt_init"], dt_min=r["dt_min"], dt_max=r["dt_max"],
-        safety=r["safety"], tol_step=r["tol_step"],
-        quench_delta=r["quench_delta"], snapshot_stride=r["snapshot_stride"],
-        quench_cap=r["quench_cap"], growth_limit=r["growth_limit"],
-        tol_lin=r["tol_lin"])
+        tol_step=r["tol_step"], quench_delta=r["quench_delta"],
+        snapshot_stride=r["snapshot_stride"])
 
 
 def _sine_pair(grid, amp_u: float, amp_v: float):
@@ -324,8 +324,7 @@ class Run:
         r = self.settings
         return second_solution_search(
             self.grid, self.model, self.params, self.minimal,
-            seed_amplitude=r["seed_amplitude"], tol_res=r["tol_res"],
-            delta_blow=r["delta_blow"])
+            tol_res=r["tol_res"], delta_blow=r["delta_blow"])
 
     @cached_property
     def initial(self) -> tuple[np.ndarray, np.ndarray]:
@@ -333,11 +332,10 @@ class Run:
                                       lambda: self.verdict, lambda _: self.second)
         return pair
 
-    def linearized_pair(self, state: StationarySolution, coupling_scale: float = 1.0):
+    def linearized_pair(self, state: StationarySolution):
         """Principal eigenpair of the linearization at a steady state."""
         return principal_eigenpair(assemble_linearization(
-            self.grid, self.model, self.params, state.w, state.z,
-            coupling_scale=coupling_scale))
+            self.grid, self.model, self.params, state.w, state.z))
 
     def evolve(self, initial, reference=None):
         return simulate(initial, self.grid, self.model, self.params, self.stepper,
@@ -476,8 +474,8 @@ def cmd_curve(run: Run, out: str) -> int:
                           key="run.lambda_samples")
     curve = trace_critical_curve(
         run.grid, run.model, samples, bisect_tol=r["bisect_tol"],
-        tol_stat=r["tol_stat"], tol_res=r["tol_res"], max_iter=r["curve_max_iter"],
-        delta_blow=r["delta_blow"], floor_factor=r["floor_factor"])
+        tol_stat=r["tol_stat"], tol_res=r["tol_res"], delta_blow=r["delta_blow"],
+        floor_factor=r["floor_factor"])
     rows = [[s.lam, s.mu_critical, s.bracket_lo, s.bracket_hi, s.status]
             for s in curve.samples]
     write_table(os.path.join(out, "curve.csv"),
@@ -498,14 +496,12 @@ def cmd_curve(run: Run, out: str) -> int:
 
 def cmd_eigen(run: Run, out: str) -> int:
     solution = run.steady_state()
-    scale = run.settings["eigen_coupling_scale"]
-    pair = run.linearized_pair(solution, scale)
+    pair = run.linearized_pair(solution)
     write_json(os.path.join(out, "eigen.json"), {
         "nu1": pair.nu1,
         "residual": pair.residual,
         "iterations": pair.iterations,
         "lambda1": principal_laplacian_eigenpair(run.grid.laplacian)[0],
-        "coupling_scale": scale,
         "solution": _solution_payload(solution),
         "config": run.echo,
     })
@@ -588,7 +584,6 @@ def cmd_rate(run: Run, out: str) -> int:
 def cmd_certify(run: Run, out: str) -> int:
     r = run.settings
     report = classify_case(run.grid, run.model, run.params, run.recipe,
-                           seed_amplitude=r["seed_amplitude"],
                            tol_stat=r["tol_stat"], max_iter=r["max_iter"],
                            delta_blow=r["delta_blow"], tol_res=r["tol_res"])
     payload = {

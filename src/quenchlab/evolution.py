@@ -29,6 +29,12 @@ from .model import Model, ParamPoint
 
 _LEVEL_BISECT_ITERS = 40
 
+# Step controller: a step of error err proposes dt * SAFETY * sqrt(tol_step / err),
+# grown at most GROWTH_LIMIT-fold and capped by QUENCH_CAP * (1 - max)^2.
+SAFETY = 0.9
+GROWTH_LIMIT = 2.0
+QUENCH_CAP = 0.25
+
 
 class TerminalStatus(enum.Enum):
     HORIZON = "horizon"
@@ -39,22 +45,21 @@ class TerminalStatus(enum.Enum):
 @dataclass(frozen=True)
 class StepperConfig:
     """Stepper controls.  dt_min == dt_max selects fixed-step mode, which
-    disables the error controller and the quench-proximity cap."""
+    skips the error estimate; the quench-proximity cap
+    QUENCH_CAP * (1 - max)^2 never binds there, being floored at dt_min."""
 
     dt_init: float = 1e-4
     dt_min: float = 1e-12
     dt_max: float = 0.05
-    safety: float = 0.9
     tol_step: float = 1e-6
     quench_delta: float = 1e-3
     snapshot_stride: int = 10
-    quench_cap: float = 0.25
-    growth_limit: float = 2.0
-    tol_lin: float = 1e-12
 
     def __post_init__(self):
         if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
+        if not self.tol_step > 0:
+            raise ValueError("tol_step must be positive")
         if not (0 < self.quench_delta < 0.25):
             raise ValueError("quench_delta must lie in (0, 0.25)")
         if self.snapshot_stride < 1:
@@ -124,7 +129,7 @@ class Trajectory:
 
 
 def step(u: FloatArray, v: FloatArray, dt: float, grid: Grid, model: Model,
-         params: ParamPoint, *, tol_lin: float = 1e-12) -> tuple[FloatArray, FloatArray]:
+         params: ParamPoint) -> tuple[FloatArray, FloatArray]:
     """One IMEX Euler step of size dt from (u, v).
 
     Solves (I + dt A) u_new = u + dt lam alpha f(v) and the mirror equation.
@@ -133,7 +138,7 @@ def step(u: FloatArray, v: FloatArray, dt: float, grid: Grid, model: Model,
     if dt <= 0:
         raise ValueError("dt must be positive")
     react = _reaction(grid, model, params)(u, v)
-    return _imex_step(u, v, dt, grid.laplacian.shifted(1.0, dt), react, tol_lin)
+    return _imex_step(u, v, dt, grid.laplacian.shifted(1.0, dt), react)
 
 
 def _reaction(grid, model, params):
@@ -144,9 +149,9 @@ def _reaction(grid, model, params):
     return lambda u, v: (lam_alpha * model.f.value(v), mu_beta * model.g.value(u))
 
 
-def _imex_step(u, v, dt, solver, react, tol_lin):
+def _imex_step(u, v, dt, solver, react):
     rhs = np.array([u + dt * react[0], v + dt * react[1]]).T
-    new = solve_poisson(solver, rhs, tol_lin=tol_lin)  # (u, v) as one block
+    new = solve_poisson(solver, rhs)  # (u, v) as one block
     top = float(new.max())
     if top >= 1.0:
         raise StepRangeError(
@@ -265,15 +270,18 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
 
     Adaptive mode advances by two half steps, accepting when they agree with
     the single full step to tol_step in the sup norm; the proposed step is
-    additionally capped by quench_cap * (1 - max)^2 so the state cannot jump
-    over the staged quench levels.  Quench levels are located inside the
-    crossing step by bisection on the step fraction, which re-runs the same
-    two-half-step advance, so crossing times are consistent with the accepted
-    states; within one crossing step each fraction is advanced once.  Each
-    crossing is logged per component; when a component crosses the innermost
-    level the run stops there and the event time extrapolates the three
-    crossings geometrically.  All attempts from a state, and the
-    bisections and final partial step in its crossing step, share one reaction.
+    additionally capped by QUENCH_CAP * (1 - max)^2 so the state cannot jump
+    over the staged quench levels.  Fixed-step mode takes single steps of
+    dt_max, the last one shortened to the horizon, with no error estimate;
+    there a step reaching 1 raises StepRangeError.  Quench levels are located
+    inside the crossing step by bisection on the step fraction, which re-runs
+    the same advance, so crossing times are consistent with the accepted
+    states; within one crossing step each fraction is advanced once.
+    Each crossing is logged per component; when a component crosses the
+    innermost level the run stops there and the event time extrapolates the
+    three crossings geometrically.  All attempts from a state, and the
+    bisections and final partial step in its crossing step, share one
+    reaction.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -288,15 +296,15 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
                      grid.check_field(reference[1], "reference v"))
 
     def single(uc, vc, react, dt):
-        return _imex_step(uc, vc, dt, op.shifted(1.0, dt), react, config.tol_lin)
+        return _imex_step(uc, vc, dt, op.shifted(1.0, dt), react)
 
     if config.fixed_dt:
         advance = single
     else:
         def advance(uc, vc, react, dt):
             half = op.shifted(1.0, 0.5 * dt)  # one factorization for both half steps
-            um, vm = _imex_step(uc, vc, 0.5 * dt, half, react, config.tol_lin)
-            return _imex_step(um, vm, 0.5 * dt, half, reaction(um, vm), config.tol_lin)
+            um, vm = _imex_step(uc, vc, 0.5 * dt, half, react)
+            return _imex_step(um, vm, 0.5 * dt, half, reaction(um, vm))
 
     recorder = _Recorder(grid, model, params, config, reference)
     recorder.record(0.0, u, v, math.nan)
@@ -346,11 +354,8 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
         if react is None:
             react = reaction(u, v)
         top = max(float(u.max()), float(v.max()))
-        if config.fixed_dt:
-            dt_eff = min(config.dt_max, horizon - t)
-        else:
-            cap = max(config.quench_cap * (1.0 - top) ** 2, config.dt_min)
-            dt_eff = min(dt, config.dt_max, cap, horizon - t)
+        cap = max(QUENCH_CAP * (1.0 - top) ** 2, config.dt_min)
+        dt_eff = min(dt, config.dt_max, cap, horizon - t)
 
         try:
             if config.fixed_dt:
@@ -370,8 +375,8 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
                 break
             continue
 
-        if not config.fixed_dt and err > config.tol_step:
-            dt = dt_eff * max(0.2, config.safety * math.sqrt(config.tol_step / err))
+        if err > config.tol_step:
+            dt = dt_eff * max(0.2, SAFETY * math.sqrt(config.tol_step / err))
             if dt < config.dt_min and horizon - t > config.dt_min:
                 status = TerminalStatus.STEP_UNDERFLOW
                 break
@@ -419,13 +424,11 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
         recorder.record(t, u, v, dt_eff, u_prev, v_prev)
         recorder.snapshot(t, u, v)
 
-        if not config.fixed_dt:
-            if err > 0:
-                factor = min(config.growth_limit,
-                             max(0.2, config.safety * math.sqrt(config.tol_step / err)))
-            else:
-                factor = config.growth_limit
-            dt = min(max(dt_eff * factor, config.dt_min), config.dt_max)
+        if err > 0:
+            factor = min(GROWTH_LIMIT, max(0.2, SAFETY * math.sqrt(config.tol_step / err)))
+        else:
+            factor = GROWTH_LIMIT
+        dt = min(max(dt_eff * factor, config.dt_min), config.dt_max)
 
     recorder.snapshot(t, u, v, force=True)
     return recorder.build(status, quench, horizon, u, v)

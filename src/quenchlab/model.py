@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expi
 
 from .grid import FloatArray, Grid
 
@@ -26,8 +25,6 @@ RECIPES = ("zero", "scaled_minimal", "convex_combo", "above_second", "explicit")
 
 # Lattice used by the admissibility checks; 1 - 1e-6 probes the singular end.
 _LATTICE = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 1.0 - 1e-6])
-
-_EI_1 = float(expi(1.0))
 
 
 def _check_unit_range(s) -> tuple[FloatArray, bool]:
@@ -95,9 +92,10 @@ class Nonlinearity:
         if self.family == "log":
             out = 2.0 * arr + (1.0 - arr) * np.log1p(-arr)
         elif self.family == "exp":
+            from scipy.special import expi  # imported here: only this energy needs it
             y = 1.0 / (1.0 - arr)
             with np.errstate(over="ignore"):
-                out = (expi(y) - np.exp(y) / y) - (_EI_1 - np.e)
+                out = (expi(y) - np.exp(y) / y) - (float(expi(1.0)) - np.e)
         elif self.p == 1.0:
             out = -np.log1p(-arr)
         else:

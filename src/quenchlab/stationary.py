@@ -436,7 +436,7 @@ def _bordered_solve(solve: Callable, b: FloatArray, c: FloatArray, rhs: FloatArr
     return np.append(xi - w * s2, s1 + s2)
 
 
-def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
+def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *, band: CoupledBand,
                  tol_res: float, delta_blow: float) -> _Fold | None:
     """Newton on the Moore-Spence extended system at fixed lam (Moore & Spence,
     SIAM J. Numer. Anal. 17, 1980):
@@ -447,7 +447,7 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
     branch is a regular root.  The Jacobian is J = [[M, 0], [K, M]], K the
     second derivatives of f and g, bordered by the mu column
     (0, -beta g(w), 0, -beta g'(w) phi) and the normalization row; a step
-    factors J once (``CoupledBand``) and eliminates the border
+    factors J once (``band``, ``CoupledBand(grid, 4)``) and eliminates the border
     (``_bordered_solve``).  A step that would take (w, z) out of
     [0, 1 - delta_blow) or mu out of (0, inf) is halved, down to 2^-10.
     Converged when F meets ``_steady_residual``'s tol_res test and
@@ -456,7 +456,7 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *,
     converged null vector is not positive.
     """
     n, cap = grid.n_total, 1.0 - delta_blow
-    op, band = grid.laplacian, CoupledBand(grid, 4)
+    op = grid.laplacian
     f, g, alpha, beta = model.f, model.g, model.alpha.sample(grid), model.beta.sample(grid)
     zeros, normal = np.zeros(n), np.concatenate([np.zeros(2 * n), np.ones(2 * n)])
 
@@ -521,7 +521,7 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
     delta = bisect_tol / 4.0
     budget_cap = max_iter * 2**max_iter_doublings
     settings = dict(tol_stat=tol_stat, delta_blow=delta_blow, tol_res=tol_res)
-    newton = dict(tol_res=tol_res, delta_blow=delta_blow)
+    newton = dict(band=CoupledBand(grid, 4), tol_res=tol_res, delta_blow=delta_blow)
     evaluations = [0] * len(lams)
     top = mu_bar * (1.0 + 1e-9)
 
@@ -617,6 +617,8 @@ def trace_critical_curve(grid: Grid, model: Model, lam_samples, *,
     inside the quadrant); the lam intercept uses the swapped model (f and g,
     alpha and beta exchanged), whose critical mu is the original critical lam.
     """
+    if not 0.0 < bisect_tol < 1.0:
+        raise ValueError(f"bisect_tol must lie in (0, 1), got {bisect_tol}")
     lam_bar, mu_bar = analytic_nonexistence_bound(grid, model)
     settings = dict(bisect_tol=bisect_tol, tol_stat=tol_stat, tol_res=tol_res,
                     max_iter=max_iter, max_iter_doublings=max_iter_doublings,

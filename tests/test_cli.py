@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from quenchlab.cli import _fmt, main, read_table, write_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 DECAY = """\
 [domain]
@@ -103,6 +106,35 @@ def test_unknown_key_exits_2_and_names_it(decay_ini, tmp_path, capsys):
     assert "model.bogus" in err["error"]["message"]
     saved = json.load(open(os.path.join(out, "error.json")))
     assert saved["error"]["key"] == "model.bogus"
+
+
+@pytest.mark.parametrize("override", [
+    "run.safety=0.9", "run.growth_limit=2.0", "run.quench_cap=0.25", "run.tol_lin=1e-12",
+    "run.curve_max_iter=2000", "run.seed_amplitude=0.8", "run.eigen_coupling_scale=1.0"])
+def test_removed_knob_exits_2_and_names_it(override, decay_ini, tmp_path, capsys):
+    # the step controller's constants and library defaults are no longer keys
+    out = str(tmp_path / "out")
+    assert main(["stationary", "--config", decay_ini, "--out", out,
+                 "--override", override]) == 2
+    key = override.partition("=")[0]
+    assert json.loads(capsys.readouterr().err)["error"]["key"] == key
+    assert json.load(open(os.path.join(out, "error.json")))["error"]["key"] == key
+
+
+@pytest.mark.parametrize("command, override", [
+    ("curve", "run.bisect_tol=0"), ("curve", "run.bisect_tol=-1"),
+    ("curve", "run.floor_factor=0"), ("simulate", "run.tol_step=-1"),
+    ("curve", "run.delta_blow=2")])
+def test_out_of_range_knob_exits_2_at_once(command, override, decay_ini, tmp_path):
+    # in a child process, so a run that hangs on the value fails on the timeout
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "quenchlab.cli", command, "--config", decay_ini,
+         "--out", str(out), "--override", "run.lambda_samples=0.5", "--override", override],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, timeout=30)
+    assert done.returncode == 2
+    key = override.partition("=")[0]
+    assert json.load(open(out / "error.json"))["error"]["key"] == key
 
 
 def test_malformed_value_exits_2(decay_ini, tmp_path):

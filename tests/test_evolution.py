@@ -344,6 +344,8 @@ def test_config_validation():
         StepperConfig(quench_delta=0.3)
     with pytest.raises(ValueError):
         StepperConfig(snapshot_stride=0)
+    with pytest.raises(ValueError):
+        StepperConfig(tol_step=0)
 
 
 def test_energy_identity_first_order():

@@ -401,7 +401,8 @@ def test_supersolution_check_unit_cases():
     _, phi = principal_laplacian_eigenpair(g.laplacian)
     phi = phi * (g.n_total / phi.sum())
     start = stationary._Fold(w=sol.w, z=sol.z, phi=phi, psi=phi, mu=1.0)
-    fold = stationary._fold_newton(g, model, 1.0, start, tol_res=1e-8, delta_blow=1e-4)
+    fold = stationary._fold_newton(g, model, 1.0, start, band=CoupledBand(g, 4),
+                                   tol_res=1e-8, delta_blow=1e-4)
     assert fold is not None
     delta = 2.5e-4
     below = ParamPoint(1.0, fold.mu * (1.0 - delta))
@@ -471,6 +472,14 @@ def test_curve_no_bracket_survives_fold_newton():
     assert s.status == "no-bracket" and s.evaluations == 0
     assert np.isnan(s.mu_critical)
     assert curve.lambda_star[0] == 0.0 and curve.mu_star[0] == 0.0
+
+
+@pytest.mark.parametrize("bisect_tol", [0.0, -1.0, 1.0])
+def test_curve_rejects_bisect_tol_outside_unit_interval(bisect_tol):
+    # at 0 the bisection never shrinks below adjacent doubles
+    g, _, _ = unit_stack(49)
+    with pytest.raises(ValueError, match="bisect_tol"):
+        trace_critical_curve(g, power2_model(), [0.5], bisect_tol=bisect_tol)
 
 
 def test_curve_wide_bracket_survives_fold_newton():
@@ -588,7 +597,8 @@ def test_fold_step_matches_sparse_lu(family, dimension, monkeypatch):
         _, phi = principal_laplacian_eigenpair(g.laplacian)
         phi = phi * (n / phi.sum())
         cold = stationary._Fold(w=sol.w, z=sol.z, phi=phi, psi=phi, mu=mu)
-        fold = stationary._fold_newton(g, model, lam, cold, tol_res=1e-8, delta_blow=1e-4)
+        fold = stationary._fold_newton(g, model, lam, cold, band=CoupledBand(g, 4),
+                                       tol_res=1e-8, delta_blow=1e-4)
         assert fold is not None
         for state, at_fold in ((cold, False), (fold, True)):
             x = np.concatenate([state.w, state.z, state.phi, state.psi, [state.mu]])
