@@ -97,13 +97,16 @@ def _choice(*allowed: str):
     return cast
 
 
-def _between(lo: float, hi: float):
-    def cast(raw: str) -> float:
-        value = float(raw)
+def _between(lo: float, hi: float, kind=float):
+    def cast(raw: str):
+        value = kind(raw)
         if not lo < value < hi:
             raise ValueError(f"must lie in ({lo}, {hi}); got {value}")
         return value
     return cast
+
+
+_POSITIVE, _COUNT = _between(0, math.inf), _between(0, math.inf, int)
 
 
 def _profile_keys(prefix: str) -> dict:
@@ -124,9 +127,9 @@ _SCHEMA: dict[str, dict] = {
         "b": (_float, 1.0),
         "c": (_float, 0.0),
         "d": (_float, 1.0),
-        "n": (_int, 199),
-        "nx": (_int, None),
-        "ny": (_int, None),
+        "n": (_COUNT, 199),
+        "nx": (_COUNT, None),
+        "ny": (_COUNT, None),
     },
     "model": {
         "f_family": (_choice(*_FAMILY_CHOICES), "log"),
@@ -146,15 +149,15 @@ _SCHEMA: dict[str, dict] = {
     "run": {
         "horizon": (_float, 5.0),
         "dt_init": (_float, 1e-4),
-        "dt_min": (_float, 1e-12),
-        "dt_max": (_float, 0.05),
-        "tol_step": (_between(0, math.inf), 1e-6),
-        "quench_delta": (_float, 1e-3),
-        "snapshot_stride": (_int, 10),
-        "tol_stat": (_float, 1e-10),
-        "max_iter": (_int, 10_000),
+        "dt_min": (_POSITIVE, 1e-12),
+        "dt_max": (_POSITIVE, 0.05),
+        "tol_step": (_POSITIVE, 1e-6),
+        "quench_delta": (_between(0, 0.25), 1e-3),
+        "snapshot_stride": (_COUNT, 10),
+        "tol_stat": (_POSITIVE, 1e-10),
+        "max_iter": (_COUNT, 10_000),
         "delta_blow": (_between(0, 1), 1e-4),
-        "tol_res": (_float, 1e-8),
+        "tol_res": (_POSITIVE, 1e-8),
         "bisect_tol": (_between(0, 1), 1e-3),
         "lambda_samples": (_float_list, ()),
         "floor_factor": (_between(0, 1), 1e-6),

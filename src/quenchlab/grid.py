@@ -11,7 +11,8 @@ same sine spectrum gives the principal eigenpair in closed form.
 
 A grid owns its Laplacian: ``grid.laplacian`` is assembled once, on first
 use, and every library function takes its operator from there, so no caller
-can pair a grid with another grid's operator.
+can pair a grid with another grid's operator.  The stencil is the only matrix
+ever assembled: a shift s*I + c*A is applied as s*x + c*(A x), never formed.
 
 ``solve_poisson`` solves k fields at once as the columns of (n, k).  Fields
 are checked where they enter (``Grid.check_field``), not in the quadratures.
@@ -157,9 +158,9 @@ class DiscreteOperator:
     """``identity_coeff*I + operator_coeff*A`` on a grid's interior fields, A
     the 3-point (1D) or 5-point (2D) Dirichlet ``stencil``, whose infinity
     norm is ``stencil_norm``; every shift shares both.  The coefficients are
-    nonnegative and not both zero, so the operator is SPD.  ``matrix`` and the
-    solver data (1D tridiagonal factor, 2D inverse DST symbol) are built on
-    first use, once per operator."""
+    nonnegative and not both zero, so the operator is SPD.  Nothing but the
+    stencil is assembled: the solver data (1D tridiagonal factor, 2D inverse
+    DST symbol) are built on first use, once per operator."""
 
     grid: Grid
     stencil: sp.csr_matrix
@@ -167,16 +168,11 @@ class DiscreteOperator:
     identity_coeff: float = 0.0
     operator_coeff: float = 1.0
 
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The operator as a sparse matrix (the stencil itself when unshifted)."""
-        if self.identity_coeff == 0.0 and self.operator_coeff == 1.0:
-            return self.stencil
-        return (self.identity_coeff * sp.identity(self.grid.n_total, format="csr")
-                + self.operator_coeff * self.stencil).tocsr()
-
     def apply(self, field: FloatArray) -> FloatArray:
-        return self.matrix @ self.grid.check_field(field)
+        x = self.grid.check_field(field)
+        if self.identity_coeff == 0.0 and self.operator_coeff == 1.0:
+            return self.stencil @ x
+        return self.identity_coeff * x + self.operator_coeff * (self.stencil @ x)
 
     def shifted(self, identity_coeff: float, operator_coeff: float) -> "DiscreteOperator":
         """identity_coeff*I + operator_coeff*self, in O(1): nothing is assembled."""
@@ -315,7 +311,7 @@ def gradient_inner(op: DiscreteOperator, u: FloatArray, v: FloatArray) -> float:
     By summation by parts this equals cell_volume * u^T A v exactly, which is
     how it is evaluated.
     """
-    return op.grid.cell_volume * float(np.dot(u, op.matrix @ v))
+    return op.grid.cell_volume * float(np.dot(u, op.stencil @ v))
 
 
 def principal_laplacian_eigenpair(op: DiscreteOperator) -> tuple[float, FloatArray]:

@@ -14,8 +14,10 @@ eigenvector) means the state under study is not linearly stable; that outcome
 is reported as an exception carrying the estimate, since every downstream
 certificate needs nu1 > 0.
 
-Newton's solves with M and with the fold's [[M, 0], [K, M]] go through
-``CoupledBand``, a banded LAPACK kernel; inverse iteration keeps a sparse LU.
+M is held as its two coupling diagonals (``LinearizedOperator``) and never
+assembled: products with M come from the grid's stencil, and every solve with
+M (inverse iteration, Newton's steps) or with the fold's [[M, 0], [K, M]] goes
+through ``CoupledBand``, one banded LAPACK kernel.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import EigenConvergenceError, IndefiniteOperatorError
@@ -83,30 +83,34 @@ class CoupledBand:
 
 @dataclass(frozen=True)
 class LinearizedOperator:
-    """Block linearization on a grid: unknowns are the w nodes, then the z nodes."""
+    """M on a grid, as its coupling diagonals: M (x_w, x_z) is
+    (A x_w - coupling_w x_z, A x_z - coupling_z x_w), unknowns the w nodes,
+    then the z nodes."""
 
     grid: Grid
-    matrix: sp.csr_matrix
+    coupling_w: FloatArray  # lam alpha f'(z)
+    coupling_z: FloatArray  # mu beta g'(w)
+
+    @property
+    def couplings(self) -> list:
+        """M's off-diagonal blocks, as ``CoupledBand.factor`` takes them."""
+        return [(0, 1, -self.coupling_w), (1, 0, -self.coupling_z)]
+
+    def apply(self, x: FloatArray) -> FloatArray:
+        n, a = self.grid.n_total, self.grid.laplacian
+        return np.concatenate([a.apply(x[:n]) - self.coupling_w * x[n:],
+                               a.apply(x[n:]) - self.coupling_z * x[:n]])
 
 
 def assemble_linearization(grid: Grid, model: Model, params: ParamPoint,
-                           w: FloatArray, z: FloatArray, *,
-                           coupling_scale: float = 1.0) -> LinearizedOperator:
-    """Build the block linearization at the pair (w, z).
-
-    ``coupling_scale`` multiplies both off-diagonal blocks; 0 decouples the
-    system into two copies of A (useful as a known-spectrum check).
-    """
+                           w: FloatArray, z: FloatArray) -> LinearizedOperator:
+    """The block linearization at the pair (w, z)."""
     w = grid.check_field(w, "w")
     z = grid.check_field(z, "z")
-    fz = params.lam * model.alpha.sample(grid) * model.f.deriv(z)
-    gw = params.mu * model.beta.sample(grid) * model.g.deriv(w)
-    a = grid.laplacian.matrix
-    matrix = sp.bmat(
-        [[a, sp.diags(-coupling_scale * fz)],
-         [sp.diags(-coupling_scale * gw), a]],
-        format="csr")
-    return LinearizedOperator(grid=grid, matrix=matrix)
+    return LinearizedOperator(
+        grid=grid,
+        coupling_w=params.lam * model.alpha.sample(grid) * model.f.deriv(z),
+        coupling_z=params.mu * model.beta.sample(grid) * model.g.deriv(w))
 
 
 @dataclass(frozen=True)
@@ -133,18 +137,16 @@ def principal_eigenpair(lin: LinearizedOperator, *,
 
     The returned eigenvector is normalized so quadrature(phi^2 + psi^2) = 1.
     """
-    m = lin.matrix.tocsc()
-    n2 = m.shape[0]
-    try:
-        factor = spla.splu(m)
-    except RuntimeError as exc:
+    grid, n = lin.grid, lin.grid.n_total
+    solve = CoupledBand(grid, 2).factor(lin.couplings)
+    if solve is None:
         raise IndefiniteOperatorError(
-            "linearization is numerically singular", nu_estimate=0.0) from exc
+            "linearization is numerically singular", nu_estimate=0.0)
 
-    x = np.full(n2, 1.0 / np.sqrt(n2))
+    x = np.full(2 * n, 1.0 / np.sqrt(2 * n))
     nu = 0.0
     for it in range(1, max_iter + 1):
-        y = factor.solve(x)
+        y = solve(x)
         norm = float(np.linalg.norm(y))
         if not np.isfinite(norm) or norm == 0.0:
             raise IndefiniteOperatorError(
@@ -154,7 +156,7 @@ def principal_eigenpair(lin: LinearizedOperator, *,
         if y.sum() < 0:
             norm = -norm
         x = y / norm
-        mx = m @ x
+        mx = lin.apply(x)
         nu = float(x @ mx)
         residual = float(np.linalg.norm(mx - nu * x)) / max(abs(nu), 1e-30)
         if residual <= tol:
@@ -173,9 +175,7 @@ def principal_eigenpair(lin: LinearizedOperator, *,
             f"principal eigenvector is not positive (eigenvalue estimate {nu:.6e})",
             nu_estimate=nu)
 
-    n = lin.grid.n_total
     phi, psi = x[:n].copy(), x[n:].copy()
-    grid = lin.grid
     # Normalize in the quadrature metric; a second pass lands within an ulp.
     for _ in range(2):
         mass = integrate(phi * phi, grid) + integrate(psi * psi, grid)

@@ -46,7 +46,7 @@ from .grid import (
     solve_poisson,
 )
 from .model import Model, ParamPoint
-from .spectra import CoupledBand
+from .spectra import CoupledBand, assemble_linearization
 
 DEFAULT_TOL_STAT = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -218,7 +218,7 @@ def _monotone_verdicts(grid: Grid, model: Model, points: list[ParamPoint], *,
             # level).  A^-1 >= 0 with (A^-1)_jj >= 1/A_jj, so for b >= 0 the
             # next iterate is at least x + b/diag(A): escape needs no solve.
             pair = [j, m + j]
-            bound = float((x[:, pair] + b[:, pair] / op.matrix.diagonal()[:, None]).max())
+            bound = float((x[:, pair] + b[:, pair] / op.stencil.diagonal()[:, None]).max())
             if not bound >= escape:
                 raise exc
             verdicts[active[j]] = escaped(it, bound)
@@ -443,7 +443,7 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *, band: Co
 
         F(w, z; mu) = 0,   M(w, z; mu) (phi, psi) = 0,   sum(phi + psi) = 2n,
 
-    with M ``assemble_linearization``'s matrix.  A simple fold of the steady
+    with M ``assemble_linearization``'s operator.  A simple fold of the steady
     branch is a regular root.  The Jacobian is J = [[M, 0], [K, M]], K the
     second derivatives of f and g, bordered by the mu column
     (0, -beta g(w), 0, -beta g'(w) phi) and the normalization row; a step
@@ -456,7 +456,6 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *, band: Co
     converged null vector is not positive.
     """
     n, cap = grid.n_total, 1.0 - delta_blow
-    op = grid.laplacian
     f, g, alpha, beta = model.f, model.g, model.alpha.sample(grid), model.beta.sample(grid)
     zeros, normal = np.zeros(n), np.concatenate([np.zeros(2 * n), np.ones(2 * n)])
 
@@ -465,22 +464,23 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *, band: Co
 
     def system(x: FloatArray):
         w, z, phi, psi = x[:4 * n].reshape(4, n)
-        mu = float(x[-1])
-        fw, fz, met = _steady_residual(grid, model, ParamPoint(lam=lam, mu=mu), w, z, tol_res)
-        coupling_w, dg = lam * alpha * f.deriv(z), g.deriv(w)
-        coupling_z = mu * beta * dg
-        null_w, null_z = op.apply(phi) - coupling_w * psi, op.apply(psi) - coupling_z * phi
-        converged = (met and np.abs(null_w).max() <= tol_res * np.abs(coupling_w * psi).max()
-                     and np.abs(null_z).max() <= tol_res * np.abs(coupling_z * phi).max())
+        params = ParamPoint(lam=lam, mu=float(x[-1]))
+        fw, fz, met = _steady_residual(grid, model, params, w, z, tol_res)
+        lin = assemble_linearization(grid, model, params, w, z)
+        null = lin.apply(x[2 * n:4 * n])  # M (phi, psi)
+        converged = (met
+                     and np.abs(null[:n]).max() <= tol_res * np.abs(lin.coupling_w * psi).max()
+                     and np.abs(null[n:]).max() <= tol_res * np.abs(lin.coupling_z * phi).max())
 
         def factor() -> Callable | None:
-            solve = band.factor([(0, 1, -coupling_w), (1, 0, -coupling_z),
-                                 (2, 3, -coupling_w), (3, 2, -coupling_z),
-                                 (2, 1, -lam * alpha * f.deriv2(z) * psi),
-                                 (3, 0, -mu * beta * g.deriv2(w) * phi)])
-            mu_column = np.concatenate([zeros, -beta * g.value(w), zeros, -beta * dg * phi])
+            m = lin.couplings  # J = [[M, 0], [K, M]]: M twice, then K's curvature terms
+            solve = band.factor(m + [(row + 2, col + 2, c) for row, col, c in m]
+                                + [(2, 1, -lam * alpha * f.deriv2(z) * psi),
+                                   (3, 0, -params.mu * beta * g.deriv2(w) * phi)])
+            mu_column = np.concatenate([zeros, -beta * g.value(w),
+                                        zeros, -beta * g.deriv(w) * phi])
             return None if solve is None else lambda r: _bordered_solve(solve, mu_column, normal, r)
-        return (np.concatenate([fw, fz, null_w, null_z, [phi.sum() + psi.sum() - 2.0 * n]]),
+        return (np.concatenate([fw, fz, null, [phi.sum() + psi.sum() - 2.0 * n]]),
                 converged, factor)
 
     found = _damped_newton(np.concatenate([start.w, start.z, start.phi, start.psi, [start.mu]]),
@@ -663,13 +663,12 @@ def second_solution_search(grid: Grid, model: Model, params: ParamPoint,
     def admissible(x: FloatArray) -> bool:
         return bool(x.min() >= 0.0 and x.max() < cap)
 
-    band, alpha, beta = CoupledBand(grid, 2), model.alpha.sample(grid), model.beta.sample(grid)
+    band = CoupledBand(grid, 2)
 
     def system(x: FloatArray):
         fw, fz, met = _steady_residual(grid, model, params, x[:n], x[n:], tol_res)
-        return (np.concatenate([fw, fz]), met, lambda: band.factor(  # M, as in _fold_newton
-            [(0, 1, -params.lam * alpha * model.f.deriv(x[n:])),
-             (1, 0, -params.mu * beta * model.g.deriv(x[:n]))]))
+        return (np.concatenate([fw, fz]), met, lambda: band.factor(
+            assemble_linearization(grid, model, params, x[:n], x[n:]).couplings))
 
     found = _damped_newton(seed, system, admissible, steps=_SECOND_NEWTON_STEPS,
                            floor=2.0**-12, decrease=0.25)

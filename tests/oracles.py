@@ -1,6 +1,7 @@
 """Independent reference computations used to freeze expected values.
 
-Nothing in here touches the package's own discretization.  The scalar
+Nothing in here touches the package's own discretization: the matrices
+below are assembled here from a grid's node counts and spacings.  The scalar
 reduction below integrates the symmetric steady problem by quadrature of
 its first integral, so agreement with the grid-based solver is evidence,
 not circularity.  Frozen constants in frozen.py cite the function that
@@ -10,6 +11,7 @@ produced them; rerun this module directly to regenerate.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
@@ -77,10 +79,38 @@ def branch_midpoints_power2(lam: float) -> tuple[float, float]:
     return lo, hi
 
 
-def dense_principal_eigenvalue(matrix) -> float:
-    """Smallest-real-part eigenvalue of the full coupled matrix.
+def stencil(grid) -> sp.csr_matrix:
+    """The Dirichlet negative Laplacian A of a grid: tridiag(-1, 2, -1) / h^2
+    in 1D, in 2D the Kronecker sum of the per-axis ones (x index inner)."""
 
-    Dense and O(n^3); for cross-checking the sparse inverse iteration at
+    def tridiag(n: int, hh: float) -> sp.csr_matrix:
+        off = np.full(n - 1, -1.0 / hh**2)
+        return sp.diags([off, np.full(n, 2.0 / hh**2), off], [-1, 0, 1], format="csr")
+
+    if grid.dimension == 1:
+        return tridiag(grid.n_interior[0], grid.h[0])
+    (nx, ny), (hx, hy) = grid.n_interior, grid.h
+    return (sp.kron(sp.identity(ny), tridiag(nx, hx))
+            + sp.kron(tridiag(ny, hy), sp.identity(nx))).tocsr()
+
+
+def shifted_matrix(op) -> sp.csr_matrix:
+    """s*I + c*A for an operator with identity_coeff s and operator_coeff c."""
+    return (op.identity_coeff * sp.identity(op.grid.n_total, format="csr")
+            + op.operator_coeff * stencil(op.grid)).tocsr()
+
+
+def linearization_matrix(lin) -> sp.csr_matrix:
+    """M = [[A, -diag(coupling_w)], [-diag(coupling_z), A]] of a linearization."""
+    a = stencil(lin.grid)
+    return sp.bmat([[a, sp.diags(-lin.coupling_w)], [sp.diags(-lin.coupling_z), a]],
+                   format="csr")
+
+
+def dense_principal_eigenvalue(matrix) -> float:
+    """Smallest-real-part eigenvalue of the full coupled (sparse) matrix.
+
+    Dense and O(n^3); for cross-checking the banded inverse iteration at
     modest sizes only.
     """
     from scipy.linalg import eig

@@ -137,6 +137,20 @@ def test_out_of_range_knob_exits_2_at_once(command, override, decay_ini, tmp_pat
     assert json.load(open(out / "error.json"))["error"]["key"] == key
 
 
+@pytest.mark.parametrize("override", [
+    "run.tol_stat=0", "run.tol_res=-1", "run.max_iter=0", "run.dt_min=0", "run.dt_max=-1",
+    "run.snapshot_stride=0", "run.quench_delta=0.5", "domain.n=0", "domain.nx=0",
+    "domain.ny=0"])
+def test_single_key_range_exits_2_and_names_it(override, decay_ini, tmp_path, capsys):
+    # checked where the value is parsed, so the error names its key
+    out = str(tmp_path / "out")
+    assert main(["stationary", "--config", decay_ini, "--out", out,
+                 "--override", override]) == 2
+    key = override.partition("=")[0]
+    assert json.loads(capsys.readouterr().err)["error"]["key"] == key
+    assert json.load(open(os.path.join(out, "error.json")))["error"]["key"] == key
+
+
 def test_malformed_value_exits_2(decay_ini, tmp_path):
     out = str(tmp_path / "out")
     assert main(["stationary", "--config", decay_ini, "--out", out,
@@ -222,6 +236,17 @@ def test_eigen_artifacts(decay_ini, tmp_path):
     _, header, rows = read_table(os.path.join(out, "eigenfunctions.csv"))
     assert header == ["x", "phi", "psi"]
     assert all(float(r[1]) > 0.0 for r in rows)
+
+
+def test_eigen_loads_no_sparse_linalg(decay_ini, tmp_path):
+    # the eigenpair factors M on the banded LAPACK kernel, not a sparse LU
+    code = ("import sys\nfrom quenchlab.cli import main\n"
+            f"assert main(['eigen', '--config', {decay_ini!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('scipy.sparse.linalg' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_eigen_requires_steady_state(quench_ini, tmp_path, capsys):

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracles
 from conftest import power2_model
 from quenchlab import (
     DiscreteOperator,
@@ -43,7 +44,7 @@ def test_single_step_matches_dense_solve(unit99):
     dt = 1e-3
     u0, v0 = _zeros(g)
     u1, v1 = step(u0, v0, dt, g, model, params)
-    dense = np.eye(g.n_total) + dt * op.matrix.toarray()
+    dense = np.eye(g.n_total) + dt * oracles.stencil(g).toarray()
     rhs = u0 + dt * 0.5 * model.alpha.sample(g) * model.f.value(v0)
     np.testing.assert_allclose(u1, np.linalg.solve(dense, rhs), atol=1e-13)
     np.testing.assert_allclose(v1, u1, atol=1e-15)

@@ -16,7 +16,7 @@ from quenchlab import (
     rectangle,
     second_solution_search,
 )
-from quenchlab.spectra import CoupledBand
+from quenchlab.spectra import CoupledBand, LinearizedOperator
 
 
 def _minimal(stack, lam, mu=None):
@@ -28,8 +28,7 @@ def _minimal(stack, lam, mu=None):
 
 def test_decoupled_hook_reduces_to_laplacian(unit99):
     g, _, eig, params, s = _minimal(unit99, 1.0)
-    lin = assemble_linearization(g, power2_model(), params, s.w, s.z,
-                                 coupling_scale=0.0)
+    lin = LinearizedOperator(g, np.zeros(g.n_total), np.zeros(g.n_total))
     pair = principal_eigenpair(lin)
     assert pair.nu1 == pytest.approx(eig[0], rel=1e-8)
 
@@ -38,7 +37,7 @@ def test_block_entries(unit99):
     g, op, eig, params, s = _minimal(unit99, 0.8, 1.1)
     model = power2_model()
     lin = assemble_linearization(g, model, params, s.w, s.z)
-    m = lin.matrix.tocsr()
+    m = oracles.linearization_matrix(lin)
     n = g.n_total
     assert m.shape == (2 * n, 2 * n)
     alpha = model.alpha.sample(g)
@@ -48,37 +47,48 @@ def test_block_entries(unit99):
                                             rel=1e-14)
         assert m[n + i, i] == pytest.approx(-1.1 * beta[i] * model.g.deriv(s.w[i]),
                                             rel=1e-14)
+    # the factor's couplings are the off-diagonal blocks
+    assert [(row, col) for row, col, _ in lin.couplings] == [(0, 1), (1, 0)]
+    np.testing.assert_array_equal(lin.couplings[0][2], m.diagonal(n))
+    np.testing.assert_array_equal(lin.couplings[1][2], m.diagonal(-n))
     # diagonal blocks are the plain stencil
-    diff = abs(m[:n, :n] - op.matrix)
+    diff = abs(m[:n, :n] - op.stencil)
     assert diff.max() == 0.0
+    x = np.random.default_rng(2).standard_normal(n)
+    np.testing.assert_array_equal(lin.apply(np.concatenate([x, np.zeros(n)]))[:n], op.apply(x))
 
 
 def test_matches_dense_oracle(unit99):
     g, _, eig, params, s = _minimal(unit99, 1.0)
     lin = assemble_linearization(g, power2_model(), params, s.w, s.z)
     pair = principal_eigenpair(lin)
-    dense = oracles.dense_principal_eigenvalue(lin.matrix)
+    dense = oracles.dense_principal_eigenvalue(oracles.linearization_matrix(lin))
     assert abs(pair.nu1 - dense) / abs(dense) <= 1e-10
 
 
 @pytest.mark.parametrize("nx, ny", [(11, 7), (7, 11)])
 def test_matches_dense_oracle_2d(nx, ny):
-    # and the banded factor of M solves like a dense one in both orientations
-    # of its node ordering (shorter axis first)
+    # and the banded factor of M solves like a dense one, and M's product
+    # from the stencil matches the dense one, in both orientations of the
+    # band's node ordering (shorter axis first)
     g = rectangle((0.0, 1.0), (0.0, 1.0), nx, ny)
     model, params = power2_model(), ParamPoint(2.0, 2.5)
     s = monotone_minimal_solution(g, model, params).solution
     lin = assemble_linearization(g, model, params, s.w, s.z)
     pair = principal_eigenpair(lin)
-    dense = oracles.dense_principal_eigenvalue(lin.matrix)
+    m = oracles.linearization_matrix(lin)
+    dense = oracles.dense_principal_eigenvalue(m)
     assert abs(pair.nu1 - dense) / abs(dense) <= 1e-10
     rhs = np.random.default_rng(3).standard_normal((2 * g.n_total, 2))
     solve = CoupledBand(g, 2).factor(
         [(0, 1, -params.lam * model.alpha.sample(g) * model.f.deriv(s.z)),
          (1, 0, -params.mu * model.beta.sample(g) * model.g.deriv(s.w))])
-    for trans, matrix in ((0, lin.matrix), (1, lin.matrix.T)):
-        exact = np.linalg.solve(matrix.toarray(), rhs)
+    full = m.toarray()
+    for trans, matrix in ((0, full), (1, full.T)):
+        exact = np.linalg.solve(matrix, rhs)
         assert np.abs(solve(rhs, trans=trans) - exact).max() <= 1e-12 * np.abs(exact).max()
+    scale = np.abs(full).sum(axis=1).max() * np.abs(rhs[:, 0]).max()
+    assert np.abs(lin.apply(rhs[:, 0]) - full @ rhs[:, 0]).max() <= 1e-14 * scale
 
 
 def test_eigenfunctions_positive_and_normalized(unit99):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frozen
+import oracles
 from conftest import power2_model, unit_stack
 from quenchlab import (
     InLambda,
@@ -557,7 +558,8 @@ def _bmat_fold_matrices(g, model, lam, w, z, phi, psi, mu):
     reference for its banded bordered step."""
     n = g.n_total
     alpha, beta = model.alpha.sample(g), model.beta.sample(g)
-    lin = assemble_linearization(g, model, ParamPoint(lam, mu), w, z).matrix
+    lin = oracles.linearization_matrix(assemble_linearization(g, model, ParamPoint(lam, mu),
+                                                              w, z))
     zeros = np.zeros(n)
     curvature = sp.diags([-mu * beta * model.g.deriv2(w) * phi,
                           -lam * alpha * model.f.deriv2(z) * psi],
