@@ -14,19 +14,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDecayError
+from .errors import InsufficientDecayError
 from .grid import FloatArray, Grid
-from .model import InitialData, Model, ParamPoint, materialize_initial
+from .model import Model, ParamPoint
 from .stationary import (
-    DEFAULT_DELTA_BLOW,
-    DEFAULT_TOL_RES,
     InLambda,
     MembershipVerdict,
     NotInLambda,
     StationarySolution,
     _weighted_masses,
-    monotone_minimal_solution,
-    second_solution_search,
 )
 from .evolution import TerminalStatus, Trajectory
 
@@ -216,46 +212,6 @@ def rate_certificate(trajectory: Trajectory, lam1: float, nu1: float) -> RateCer
         nu1=nu1, lam1=lam1)
 
 
-_NEEDS_MINIMAL = ("scaled_minimal", "convex_combo", "above_second")
-_NEEDS_SECOND = ("convex_combo", "above_second")
-
-
-def initial_from_recipe(
-        recipe: InitialData, grid: Grid,
-        membership: Callable[[], MembershipVerdict],
-        find_second: Callable[[StationarySolution], StationarySolution | None]
-        ) -> tuple[tuple[FloatArray, FloatArray], StationarySolution | None]:
-    """The concrete initial pair of a recipe, and the second steady state it
-    was built from (None for recipes that use none).
-
-    ``membership()`` and ``find_second(minimal)`` are called only when the
-    recipe refers to the minimal or the second steady state.  A missing
-    state or an inadmissible pair is a ConfigError.
-    """
-    minimal = second = None
-    if recipe.kind in _NEEDS_MINIMAL:
-        verdict = membership()
-        if not isinstance(verdict, InLambda):
-            raise ConfigError(
-                f"initial recipe {recipe.kind!r} needs a minimal steady state, "
-                f"but the membership verdict is {verdict.status!r}")
-        minimal = verdict.solution
-    if recipe.kind in _NEEDS_SECOND:
-        second = find_second(minimal)
-        if second is None:
-            raise ConfigError(
-                f"initial recipe {recipe.kind!r} needs a second steady "
-                "state and the search found none")
-    try:
-        pair = materialize_initial(
-            recipe, grid,
-            minimal=None if minimal is None else (minimal.w, minimal.z),
-            second=None if second is None else (second.w, second.z))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return pair, second
-
-
 @dataclass(frozen=True)
 class CaseReport:
     """Classification of a configuration with the evidence that produced it.
@@ -264,53 +220,45 @@ class CaseReport:
 
     case: str
     expectation: str
-    membership: MembershipVerdict
-    initial: tuple[FloatArray, FloatArray]
     bound: QuenchBound
     second: StationarySolution | None
     notes: tuple[str, ...]
 
 
 def classify_case(grid: Grid, model: Model, params: ParamPoint,
-                  recipe: InitialData, *,
-                  delta_blow: float = DEFAULT_DELTA_BLOW,
-                  tol_res: float = DEFAULT_TOL_RES,
-                  **membership_kwargs) -> CaseReport:
+                  membership: MembershipVerdict,
+                  initial: tuple[FloatArray, FloatArray],
+                  find_second: Callable[[], StationarySolution | None]
+                  ) -> CaseReport:
     """Route a configuration to its predicted behavior.
+
+    ``membership`` is the verdict at ``params`` and ``initial`` the initial
+    pair.  ``find_second()`` returns the second steady state, or None when
+    there is none; it is called only when the minimal state exists and the
+    initial data do not lie below it.
 
     Precedence: an applicable quench bound wins (case c), then parameter
     points with no steady state (case b), then ordering of the initial data
     against the minimal steady state (a1) and, when one is found, against a
     second steady state (a21 below it, a22 above it).  Anything else is
-    reported as none-established rather than guessed.  ``delta_blow`` and
-    ``tol_res`` apply to the membership verdict and the second-state search.
+    reported as none-established rather than guessed.
     """
     notes: list[str] = []
-    shared = dict(delta_blow=delta_blow, tol_res=tol_res)
-
-    membership = monotone_minimal_solution(grid, model, params, **shared,
-                                           **membership_kwargs)
+    u0, v0 = initial
     minimal = membership.solution if isinstance(membership, InLambda) else None
-
-    def find_second(base: StationarySolution) -> StationarySolution | None:
-        return second_solution_search(grid, model, params, base, **shared)
-
-    (u0, v0), second = initial_from_recipe(recipe, grid, lambda: membership,
-                                           find_second)
     bound = quench_time_bound(u0, v0, grid, model, params)
 
-    def below(a0, b0, pair) -> bool:
-        return bool(np.all(a0 <= pair[0] + _ORDER_SLACK)
-                    and np.all(b0 <= pair[1] + _ORDER_SLACK))
+    def below(state: StationarySolution) -> bool:
+        return bool(np.all(u0 <= state.w + _ORDER_SLACK)
+                    and np.all(v0 <= state.z + _ORDER_SLACK))
 
-    def above(a0, b0, pair) -> bool:
-        return bool(np.all(a0 >= pair[0] - _ORDER_SLACK)
-                    and np.all(b0 >= pair[1] - _ORDER_SLACK))
+    def above(state: StationarySolution) -> bool:
+        return bool(np.all(u0 >= state.w - _ORDER_SLACK)
+                    and np.all(v0 >= state.z - _ORDER_SLACK))
 
+    below_minimal = minimal is not None and below(minimal)
     # Only data above the minimal state need a second state to compare against.
-    if (second is None and minimal is not None
-            and not below(u0, v0, (minimal.w, minimal.z))):
-        second = find_second(minimal)
+    second = find_second() if minimal is not None and not below_minimal else None
 
     if bound.applicable:
         case, expectation = "c", ("finite-time quench certified with an "
@@ -322,13 +270,13 @@ def classify_case(grid: Grid, model: Model, params: ParamPoint,
     elif minimal is None:
         case, expectation = "none-established", "no prediction certified"
         notes.append("membership undetermined: " + membership.hint)
-    elif below(u0, v0, (minimal.w, minimal.z)):
+    elif below_minimal:
         case, expectation = "a1", ("global existence with decay to the "
                                    "minimal steady state")
-    elif second is not None and below(u0, v0, (second.w, second.z)):
+    elif second is not None and below(second):
         case, expectation = "a21", ("global existence with decay to the "
                                     "minimal steady state")
-    elif second is not None and above(u0, v0, (second.w, second.z)):
+    elif second is not None and above(second):
         case, expectation = "a22", ("initial data dominates a second steady "
                                     "state; quench expected, no time bound "
                                     "certified")
@@ -341,6 +289,5 @@ def classify_case(grid: Grid, model: Model, params: ParamPoint,
             notes.append("initial data is not ordered against the second "
                          "steady state")
 
-    return CaseReport(case=case, expectation=expectation, membership=membership,
-                      initial=(u0, v0), bound=bound, second=second,
-                      notes=tuple(notes))
+    return CaseReport(case=case, expectation=expectation, bound=bound,
+                      second=second, notes=tuple(notes))

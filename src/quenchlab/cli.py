@@ -10,9 +10,11 @@ Commands
 
 Configuration lives in one INI file with sections [domain], [model], [run];
 ``--override section.key=value`` flags win over the file.  Each command builds
-one ``Run`` from the resolved configuration (grid, model, parameters; steady
-states and initial data on first use) and writes its artifacts from it; the
-Laplacian and its principal eigenvalue lambda1 come from the grid.  Every
+one ``Run`` from the resolved configuration (grid, model, parameters; the
+membership verdict, the second steady state and the initial data on first
+use, each at most once) and writes its artifacts from it; ``certify`` hands
+the run's verdict, initial pair and second-state lookup to ``classify_case``.
+The Laplacian and its principal eigenvalue lambda1 come from the grid.  Every
 CSV and JSON output embeds the fully resolved configuration, numeric CSV
 cells carry 17 significant digits, state snapshots are raw float64 NPY, and a
 rerun with the same inputs is bit-identical.
@@ -35,12 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .certificates import (
-    classify_case,
-    initial_from_recipe,
-    rate_certificate,
-    verify_quench_bound,
-)
+from .certificates import classify_case, rate_certificate, verify_quench_bound
 from .errors import ConfigError, QuenchlabError
 from .evolution import StepperConfig, TerminalStatus, simulate
 from .grid import interval, principal_laplacian_eigenpair, rectangle
@@ -50,6 +47,7 @@ from .model import (
     Nonlinearity,
     ParamPoint,
     Profile,
+    materialize_initial,
     validate_hypotheses,
 )
 from .spectra import assemble_linearization, principal_eigenpair
@@ -68,6 +66,8 @@ _FAMILY_CHOICES = ("log", "exp", "power")
 _PROFILE_CHOICES = ("constant", "bump", "powerdist")
 _INITIAL_CHOICES = ("zero", "sine", "scaled_minimal", "convex_combo", "above_second")
 _REFERENCE_CHOICES = ("none", "minimal")
+_NEEDS_MINIMAL = ("scaled_minimal", "convex_combo", "above_second")
+_NEEDS_SECOND = ("convex_combo", "above_second")
 
 
 def _float(raw: str) -> float:
@@ -78,9 +78,8 @@ def _int(raw: str) -> int:
     return int(raw)
 
 
-def _float_list(raw: str) -> tuple[float, ...]:
-    parts = raw.replace(",", " ").split()
-    return tuple(float(p) for p in parts)
+def _float_list(raw: str, cast=float) -> tuple[float, ...]:
+    return tuple(cast(p) for p in raw.replace(",", " ").split())
 
 
 def _optional_floats(raw: str) -> tuple[float, ...] | None:
@@ -147,7 +146,7 @@ _SCHEMA: dict[str, dict] = {
         "initial_amp_v": (_float, 0.9),
     },
     "run": {
-        "horizon": (_float, 5.0),
+        "horizon": (_POSITIVE, 5.0),
         "dt_init": (_float, 1e-4),
         "dt_min": (_POSITIVE, 1e-12),
         "dt_max": (_POSITIVE, 0.05),
@@ -159,7 +158,7 @@ _SCHEMA: dict[str, dict] = {
         "delta_blow": (_between(0, 1), 1e-4),
         "tol_res": (_POSITIVE, 1e-8),
         "bisect_tol": (_between(0, 1), 1e-3),
-        "lambda_samples": (_float_list, ()),
+        "lambda_samples": (lambda raw: _float_list(raw, _POSITIVE), ()),
         "floor_factor": (_between(0, 1), 1e-6),
         "reference": (_choice(*_REFERENCE_CHOICES), "none"),
     },
@@ -279,15 +278,15 @@ class Run:
     """Everything one command computes from the resolved configuration.
 
     Building it is the config phase: the grid, model, parameters, stepper,
-    initial-data recipe, the model hypotheses and the horizon, where any
-    ValueError is a ConfigError.  The membership verdict (with the minimal
-    steady state), the second steady state and the initial pair are computed
-    on first use.
+    initial-data recipe and the model hypotheses, where any ValueError is a
+    ConfigError.  The membership verdict (with the minimal steady state), the
+    second steady state and the initial pair are computed on first use, and
+    at most once.
     """
 
     def __init__(self, cfg: dict, command: str, threads: int):
         self.command = command
-        self.settings = r = cfg["run"]
+        self.settings = cfg["run"]
         self.echo = _config_echo(cfg, command, threads)
         try:
             self.grid = build_grid(cfg)
@@ -299,9 +298,6 @@ class Run:
             raise ConfigError(str(exc)) from exc
         if not hypotheses.ok:
             raise ConfigError(f"model hypothesis violated: {hypotheses.first_violation}")
-        if not r["horizon"] > 0:
-            raise ConfigError(f"run.horizon must be positive, got {r['horizon']}",
-                              key="run.horizon")
 
     @cached_property
     def verdict(self) -> MembershipVerdict:
@@ -331,9 +327,28 @@ class Run:
 
     @cached_property
     def initial(self) -> tuple[np.ndarray, np.ndarray]:
-        pair, _ = initial_from_recipe(self.recipe, self.grid,
-                                      lambda: self.verdict, lambda _: self.second)
-        return pair
+        """The recipe's initial pair.  The verdict and the second steady state
+        are computed only for recipes built on them; a missing state or an
+        inadmissible pair is a ConfigError."""
+        kind = self.recipe.kind
+        minimal = second = None
+        if kind in _NEEDS_MINIMAL:
+            if self.minimal is None:
+                raise ConfigError(
+                    f"initial recipe {kind!r} needs a minimal steady state, "
+                    f"but the membership verdict is {self.verdict.status!r}")
+            minimal = (self.minimal.w, self.minimal.z)
+        if kind in _NEEDS_SECOND:
+            if self.second is None:
+                raise ConfigError(
+                    f"initial recipe {kind!r} needs a second steady "
+                    "state and the search found none")
+            second = (self.second.w, self.second.z)
+        try:
+            return materialize_initial(self.recipe, self.grid,
+                                       minimal=minimal, second=second)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def linearized_pair(self, state: StationarySolution):
         """Principal eigenpair of the linearization at a steady state."""
@@ -344,8 +359,11 @@ class Run:
         return simulate(initial, self.grid, self.model, self.params, self.stepper,
                         self.settings["horizon"], reference=reference)
 
-    def decay_rate(self, initial, minimal: StationarySolution):
-        """Trajectory against the minimal state and its decay-rate certificate."""
+    def decay_rate(self):
+        """Trajectory from the initial pair against the minimal state, and
+        its decay-rate certificate."""
+        minimal = self.steady_state()
+        initial = self.initial
         pair = self.linearized_pair(minimal)
         trajectory = self.evolve(initial, reference=(minimal.w, minimal.z))
         lam1, _ = principal_laplacian_eigenpair(self.grid.laplacian)
@@ -403,18 +421,6 @@ def write_table(path: str, header: list[str], rows, echo: dict) -> None:
                 handle.write(floats % tuple(row))
             else:
                 handle.write(",".join(_fmt(cell) for cell in row) + "\n")
-
-
-def read_table(path: str) -> tuple[dict, list[str], list[list[str]]]:
-    """Re-parse an emitted CSV into (config echo, header, raw string rows)."""
-    with open(path) as handle:
-        first = handle.readline()
-        if not first.startswith("# config: "):
-            raise ValueError(f"{path} carries no config echo line")
-        echo = json.loads(first[len("# config: "):])
-        header = handle.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in handle if line.strip()]
-    return echo, header, rows
 
 
 def _write_fields(path: str, grid, columns: list[str], fields, echo: dict) -> None:
@@ -565,8 +571,7 @@ def cmd_simulate(run: Run, out: str) -> int:
 
 
 def cmd_rate(run: Run, out: str) -> int:
-    minimal = run.steady_state()
-    trajectory, certificate = run.decay_rate(run.initial, minimal)
+    trajectory, certificate = run.decay_rate()
     _write_trajectory(trajectory, run.grid, out, run.echo)
     write_json(os.path.join(out, "rate.json"), {
         "gamma_claimed": certificate.gamma_claimed,
@@ -585,14 +590,12 @@ def cmd_rate(run: Run, out: str) -> int:
 
 
 def cmd_certify(run: Run, out: str) -> int:
-    r = run.settings
-    report = classify_case(run.grid, run.model, run.params, run.recipe,
-                           tol_stat=r["tol_stat"], max_iter=r["max_iter"],
-                           delta_blow=r["delta_blow"], tol_res=r["tol_res"])
+    report = classify_case(run.grid, run.model, run.params, run.verdict,
+                           run.initial, lambda: run.second)
     payload = {
         "case": report.case,
         "expectation": report.expectation,
-        "membership": report.membership.status,
+        "membership": run.verdict.status,
         "bound": {
             "bound_u": report.bound.bound_u,
             "bound_v": report.bound.bound_v,
@@ -611,7 +614,7 @@ def cmd_certify(run: Run, out: str) -> int:
                                    "note": "no certificate applies"}
         exit_code = 2
     elif report.case in ("a1", "a21"):
-        _, certificate = run.decay_rate(report.initial, report.membership.solution)
+        _, certificate = run.decay_rate()
         payload["verification"] = {
             "kind": "decay-rate", "passes": certificate.passes,
             "fitted_rate": certificate.fitted_rate,
@@ -621,7 +624,7 @@ def cmd_certify(run: Run, out: str) -> int:
         }
         exit_code = 0 if certificate.passes else 1
     else:
-        trajectory = run.evolve(report.initial)
+        trajectory = run.evolve(run.initial)
         if report.case == "c":
             check = verify_quench_bound(trajectory, report.bound)
             payload["verification"] = {

@@ -283,8 +283,8 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
     bisections and final partial step in its crossing step, share one
     reaction.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     op = grid.laplacian
     u = np.array(grid.check_field(initial[0], "u0"), dtype=float, copy=True)
     v = np.array(grid.check_field(initial[1], "v0"), dtype=float, copy=True)

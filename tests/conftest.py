@@ -8,6 +8,7 @@ acceptance test can assert the runtime budget honestly.
 
 from __future__ import annotations
 
+import json
 import sys
 import time
 from pathlib import Path
@@ -30,6 +31,27 @@ from quenchlab import (
     principal_laplacian_eigenpair,
     simulate,
 )
+
+
+def read_table(path: str) -> tuple[dict, list[str], list[list[str]]]:
+    """Re-parse an emitted CSV into (config echo, header, raw string rows)."""
+    with open(path) as handle:
+        first = handle.readline()
+        if not first.startswith("# config: "):
+            raise ValueError(f"{path} carries no config echo line")
+        echo = json.loads(first[len("# config: "):])
+        header = handle.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in handle if line.strip()]
+    return echo, header, rows
+
+
+def rebind(monkeypatch, original, replacement) -> None:
+    """Replace ``original`` in every quenchlab module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "quenchlab" or name.startswith("quenchlab."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
 
 
 def power2_model() -> Model:

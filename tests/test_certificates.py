@@ -1,27 +1,40 @@
 """Quench-time bound, decay-rate certificate, case classification."""
 
+import functools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import power2_model, unit_stack
+from conftest import power2_model, rebind, unit_stack
 from quenchlab import (
-    ConfigError,
     InitialData,
+    InLambda,
     InsufficientDecayError,
     Model,
     Nonlinearity,
+    NotInLambda,
     ParamPoint,
     Profile,
     StepperConfig,
     TerminalStatus,
     Trajectory,
+    Undetermined,
     classify_case,
     integrate,
+    materialize_initial,
+    monotone_minimal_solution,
     quench_time_bound,
     rate_certificate,
+    second_solution_search,
     simulate,
+    solve_poisson,
     verify_quench_bound,
 )
+from quenchlab.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def log_model() -> Model:
@@ -161,65 +174,74 @@ def test_verify_quench_bound_branches():
     assert not verify_quench_bound(stalled, bound).passes
 
 
+def classify(g, model, params, recipe, search=second_solution_search,
+             **membership_kwargs):
+    """The verdict, and classify_case fed as the certify command feeds it:
+    that verdict, the recipe's pair, and a second-state search run at most
+    once, first for recipes built on the second state."""
+    verdict = monotone_minimal_solution(g, model, params, **membership_kwargs)
+    minimal = verdict.solution if isinstance(verdict, InLambda) else None
+    find_second = functools.cache(lambda: search(g, model, params, minimal))
+    second = find_second() if recipe.kind in ("convex_combo", "above_second") else None
+    initial = materialize_initial(
+        recipe, g, minimal=None if minimal is None else (minimal.w, minimal.z),
+        second=None if second is None else (second.w, second.z))
+    return verdict, classify_case(g, model, params, verdict, initial, find_second)
+
+
 def test_classify_all_cases():
     stack = unit_stack(99)
     g, _, _ = stack
     model = power2_model()
 
-    report = classify_case(g, model, ParamPoint(0.5, 0.5), InitialData.zero())
+    verdict, report = classify(g, model, ParamPoint(0.5, 0.5), InitialData.zero())
     assert report.case == "a1"
-    assert report.membership.status == "in-lambda"
+    assert verdict.status == "in-lambda"
     assert not report.bound.applicable
 
-    report = classify_case(g, model, ParamPoint(12.0, 12.0), InitialData.zero())
+    verdict, report = classify(g, model, ParamPoint(12.0, 12.0), InitialData.zero())
     assert report.case == "b"
-    assert report.membership.status == "not-in-lambda"
+    assert verdict.status == "not-in-lambda"
 
-    report = classify_case(g, model, ParamPoint(1.0, 1.0),
-                           InitialData.convex_combo(0.5))
+    _, report = classify(g, model, ParamPoint(1.0, 1.0), InitialData.convex_combo(0.5))
     assert report.case == "a21"
     assert report.second is not None
 
-    report = classify_case(g, model, ParamPoint(1.0, 1.0),
-                           InitialData.above_second(0.05))
+    _, report = classify(g, model, ParamPoint(1.0, 1.0), InitialData.above_second(0.05))
     assert report.case == "a22"
 
     x = g.coordinates()[:, 0]
     u0 = 0.9 * np.sin(np.pi * x)
-    report = classify_case(g, log_model(), ParamPoint(20.0, 20.0),
-                           InitialData.explicit(u0, u0))
+    _, report = classify(g, log_model(), ParamPoint(20.0, 20.0),
+                         InitialData.explicit(u0, u0))
     assert report.case == "c"
     assert report.bound.applicable
 
 
-def test_classify_searches_second_state_only_when_needed(monkeypatch):
-    import quenchlab.certificates as certificates
-
+def test_classify_searches_second_state_only_when_needed():
     calls = []
-    search = certificates.second_solution_search
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return search(*args, **kwargs)
+        return second_solution_search(*args, **kwargs)
 
-    monkeypatch.setattr(certificates, "second_solution_search", counted)
     g, _, _ = unit_stack(99)
     model = power2_model()
 
     # data below the minimal state: a1 is decided without a second state
     for recipe in (InitialData.zero(), InitialData.scaled_minimal(0.5)):
-        report = classify_case(g, model, ParamPoint(0.5, 0.5), recipe)
+        _, report = classify(g, model, ParamPoint(0.5, 0.5), recipe, counted)
         assert report.case == "a1"
         assert report.second is None
     assert calls == []
 
     # recipes built on the second state, and data above the minimal state
     params = ParamPoint(1.0, 1.0)
-    minimal = classify_case(g, model, params, InitialData.zero()).membership.solution
+    minimal = monotone_minimal_solution(g, model, params).solution
     for recipe, case in ((InitialData.convex_combo(0.5), "a21"),
                          (InitialData.above_second(0.05), "a22"),
                          (InitialData.explicit(1.5 * minimal.w, 1.5 * minimal.z), "a21")):
-        report = classify_case(g, model, params, recipe)
+        _, report = classify(g, model, params, recipe, counted)
         assert report.case == case
         assert report.second is not None
     assert len(calls) == 3
@@ -228,16 +250,44 @@ def test_classify_searches_second_state_only_when_needed(monkeypatch):
 def test_classify_undetermined_membership():
     stack = unit_stack(99)
     g, _, _ = stack
-    report = classify_case(g, power2_model(), ParamPoint(1.0, 1.0),
-                           InitialData.zero(),
-                           tol_stat=1e-16, max_iter=3)
+    verdict, report = classify(g, power2_model(), ParamPoint(1.0, 1.0),
+                               InitialData.zero(), tol_stat=1e-16, max_iter=3)
     assert report.case == "none-established"
-    assert report.membership.status == "undetermined"
+    assert verdict.status == "undetermined"
 
 
-def test_classify_rejects_impossible_recipe():
-    stack = unit_stack(99)
-    g, _, _ = stack
-    with pytest.raises(ConfigError):
-        classify_case(g, power2_model(), ParamPoint(12.0, 12.0),
-                      InitialData.scaled_minimal(0.5))
+@pytest.mark.parametrize("verdict", [
+    Undetermined(iterations=3, last_change=0.1, hint="budget exhausted"),
+    NotInLambda(evidence="analytic-bound", detail={})])
+def test_classify_without_a_steady_state_solves_nothing(verdict, monkeypatch):
+    # the verdict decides b or none-established; no state is solved for
+    def no_solve(*args, **kwargs):
+        raise AssertionError("classify_case solved a linear system")
+
+    rebind(monkeypatch, solve_poisson, no_solve)
+    g, _, _ = unit_stack(99)
+    zero = np.zeros(g.n_total)
+
+    def no_second():
+        raise AssertionError("classify_case searched for a second state")
+
+    report = classify_case(g, power2_model(), ParamPoint(1.0, 1.0), verdict,
+                           (zero, zero), no_second)
+    assert report.case == ("b" if verdict.status == "not-in-lambda"
+                           else "none-established")
+    assert report.second is None
+
+
+def test_classify_rejects_impossible_recipe(tmp_path, capsys):
+    # scaled_minimal data at a point with no steady state: certify stops
+    # before classifying, with a configuration error
+    out = tmp_path / "out"
+    assert main(["certify", "--config", str(CONFIGS / "forced_quench.ini"),
+                 "--out", str(out), "--override", "domain.n=99",
+                 "--override", "model.initial_kind=scaled_minimal"]) == 2
+    error = json.load(open(out / "error.json"))["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"] == ("initial recipe 'scaled_minimal' needs a minimal "
+                                "steady state, but the membership verdict is "
+                                "'not-in-lambda'")
+    capsys.readouterr()

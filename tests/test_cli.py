@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quenchlab.cli import _fmt, main, read_table, write_table
+from conftest import read_table, rebind
+from quenchlab import monotone_minimal_solution, second_solution_search
+from quenchlab.cli import _fmt, main, write_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -140,7 +142,8 @@ def test_out_of_range_knob_exits_2_at_once(command, override, decay_ini, tmp_pat
 @pytest.mark.parametrize("override", [
     "run.tol_stat=0", "run.tol_res=-1", "run.max_iter=0", "run.dt_min=0", "run.dt_max=-1",
     "run.snapshot_stride=0", "run.quench_delta=0.5", "domain.n=0", "domain.nx=0",
-    "domain.ny=0"])
+    "domain.ny=0", "run.horizon=inf", "run.lambda_samples=0", "run.lambda_samples=-1",
+    "run.lambda_samples=nan"])
 def test_single_key_range_exits_2_and_names_it(override, decay_ini, tmp_path, capsys):
     # checked where the value is parsed, so the error names its key
     out = str(tmp_path / "out")
@@ -324,7 +327,7 @@ def test_second_search_honours_tol_res_and_delta_blow(decay_ini, tmp_path):
         assert code == 0
         tables.append(read_table(str(out / "trajectory.csv"))[2])
     assert tables[0] != tables[1]
-    for command in ("simulate", "certify"):  # certify searches in classify_case
+    for command in ("simulate", "certify"):  # both build convex_combo data
         code, out = run(command, f"low-cap-{command}", "run.delta_blow=0.2")
         assert code == 2
         saved = json.load(open(out / "error.json"))
@@ -385,6 +388,29 @@ def test_certify_exit_codes(decay_ini, quench_ini, tmp_path):
     assert code == 2
     report3 = json.load(open(os.path.join(out3, "certify.json")))
     assert report3["case"] == "none-established"
+
+
+def test_certify_shares_one_verdict_and_one_second_search(decay_ini, tmp_path,
+                                                          monkeypatch):
+    # convex_combo data need the second state for the initial pair, and lie
+    # above the minimal state, so the classification asks for it again
+    counts = {"verdict": 0, "second": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in (("verdict", monotone_minimal_solution),
+                     ("second", second_solution_search)):
+        rebind(monkeypatch, fn, counted(name, fn))
+    out = tmp_path / "out"
+    assert main(["certify", "--config", decay_ini, "--out", str(out),
+                 "--override", "model.initial_kind=convex_combo",
+                 "--override", "run.horizon=4.0"]) == 0
+    assert json.load(open(out / "certify.json"))["case"] == "a21"
+    assert counts == {"verdict": 1, "second": 1}
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

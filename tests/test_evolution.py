@@ -338,6 +338,15 @@ def test_rejects_initial_data_at_ceiling(unit99):
                  StepperConfig(), 1.0)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("inf"), float("nan")])
+def test_rejects_horizon_that_is_not_positive_and_finite(horizon, unit99):
+    # an infinite horizon used to end at once with status horizon and no step
+    g, _, _ = unit99
+    with pytest.raises(ValueError, match="horizon"):
+        simulate(_zeros(g), g, power2_model(), ParamPoint(12.0, 12.0),
+                 StepperConfig(), horizon)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(dt_init=1e-6, dt_min=1e-3)
