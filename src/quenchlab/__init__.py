@@ -19,7 +19,6 @@ from .errors import (
 from .grid import (
     DiscreteOperator,
     Grid,
-    assemble_laplacian,
     gradient_inner,
     integrate,
     interval,

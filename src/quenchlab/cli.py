@@ -293,7 +293,7 @@ class Run:
             self.model, self.params = build_model(cfg)
             self.stepper = build_stepper(cfg)
             self.recipe = build_recipe(cfg, self.grid)
-            hypotheses = validate_hypotheses(self.model, self.grid, self.params)
+            hypotheses = validate_hypotheses(self.model, self.grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not hypotheses.ok:

@@ -170,7 +170,7 @@ def lyapunov_energy(u: FloatArray, v: FloatArray, grid: Grid, model: Model,
     """
     alpha = model.alpha.sample(grid)
     beta = model.beta.sample(grid)
-    return (gradient_inner(grid.laplacian, u, v)
+    return (gradient_inner(grid, u, v)
             - params.lam * integrate(alpha * model.f.antideriv(v), grid)
             - params.mu * integrate(beta * model.g.antideriv(u), grid))
 

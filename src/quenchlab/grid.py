@@ -9,10 +9,10 @@ stencil: an L D L^T tridiagonal factor in 1D and the DST-I fast Poisson
 solver (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970) in 2D.  The
 same sine spectrum gives the principal eigenpair in closed form.
 
-A grid owns its Laplacian: ``grid.laplacian`` is assembled once, on first
-use, and every library function takes its operator from there, so no caller
-can pair a grid with another grid's operator.  The stencil is the only matrix
-ever assembled: a shift s*I + c*A is applied as s*x + c*(A x), never formed.
+A grid owns its Laplacian ``grid.laplacian``, so no caller can pair a grid
+with another grid's operator.  No matrix is assembled: A is held once, as the
+grid's centre and neighbour weights (``Grid.stencil``), from which come every
+product, the solve check and the band entries of ``spectra.CoupledBand``.
 
 ``solve_poisson`` solves k fields at once as the columns of (n, k).  Fields
 are checked where they enter (``Grid.check_field``), not in the quadratures.
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .errors import EigenConvergenceError, SolverBreakdownError
@@ -90,8 +89,27 @@ class Grid:
 
     @cached_property
     def laplacian(self) -> "DiscreteOperator":
-        """The Dirichlet negative Laplacian of this grid, assembled on first use."""
-        return assemble_laplacian(self)
+        """The Dirichlet negative Laplacian A of this grid."""
+        return DiscreteOperator(self)
+
+    @cached_property
+    def stencil(self) -> tuple[float, float | FloatArray, float]:
+        """A as (centre, east, north) weights on the flat node index: row i of A
+        is centre at i, -east[i-1] and -east[i] at i -/+ 1, -north at i -/+ nx;
+        east is 1/hx^2 (2D: an array, 0 where an x row ends), north 1/hy^2 (2D)."""
+        weights = [1.0 / hh**2 for hh in self.h]
+        if self.dimension == 1:
+            return 2.0 * weights[0], weights[0], 0.0
+        east = np.full(self.n_total - 1, weights[0])
+        east[self.n_interior[0] - 1::self.n_interior[0]] = 0.0
+        east.flags.writeable = False
+        return 2.0 * sum(weights), east, weights[1]
+
+    @cached_property
+    def stencil_norm(self) -> float:
+        """||A||_inf = max(|A| 1)."""
+        centre, east, north = self.stencil
+        return float(_stencil_product(self, np.ones(self.n_total), centre, -east, -north).max())
 
     def coordinates(self) -> FloatArray:
         """All interior node coordinates, shape (n_total, dimension)."""
@@ -156,23 +174,17 @@ def rectangle(xspan: tuple[float, float], yspan: tuple[float, float],
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """``identity_coeff*I + operator_coeff*A`` on a grid's interior fields, A
-    the 3-point (1D) or 5-point (2D) Dirichlet ``stencil``, whose infinity
-    norm is ``stencil_norm``; every shift shares both.  The coefficients are
-    nonnegative and not both zero, so the operator is SPD.  Nothing but the
-    stencil is assembled: the solver data (1D tridiagonal factor, 2D inverse
-    DST symbol) are built on first use, once per operator."""
+    the grid's 3-point (1D) or 5-point (2D) ``stencil``; the coefficients are
+    nonnegative and not both zero, so the operator is SPD.  It holds no matrix:
+    products come from the stencil weights, and the solver data (1D tridiagonal
+    factor, 2D inverse DST symbol) are built on first use, once per operator."""
 
     grid: Grid
-    stencil: sp.csr_matrix
-    stencil_norm: float
     identity_coeff: float = 0.0
     operator_coeff: float = 1.0
 
     def apply(self, field: FloatArray) -> FloatArray:
-        x = self.grid.check_field(field)
-        if self.identity_coeff == 0.0 and self.operator_coeff == 1.0:
-            return self.stencil @ x
-        return self.identity_coeff * x + self.operator_coeff * (self.stencil @ x)
+        return _stencil_product(self.grid, self.grid.check_field(field), *self._weights)
 
     def shifted(self, identity_coeff: float, operator_coeff: float) -> "DiscreteOperator":
         """identity_coeff*I + operator_coeff*self, in O(1): nothing is assembled."""
@@ -180,19 +192,22 @@ class DiscreteOperator:
                 and identity_coeff + operator_coeff > 0.0):
             raise ValueError("shift coefficients must be nonnegative and not both "
                              f"zero, got ({identity_coeff}, {operator_coeff})")
-        return DiscreteOperator(
-            grid=self.grid, stencil=self.stencil, stencil_norm=self.stencil_norm,
-            identity_coeff=identity_coeff + operator_coeff * self.identity_coeff,
-            operator_coeff=operator_coeff * self.operator_coeff)
+        return DiscreteOperator(self.grid, identity_coeff + operator_coeff * self.identity_coeff,
+                                operator_coeff * self.operator_coeff)
+
+    @cached_property
+    def _weights(self) -> tuple[float, float | FloatArray, float]:
+        # (centre, east, north) of s*I + c*A, as ``Grid.stencil`` holds A's
+        centre, east, north = self.grid.stencil
+        s, c = self.identity_coeff, self.operator_coeff
+        return s + c * centre, c * east, c * north
 
     @cached_property
     def _tridiagonal_factor(self) -> tuple[FloatArray, FloatArray]:
         # 1D: L D L^T factor of the constant-diagonal tridiagonal s*I + c*A.
-        n, hh = self.grid.n_interior[0], self.grid.h[0]
-        s, c = self.identity_coeff, self.operator_coeff
+        n, (centre, east, _) = self.grid.n_total, self._weights
         # The LAPACK wrapper rejects an empty off-diagonal; for n == 1 it is unread.
-        d, e, info = lapack.dpttrf(np.full(n, s + c * (2.0 / hh**2)),
-                                   np.full(max(n - 1, 1), c * (-1.0 / hh**2)))
+        d, e, info = lapack.dpttrf(np.full(n, centre), np.full(max(n - 1, 1), -east))
         if info != 0:
             raise SolverBreakdownError(f"tridiagonal factorization failed with info={info}")
         return d, e
@@ -210,53 +225,39 @@ def _sine_eigenvalue(k, n: int, hh: float):
     return (4.0 / hh**2) * np.sin(k * np.pi / (2 * (n + 1))) ** 2
 
 
-def assemble_laplacian(grid: Grid) -> DiscreteOperator:
-    """Negative Laplacian with implicit zero Dirichlet data.
-
-    1D: tridiagonal [-1, 2, -1] / h^2.  2D: the 5-point cross stencil,
-    assembled as a Kronecker sum of the per-axis tridiagonal operators.
-    """
-
-    def tridiag(n: int, hh: float) -> sp.csr_matrix:
-        main = np.full(n, 2.0 / hh**2)
-        off = np.full(n - 1, -1.0 / hh**2)
-        return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
+def _stencil_product(grid: Grid, x: FloatArray, centre: float,
+                     east: float | FloatArray, north: float) -> FloatArray:
+    # The product with A's pattern and these weights for the fields along x's
+    # last axis, each row's terms added in column order (y-1, x-1, centre, x+1,
+    # y+1) as a CSR product adds them: A x equals the assembled A @ x exactly.
+    # Subtract in place through one view v of y (y[a:b] -= t stores the slice back).
     if grid.dimension == 1:
-        mat = tridiag(grid.n_interior[0], grid.h[0])
-    else:
-        nx, ny = grid.n_interior
-        hx, hy = grid.h
-        mat = (sp.kron(sp.identity(ny), tridiag(nx, hx))
-               + sp.kron(tridiag(ny, hy), sp.identity(nx))).tocsr()
-    return DiscreteOperator(grid=grid, stencil=mat,
-                            stencil_norm=float(abs(mat).sum(axis=1).max()))
+        t, y = east * x, centre * x  # x-1 and x+1 share the products t
+        np.subtract(v := y[..., 1:], t[..., :-1], out=v)
+        np.subtract(v := y[..., :-1], t[..., 1:], out=v)
+        return y
+    nx, s, y = grid.n_interior[0], north * x, np.zeros(x.shape)  # y-1 and y+1 share s
+    np.subtract(v := y[..., nx:], s[..., :-nx], out=v)
+    np.subtract(v := y[..., 1:], east * x[..., :-1], out=v)
+    y += centre * x
+    np.subtract(v := y[..., :-1], east * x[..., 1:], out=v)
+    np.subtract(v := y[..., :-nx], s[..., nx:], out=v)
+    return y
 
 
 def _backward_error(op: DiscreteOperator, x: FloatArray, b: FloatArray) -> FloatArray:
     # Per column, ||Mx-b|| / (||M|| ||x|| + ||b||) for M = s*I + c*A (||Mx-b||/||b||
     # alone is bounded below by cond(M)*eps), 0 for x = b = 0, nan on overflow.
-    # The residual comes from the constant stencil by slicing, on the fields
-    # along the last axis ((k, n) in 1D, (k, ny, nx) in 2D), and ||M||_inf is
-    # s + c*||A||_inf: no M is assembled.
-    g = op.grid
-    s, c = op.identity_coeff, op.operator_coeff
+    # Mx comes from M's stencil weights and ||M||_inf is s + c*||A||_inf.
     xt, bt = x.T, b.T
-    shape = (-1, *g.n_interior[::-1])
-    xs = xt.reshape(shape)
-    weights = [c / hh**2 for hh in g.h]
-    r = (s + 2.0 * sum(weights)) * xs - bt.reshape(shape)
-    for axis, w in zip((-1, -2), weights):  # x is the last axis, y the one before
-        nb, rv = np.swapaxes(w * xs, axis, -1), np.swapaxes(r, axis, -1)
-        rv[..., 1:] -= nb[..., :-1]
-        rv[..., :-1] -= nb[..., 1:]
-    r = r.reshape(xt.shape)
+    r = _stencil_product(op.grid, xt, *op._weights) - bt
     rn = np.sqrt(np.einsum("...i,...i->...", r, r))
     xn = np.sqrt(np.einsum("...i,...i->...", xt, xt))
     bn = np.sqrt(np.einsum("...i,...i->...", bt, bt))
     # A zero denominator has x = b = 0, so rn = 0 and the quotient is 0
     # (5e-324 is the least positive double).
-    return rn / np.maximum((s + c * op.stencil_norm) * xn + bn, 5e-324)
+    s, c = op.identity_coeff, op.operator_coeff
+    return rn / np.maximum((s + c * op.grid.stencil_norm) * xn + bn, 5e-324)
 
 
 def solve_poisson(op: DiscreteOperator, rhs: FloatArray, *,
@@ -305,13 +306,13 @@ def integrate(field: FloatArray, grid: Grid) -> float:
     return float(np.dot(grid.quad_weights, field))
 
 
-def gradient_inner(op: DiscreteOperator, u: FloatArray, v: FloatArray) -> float:
+def gradient_inner(grid: Grid, u: FloatArray, v: FloatArray) -> float:
     """Quadrature of grad(u) . grad(v) with one-sided differences and zero boundary.
 
     By summation by parts this equals cell_volume * u^T A v exactly, which is
     how it is evaluated.
     """
-    return op.grid.cell_volume * float(np.dot(u, op.stencil @ v))
+    return grid.cell_volume * float(np.dot(u, _stencil_product(grid, v, *grid.stencil)))
 
 
 def principal_laplacian_eigenpair(op: DiscreteOperator) -> tuple[float, FloatArray]:

@@ -287,9 +287,7 @@ class HypothesisReport:
 
 
 def validate_hypotheses(model: Model, grid: Grid,
-                        params: ParamPoint | None = None,
-                        initial: tuple[FloatArray, FloatArray] | None = None
-                        ) -> HypothesisReport:
+                        initial: tuple[FloatArray, FloatArray] | None = None) -> HypothesisReport:
     """Check the standing structural assumptions on a lattice of [0, 1 - 1e-6].
 
     Nonlinearities must be positive, strictly increasing, strictly convex, and
@@ -323,9 +321,6 @@ def validate_hypotheses(model: Model, grid: Grid,
             failures.append(f"{name}: negative weight values")
         if not sampled.max() > 0:
             failures.append(f"{name}: trivial (identically zero) weight")
-
-    if params is not None and not (params.lam > 0 and params.mu > 0):
-        failures.append("params: forcing amplitudes must be positive")
 
     if initial is not None:
         for name, arr in zip(("u0", "v0"), initial):

@@ -14,10 +14,10 @@ eigenvector) means the state under study is not linearly stable; that outcome
 is reported as an exception carrying the estimate, since every downstream
 certificate needs nu1 > 0.
 
-M is held as its two coupling diagonals (``LinearizedOperator``) and never
-assembled: products with M come from the grid's stencil, and every solve with
-M (inverse iteration, Newton's steps) or with the fold's [[M, 0], [K, M]] goes
-through ``CoupledBand``, one banded LAPACK kernel.
+M is held as its two coupling diagonals (``LinearizedOperator``): no matrix is
+assembled.  Products with M come from the grid's stencil weights, and every
+solve with M (inverse iteration, Newton's steps) or with the fold's
+[[M, 0], [K, M]] goes through ``CoupledBand``, one banded LAPACK kernel.
 """
 
 from __future__ import annotations
@@ -47,31 +47,36 @@ class CoupledBand:
             nodes = nodes.reshape(grid.n_interior[::-1]).T.ravel()
         place = np.empty_like(nodes)
         place[nodes] = np.arange(n)
-        a = grid.laplacian.stencil.tocoo()
-        offset = fields * (place[a.row] - place[a.col])
+        centre, east, north = grid.stencil  # A's entries, from its weights:
+        nx, east = grid.n_interior[0], np.broadcast_to(east, n - 1)
+        i, j = np.flatnonzero(east), np.arange(n - nx)  # i ~ i + 1, j ~ j + nx
+        row = np.concatenate([nodes, i, i + 1, j, j + nx])
+        col = np.concatenate([nodes, i + 1, i, j + nx, j])
+        data = np.concatenate([np.full(n, centre), -east[i], -east[i], np.full(2 * j.size, -north)])
+        offset = fields * (place[row] - place[col])
         self.k = k = max(int(offset.max()), fields - 1)  # kl = ku
         # dgbtrf's band storage, column by column, holds entry (i, j) at (3k + 1) j + 2k + i - j
         self.shape, self.nodes = (3 * k + 1, fields * n), nodes
         self.start = (3 * k + 1) * fields * np.arange(n) + 2 * k  # entry (p, p) of node p
-        self.stencil = (np.concatenate([self.start[place[a.col]] + (3 * k + 1) * c + offset
+        self.stencil = (np.concatenate([self.start[place[col]] + (3 * k + 1) * c + offset
                                         for c in range(fields)]),
-                        np.concatenate([a.data] * fields))
+                        np.concatenate([data] * fields))
         # band unknown p is the stacked unknown index[p]
         self.index = (np.arange(fields) * n + nodes[:, None]).ravel()
         self.unband = np.empty_like(self.index)
         self.unband[self.index] = np.arange(fields * n)
 
     def factor(self, couplings) -> Callable | None:
-        """Factor the matrix with these (row field, column field, values by
-        node) couplings.  Returns solve(rhs, trans=0), solving with the matrix
-        (trans=1: its transpose) for a stacked vector or the columns of one,
-        or None when a pivot is exactly zero."""
+        """Factor the matrix with these (row field, column field, values by node)
+        couplings added in; one of a field to itself shifts A's diagonal.  Returns
+        solve(rhs, trans=0), solving with the matrix (trans=1: its transpose) for a
+        stacked vector or the columns of one, or None when a pivot is exactly zero."""
         k, (at, values), index, unband = self.k, self.stencil, self.index, self.unband
         ab = np.zeros(self.shape, order="F")
         band = ab.reshape(-1, order="F")  # a view
         band[at] = values
         for row, col, coupling in couplings:
-            band[self.start + 3 * k * col + row] = coupling[self.nodes]
+            band[self.start + 3 * k * col + row] += coupling[self.nodes]
         lu, piv, info = lapack.dgbtrf(ab, k, k, overwrite_ab=1)
         if info > 0:
             return None

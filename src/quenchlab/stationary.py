@@ -218,7 +218,7 @@ def _monotone_verdicts(grid: Grid, model: Model, points: list[ParamPoint], *,
             # level).  A^-1 >= 0 with (A^-1)_jj >= 1/A_jj, so for b >= 0 the
             # next iterate is at least x + b/diag(A): escape needs no solve.
             pair = [j, m + j]
-            bound = float((x[:, pair] + b[:, pair] / op.stencil.diagonal()[:, None]).max())
+            bound = float((x[:, pair] + b[:, pair] / grid.stencil[0]).max())
             if not bound >= escape:
                 raise exc
             verdicts[active[j]] = escaped(it, bound)
@@ -338,15 +338,14 @@ def _is_supersolution(grid: Grid, model: Model, params: ParamPoint,
     if (min(float(w.min()), float(z.min())) < 0.0
             or max(float(w.max()), float(z.max())) >= 1.0 - delta_blow):
         return False
-    op = grid.laplacian
     eps = np.finfo(float).eps
     for x, y, amp, weight, nl in ((w, z, params.lam, model.alpha, model.f),
                                   (z, w, params.mu, model.beta, model.g)):
         coeff = amp * weight.sample(grid)
         source = coeff * nl.value(y)
-        allowance = 64.0 * eps * (op.stencil_norm * float(np.abs(x).max())
+        allowance = 64.0 * eps * (grid.stencil_norm * float(np.abs(x).max())
                                   + np.abs(source) + y * coeff * nl.deriv(y))
-        if not np.all(op.apply(x) - source > allowance):
+        if not np.all(grid.laplacian.apply(x) - source > allowance):
             return False
     return True
 

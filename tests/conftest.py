@@ -25,7 +25,6 @@ from quenchlab import (
     Profile,
     StepperConfig,
     analytic_nonexistence_bound,
-    assemble_laplacian,
     interval,
     monotone_minimal_solution,
     principal_laplacian_eigenpair,
@@ -61,7 +60,7 @@ def power2_model() -> Model:
 
 def unit_stack(n: int):
     g = interval(0.0, 1.0, n)
-    op = assemble_laplacian(g)
+    op = g.laplacian
     return g, op, principal_laplacian_eigenpair(op)
 
 

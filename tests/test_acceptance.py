@@ -24,7 +24,6 @@ from quenchlab import (
     Profile,
     StepperConfig,
     TerminalStatus,
-    assemble_laplacian,
     assemble_linearization,
     classify_case,
     integrate,
@@ -45,7 +44,7 @@ def test_acceptance_01_laplacian_eigenpair():
     # 1e-3 of pi^2, strictly positive, and integrates to exactly 1; < 1 s
     t0 = time.perf_counter()
     g = interval(0.0, 1.0, 999)
-    lam1, phi = principal_laplacian_eigenpair(assemble_laplacian(g))
+    lam1, phi = principal_laplacian_eigenpair(g.laplacian)
     elapsed = time.perf_counter() - t0
     assert abs(lam1 - np.pi ** 2) < 1e-3
     assert phi.min() > 0.0

@@ -241,13 +241,20 @@ def test_eigen_artifacts(decay_ini, tmp_path):
     assert all(float(r[1]) > 0.0 for r in rows)
 
 
-def test_eigen_loads_no_sparse_linalg(decay_ini, tmp_path):
-    # the eigenpair factors M on the banded LAPACK kernel, not a sparse LU
+def test_eigen_loads_no_sparse_linalg(decay_ini, quench_ini, tmp_path):
+    # A is held as stencil weights and M is factored on the banded LAPACK
+    # kernel: none of the six commands imports scipy.sparse
+    longer = ["--override", "run.horizon=4.0"]
+    runs = [["stationary", decay_ini], ["eigen", decay_ini], ["rate", decay_ini, *longer],
+            ["certify", decay_ini, *longer], ["simulate", quench_ini],
+            ["curve", decay_ini, *CURVE_OVERRIDES]]
     code = ("import sys\nfrom quenchlab.cli import main\n"
-            f"assert main(['eigen', '--config', {decay_ini!r}, '--out', {str(tmp_path)!r}]) == 0\n"
-            "print('scipy.sparse.linalg' in sys.modules)")
+            f"for i, (cmd, cfg, *extra) in enumerate({runs!r}):\n"
+            f"    out = {str(tmp_path)!r} + '/' + str(i)\n"
+            "    assert main([cmd, '--config', cfg, '--out', out, *extra]) == 0, cmd\n"
+            "print('scipy.sparse' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 

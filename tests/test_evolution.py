@@ -284,7 +284,7 @@ def test_weights_are_sampled_once_per_grid(family, monkeypatch):
 
     alpha, beta = original(model.alpha, g), original(model.beta, g)
     for energy, (_, u, v) in zip(trj.energy, trj.snapshots):
-        assert energy == (gradient_inner(g.laplacian, u, v)
+        assert energy == (gradient_inner(g, u, v)
                           - params.lam * integrate(alpha * model.f.antideriv(v), g)
                           - params.mu * integrate(beta * model.g.antideriv(u), g))
 
@@ -386,7 +386,7 @@ def test_energy_value_definition(unit99):
     shape = np.sin(np.pi * g.coordinates()[:, 0])
     u = 0.3 * shape * rng.uniform(0.9, 1.0)
     v = 0.4 * shape
-    expect = (gradient_inner(op, u, v)
+    expect = (gradient_inner(g, u, v)
               - integrate(0.7 * model.alpha.sample(g) * model.f.antideriv(v), g)
               - integrate(1.3 * model.beta.sample(g) * model.g.antideriv(u), g))
     assert lyapunov_energy(u, v, g, model, params) == pytest.approx(

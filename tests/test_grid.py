@@ -7,8 +7,8 @@ import scipy.sparse.linalg
 
 import oracles
 from quenchlab import (
+    DiscreteOperator,
     SolverBreakdownError,
-    assemble_laplacian,
     gradient_inner,
     integrate,
     interval,
@@ -16,14 +16,19 @@ from quenchlab import (
     rectangle,
     solve_poisson,
 )
-from quenchlab.grid import _backward_error
+from quenchlab.grid import _backward_error, _stencil_product
+
+
+def _entries(op):
+    # The operator as a dense matrix, column j its product with unit vector j.
+    return np.column_stack([op.apply(e) for e in np.eye(op.grid.n_total)])
 
 
 def test_interval_stencil_entries():
     # n = 3 on (0,1): h = 1/4, so -u'' discretizes to 1/h^2 * tridiag(-1,2,-1)
     g = interval(0.0, 1.0, 3)
     assert g.h == (0.25,)
-    a = assemble_laplacian(g).stencil.toarray()
+    a = _entries(g.laplacian)
     expect = np.array([[32.0, -16.0, 0.0],
                        [-16.0, 32.0, -16.0],
                        [0.0, -16.0, 32.0]])
@@ -32,7 +37,7 @@ def test_interval_stencil_entries():
 
 def test_rectangle_stencil_entries():
     g = rectangle((0.0, 1.0), (0.0, 1.0), 3, 3)
-    a = assemble_laplacian(g).stencil.toarray()
+    a = _entries(g.laplacian)
     assert a.shape == (9, 9)
     assert np.all(np.diag(a) == 64.0)
     off = a[np.nonzero(a - np.diag(np.diag(a)))]
@@ -43,26 +48,46 @@ def test_rectangle_stencil_entries():
 
 def test_operator_is_symmetric():
     g = rectangle((0.0, 2.0), (0.0, 1.0), 11, 7)
-    a = assemble_laplacian(g).stencil
-    assert (a - a.T).nnz == 0
+    a = _entries(g.laplacian)
+    np.testing.assert_array_equal(a, a.T)
 
 
 @pytest.mark.parametrize("g", [interval(0.0, 2.0, 9),
                                rectangle((0.0, 2.0), (0.0, 1.0), 5, 3)],
                          ids=["interval", "rectangle"])
 def test_grid_owns_its_laplacian(g):
-    op, ref = g.laplacian, assemble_laplacian(g)
+    op, ref = g.laplacian, DiscreteOperator(g)
     assert op is g.laplacian
     assert op.grid is g
-    assert (op.stencil != ref.stencil).nnz == 0
-    assert op.stencil_norm == ref.stencil_norm
+    np.testing.assert_array_equal(_entries(op), _entries(ref))
+    assert g.stencil_norm == float(abs(oracles.stencil(g)).sum(axis=1).max())
+
+
+EDGE_GRIDS = ([interval(0.0, 1.0, n) for n in (1, 2, 3, 99, 199)]
+              + [rectangle((0.0, 2.0), (0.0, 1.0), nx, ny)
+                 for nx, ny in ((1, 1), (1, 4), (4, 1), (2, 3), (15, 7), (31, 15), (47, 23))])
+
+
+@pytest.mark.parametrize("g", EDGE_GRIDS, ids=lambda g: "x".join(map(str, g.n_interior)))
+def test_stencil_product_equals_assembled_exactly(g):
+    # Products with A come from the grid's weights in the assembled matrix's
+    # column order, so they equal the sparse product exactly, for one
+    # field and for a (k, n) stack; and ||A||_inf is max(|A| 1) exactly.
+    a = oracles.stencil(g)
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(g.n_total)
+    assert np.array_equal(g.laplacian.apply(x), a @ x)
+    stack = rng.standard_normal((3, g.n_total))
+    assert np.array_equal(_stencil_product(g, stack, *g.stencil), (a @ stack.T).T)
+    assert g.stencil_norm == float(abs(a).sum(axis=1).max())
+    assert gradient_inner(g, x, stack[0]) == g.cell_volume * float(np.dot(x, a @ stack[0]))
 
 
 def test_poisson_quadratic_is_exact():
     # -u'' = 1 on (0,1) has u = x(1-x)/2; the 3-point stencil is exact on
     # quadratics, so the midpoint value must be 1/8 to solver precision.
     g = interval(0.0, 1.0, 99)
-    op = assemble_laplacian(g)
+    op = g.laplacian
     u = solve_poisson(op, np.ones(g.n_total))
     mid = g.n_total // 2
     assert abs(g.coordinates()[mid, 0] - 0.5) < 1e-14
@@ -73,7 +98,7 @@ def test_poisson_quadratic_is_exact():
 
 def test_poisson_zero_rhs():
     g = interval(0.0, 1.0, 33)
-    op = assemble_laplacian(g)
+    op = g.laplacian
     np.testing.assert_array_equal(solve_poisson(op, np.zeros(g.n_total)), 0.0)
 
 
@@ -82,7 +107,7 @@ def test_inverse_positivity():
     # principle for the M-matrix stencil)
     rng = np.random.default_rng(7)
     g = rectangle((0.0, 1.0), (0.0, 1.0), 17, 13)
-    op = assemble_laplacian(g)
+    op = g.laplacian
     for _ in range(5):
         rhs = rng.random(g.n_total)
         assert solve_poisson(op, rhs).min() >= 0.0
@@ -115,15 +140,14 @@ def test_l2_norm_matches_quadrature():
 def test_gradient_inner_second_order():
     # int |u'|^2 for u = sin(pi x) is pi^2/2
     g = interval(0.0, 1.0, 199)
-    op = assemble_laplacian(g)
     x = g.coordinates()[:, 0]
     f = np.sin(np.pi * x)
-    assert gradient_inner(op, f, f) == pytest.approx(np.pi ** 2 / 2, rel=1e-4)
+    assert gradient_inner(g, f, f) == pytest.approx(np.pi ** 2 / 2, rel=1e-4)
 
 
 def test_eigenpair_unit_interval():
     g = interval(0.0, 1.0, 199)
-    lam1, phi = principal_laplacian_eigenpair(assemble_laplacian(g))
+    lam1, phi = principal_laplacian_eigenpair(g.laplacian)
     assert lam1 == pytest.approx(np.pi ** 2, rel=1e-4)
     assert phi.min() > 0.0
     assert integrate(phi, g) == pytest.approx(1.0, abs=1e-14)
@@ -131,13 +155,13 @@ def test_eigenpair_unit_interval():
 
 def test_eigenpair_scaled_interval():
     g = interval(0.0, 2.0, 199)
-    lam1, _ = principal_laplacian_eigenpair(assemble_laplacian(g))
+    lam1, _ = principal_laplacian_eigenpair(g.laplacian)
     assert lam1 == pytest.approx(np.pi ** 2 / 4, rel=1e-4)
 
 
 def test_eigenpair_unit_square():
     g = rectangle((0.0, 1.0), (0.0, 1.0), 39, 39)
-    lam1, phi = principal_laplacian_eigenpair(assemble_laplacian(g))
+    lam1, phi = principal_laplacian_eigenpair(g.laplacian)
     assert lam1 == pytest.approx(2 * np.pi ** 2, rel=1e-3)
     assert phi.min() > 0.0
 
@@ -146,7 +170,7 @@ def test_eigenvalue_second_order_in_h():
     errs = []
     for n in (49, 99, 199):
         g = interval(0.0, 1.0, n)
-        lam1, _ = principal_laplacian_eigenpair(assemble_laplacian(g))
+        lam1, _ = principal_laplacian_eigenpair(g.laplacian)
         errs.append(abs(lam1 - np.pi ** 2))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
@@ -155,7 +179,7 @@ def test_eigenvalue_second_order_in_h():
 def test_rayleigh_quotient_bounds_eigenvalue():
     rng = np.random.default_rng(3)
     g = interval(0.0, 1.0, 99)
-    op = assemble_laplacian(g)
+    op = g.laplacian
     lam1, _ = principal_laplacian_eigenpair(op)
     for _ in range(10):
         x = rng.standard_normal(g.n_total)
@@ -165,16 +189,15 @@ def test_rayleigh_quotient_bounds_eigenvalue():
 
 def test_shifted_operator_action():
     g = interval(0.0, 1.0, 49)
-    op = assemble_laplacian(g)
+    op = g.laplacian
     rng = np.random.default_rng(11)
     x = rng.random(g.n_total)
     dt = 0.37
     sh = op.shifted(1.0, dt)
-    # a shift records its coefficients on the shared stencil and assembles nothing
+    # a shift records its coefficients on the shared grid and assembles nothing
     assert (sh.identity_coeff, sh.operator_coeff) == (1.0, dt)
-    assert sh.stencil is op.stencil
-    assert set(vars(sh)) == {"grid", "stencil", "stencil_norm", "identity_coeff",
-                             "operator_coeff"}
+    assert sh.grid is op.grid
+    assert set(vars(sh)) == {"grid", "identity_coeff", "operator_coeff"}
     np.testing.assert_allclose(sh.apply(x), x + dt * op.apply(x), rtol=1e-14)
     twice = sh.shifted(2.0, 3.0)
     assert (twice.identity_coeff, twice.operator_coeff) == (5.0, 3.0 * dt)
@@ -185,7 +208,7 @@ def test_shifted_operator_action():
 
 @pytest.mark.parametrize("coeffs", [(-1.0, 1.0), (1.0, -0.5), (0.0, 0.0), (np.nan, 1.0)])
 def test_shift_rejects_bad_coefficients(coeffs):
-    op = assemble_laplacian(interval(0.0, 1.0, 9))
+    op = interval(0.0, 1.0, 9).laplacian
     with pytest.raises(ValueError):
         op.shifted(*coeffs)
 
@@ -202,7 +225,7 @@ SOLVER_GRIDS = {
 def test_shifted_solve_matches_dense(name, coeffs):
     g = SOLVER_GRIDS[name]
     s, c = coeffs
-    op = assemble_laplacian(g).shifted(s, c)
+    op = g.laplacian.shifted(s, c)
     dense = oracles.shifted_matrix(op).toarray()
     rhs = np.random.default_rng(5).standard_normal(g.n_total)
     expect = np.linalg.solve(dense, rhs)
@@ -215,12 +238,12 @@ def test_solve_raises_when_backward_error_misses_tolerance(name):
     g = SOLVER_GRIDS[name]
     rhs = np.random.default_rng(6).random(g.n_total) + 0.1
     with pytest.raises(SolverBreakdownError):
-        solve_poisson(assemble_laplacian(g).shifted(1.0, 0.37), rhs, tol_lin=0.0)
+        solve_poisson(g.laplacian.shifted(1.0, 0.37), rhs, tol_lin=0.0)
 
 
 def test_eigenpair_matches_dense_rectangle():
     g = SOLVER_GRIDS["rectangle-11x7"]
-    op = assemble_laplacian(g)
+    op = g.laplacian
     lam1, phi = principal_laplacian_eigenpair(op)
     values, vectors = scipy.linalg.eigh(oracles.stencil(g).toarray())
     assert lam1 == pytest.approx(values[0], rel=1e-12)
@@ -250,7 +273,7 @@ def test_boundary_distance():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_block_solve_equals_column_solves_bitwise(name, k):
     g = SOLVER_GRIDS[name]
-    op = assemble_laplacian(g).shifted(1.0, 0.37)
+    op = g.laplacian.shifted(1.0, 0.37)
     rhs = np.random.default_rng(8).standard_normal((g.n_total, k))
     block = solve_poisson(op, rhs)
     assert block.shape == (g.n_total, k)
@@ -261,7 +284,7 @@ def test_block_solve_equals_column_solves_bitwise(name, k):
 @pytest.mark.parametrize("name", ["interval-13", "rectangle-11x7"])
 def test_block_solve_checks_every_column(name):
     g = SOLVER_GRIDS[name]
-    op = assemble_laplacian(g).shifted(1.0, 0.37)
+    op = g.laplacian.shifted(1.0, 0.37)
     rhs = np.random.default_rng(9).random((g.n_total, 3)) + 0.1
     with pytest.raises(SolverBreakdownError):
         solve_poisson(op, rhs, tol_lin=0.0)
@@ -276,7 +299,7 @@ def test_block_solve_checks_every_column(name):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_block_solve_rejects_non_finite_rhs(bad):
     g = SOLVER_GRIDS["interval-13"]
-    op = assemble_laplacian(g)
+    op = g.laplacian
     rhs = np.ones((g.n_total, 2))
     rhs[4, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
@@ -292,7 +315,7 @@ def test_solve_rejects_misshapen_rhs(name, shape):
     n = g.n_total
     dims = {"k,n": (2, n), "n,k,1": (n, 2, 1), "n+1": (n + 1,)}[shape]
     with pytest.raises(ValueError, match="shape"):
-        solve_poisson(assemble_laplacian(g), np.ones(dims))
+        solve_poisson(g.laplacian, np.ones(dims))
 
 
 def _assembled_backward_error(op, x, b):
@@ -311,7 +334,7 @@ def test_stencil_backward_error_matches_assembled(name, coeffs, k):
     # agree with the assembled product to a few ulps, at the solution (a
     # rounding-level residual) and off it.
     g = SOLVER_GRIDS[name]
-    op = assemble_laplacian(g).shifted(*coeffs)
+    op = g.laplacian.shifted(*coeffs)
     rng = np.random.default_rng(13)
     b = rng.standard_normal((g.n_total, k)) if k > 1 else rng.standard_normal(g.n_total)
     x = solve_poisson(op, b)

@@ -137,7 +137,7 @@ def test_validate_hypotheses_flags_trivial_weight():
 
 def test_validate_hypotheses_flags_bad_initial():
     g = interval(0.0, 1.0, 19)
-    report = validate_hypotheses(_toy_model(), g, params=ParamPoint(1.0, 1.0),
+    report = validate_hypotheses(_toy_model(), g,
                                  initial=(np.full(g.n_total, 1.5), np.zeros(g.n_total)))
     assert not report.ok
     assert any("u0" in msg for msg in report.failures)

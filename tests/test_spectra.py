@@ -51,9 +51,10 @@ def test_block_entries(unit99):
     assert [(row, col) for row, col, _ in lin.couplings] == [(0, 1), (1, 0)]
     np.testing.assert_array_equal(lin.couplings[0][2], m.diagonal(n))
     np.testing.assert_array_equal(lin.couplings[1][2], m.diagonal(-n))
-    # diagonal blocks are the plain stencil
-    diff = abs(m[:n, :n] - op.stencil)
-    assert diff.max() == 0.0
+    # diagonal blocks are the plain stencil: A's products with unit vectors
+    # are the oracle's columns
+    a = np.column_stack([op.apply(e) for e in np.eye(n)])
+    np.testing.assert_array_equal(a, m[:n, :n].toarray())
     x = np.random.default_rng(2).standard_normal(n)
     np.testing.assert_array_equal(lin.apply(np.concatenate([x, np.zeros(n)]))[:n], op.apply(x))
 
@@ -66,11 +67,13 @@ def test_matches_dense_oracle(unit99):
     assert abs(pair.nu1 - dense) / abs(dense) <= 1e-10
 
 
-@pytest.mark.parametrize("nx, ny", [(11, 7), (7, 11)])
-def test_matches_dense_oracle_2d(nx, ny):
-    # and the banded factor of M solves like a dense one, and M's product
-    # from the stencil matches the dense one, in both orientations of the
-    # band's node ordering (shorter axis first)
+@pytest.mark.parametrize("nx, ny, sigma", [(11, 7, 0.0), (7, 11, 0.0), (11, 7, 7.5), (7, 11, 7.5)],
+                         ids=["11-7", "7-11", "11-7-shifted", "7-11-shifted"])
+def test_matches_dense_oracle_2d(nx, ny, sigma):
+    # and the banded factor of M - sigma I solves like a dense one (a coupling
+    # of a field to itself adds to A's diagonal), and M's product from the
+    # stencil matches the dense one, in both orientations of the band's node
+    # ordering (shorter axis first)
     g = rectangle((0.0, 1.0), (0.0, 1.0), nx, ny)
     model, params = power2_model(), ParamPoint(2.0, 2.5)
     s = monotone_minimal_solution(g, model, params).solution
@@ -80,11 +83,14 @@ def test_matches_dense_oracle_2d(nx, ny):
     dense = oracles.dense_principal_eigenvalue(m)
     assert abs(pair.nu1 - dense) / abs(dense) <= 1e-10
     rhs = np.random.default_rng(3).standard_normal((2 * g.n_total, 2))
+    shift = [(0, 0, np.full(g.n_total, -sigma)), (1, 1, np.full(g.n_total, -sigma))]
     solve = CoupledBand(g, 2).factor(
         [(0, 1, -params.lam * model.alpha.sample(g) * model.f.deriv(s.z)),
-         (1, 0, -params.mu * model.beta.sample(g) * model.g.deriv(s.w))])
+         (1, 0, -params.mu * model.beta.sample(g) * model.g.deriv(s.w))]
+        + (shift if sigma else []))
     full = m.toarray()
-    for trans, matrix in ((0, full), (1, full.T)):
+    shifted = full - sigma * np.eye(2 * g.n_total)
+    for trans, matrix in ((0, shifted), (1, shifted.T)):
         exact = np.linalg.solve(matrix, rhs)
         assert np.abs(solve(rhs, trans=trans) - exact).max() <= 1e-12 * np.abs(exact).max()
     scale = np.abs(full).sum(axis=1).max() * np.abs(rhs[:, 0]).max()
