@@ -1,12 +1,21 @@
 """Time integration of the coupled reaction-diffusion system.
 
-The stepper is IMEX Euler: diffusion implicit (one SPD solve per component
-per step), reaction explicit.  Adaptive runs control the local error by step
-doubling; setting dt_min == dt_max selects a fixed step instead, which is the
-mode used for convergence studies.  The integrator watches the running maxima
-for approach to the blow-up level 1 and reports a quench event built from
-three staged level crossings, refined by bisection inside the crossing step
-and extrapolated geometrically to the level itself.
+The stepper is IMEX Euler: diffusion implicit (one SPD solve of both
+components per step), reaction explicit.  Adaptive runs control the local
+error by step doubling; setting dt_min == dt_max selects a fixed step instead,
+which is the mode used for convergence studies.  The integrator watches the
+running maxima for approach to the blow-up level 1 and reports a quench event
+built from three staged level crossings, refined by bisection inside the
+crossing step and extrapolated geometrically to the level itself.
+
+The state (u, v) is one (2, n) block, and ``step`` and ``simulate`` share one
+kernel (``_imex``): its solves are unchecked, and the backward errors of all
+solves of an attempt (the full step and both half steps) are checked in one
+call (``_check``) before the result is used or a StepRangeError is raised.
+Initial data are range-checked once, at entry; the reaction then evaluates f
+and g unchecked, since every state the step makes lies in [0, 1).  The
+diagnostics of accepted states are evaluated a chunk at a time
+(``_RECORD_CHUNK``), each row by the per-state formula, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,13 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepRangeError
-from .grid import (
-    FloatArray,
-    Grid,
-    gradient_inner,
-    integrate,
-    solve_poisson,
-)
+from .grid import FloatArray, Grid, _check_solves, _solve, _stencil_product
 from .model import Model, ParamPoint
 
 _LEVEL_BISECT_ITERS = 40
@@ -133,99 +136,171 @@ def step(u: FloatArray, v: FloatArray, dt: float, grid: Grid, model: Model,
     """One IMEX Euler step of size dt from (u, v).
 
     Solves (I + dt A) u_new = u + dt lam alpha f(v) and the mirror equation.
-    Raises StepRangeError when either new component reaches 1.
+    Raises ValueError unless u and v are fields of the grid in [0, 1), and
+    StepRangeError when either new component reaches 1.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    react = _reaction(grid, model, params)(u, v)
-    return _imex_step(u, v, dt, grid.laplacian.shifted(1.0, dt), react)
+    w = _state_block(grid, u, v, "u", "v")
+    solves = []
+    new = _imex(w, _reaction(grid, model, params)(w), dt, grid.laplacian.shifted(1.0, dt),
+                solves)
+    _check(grid, solves)
+    return new[0], new[1]
+
+
+def _state_block(grid, u, v, u_name, v_name):
+    """(u, v) as a new (2, n) block, each a finite field of the grid in [0, 1)."""
+    w = np.array([grid.check_field(u, u_name), grid.check_field(v, v_name)])
+    for name, field in zip((u_name, v_name), w):
+        if field.min() < 0.0 or field.max() >= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1), below the blow-up level 1")
+    return w
 
 
 def _reaction(grid, model, params):
-    """(u, v) -> (lam alpha f(v), mu beta g(u)): the explicit terms at one
-    state, which every step from that state shares."""
+    """State block (u, v) -> block (lam alpha f(v), mu beta g(u)): the explicit
+    terms at one state, which every step from that state shares.  Every state
+    the stepper makes lies in [0, 1), so f and g are evaluated unchecked."""
     lam_alpha = params.lam * model.alpha.sample(grid)
     mu_beta = params.mu * model.beta.sample(grid)
-    return lambda u, v: (lam_alpha * model.f.value(v), mu_beta * model.g.value(u))
+    return lambda w: np.array([lam_alpha * model.f._value(w[1]),
+                               mu_beta * model.g._value(w[0])])
 
 
-def _imex_step(u, v, dt, solver, react):
-    rhs = np.array([u + dt * react[0], v + dt * react[1]]).T
-    new = solve_poisson(solver, rhs)  # (u, v) as one block
-    top = float(new.max())
+def _imex(w, react, dt, solver, solves):
+    """One IMEX Euler step of size dt from the (2, n) state block w with the
+    explicit terms react: solves solver @ x = w + dt react for both rows at
+    once, unchecked, and appends (x, rhs, solver) to ``solves``.  Returns x
+    clamped at 0 in a new array (the check needs x as solved).  When x reaches
+    1 it raises StepRangeError, after checking ``solves``: a failed solve wins."""
+    rhs = w + dt * react
+    x = _solve(solver, rhs.T).T
+    solves.append((x, rhs, solver))
+    top = x.max()
     if top >= 1.0:
-        raise StepRangeError(
-            f"step of size {dt:.3e} reached max value {top:.6f}")
-    np.maximum(new, 0.0, out=new)
-    return new[:, 0], new[:, 1]
+        _check(solver.grid, solves)
+        raise StepRangeError(f"step of size {dt:.3e} reached max value {top:.6f}")
+    return np.maximum(x, 0.0)
+
+
+def _check(grid, solves):
+    """The backward-error check of every (x, rhs, solver) in ``solves``, as one
+    call on their (m, 2, n) stacks; raises as the first failed solve would
+    alone (``_check_solves``)."""
+    coeffs = np.array([(op.identity_coeff, op.operator_coeff) for _, _, op in solves])
+    _check_solves(grid, np.array([x for x, _, _ in solves]),
+                  np.array([rhs for _, rhs, _ in solves]),
+                  coeffs[:, :1, None], coeffs[:, 1:, None], solves=len(solves))
+
+
+def _energies(grid, model, params, u, v):
+    # The mixed energy of each row pair of u and v (shape (n,) or (k, n)).
+    # np.vecdot against the weights equals integrate's np.dot bit for bit.
+    weights = grid.quad_weights
+    return (grid.cell_volume * np.vecdot(u, _stencil_product(grid, v, *grid.stencil))
+            - params.lam * np.vecdot(model.alpha.sample(grid) * model.f.antideriv(v), weights)
+            - params.mu * np.vecdot(model.beta.sample(grid) * model.g.antideriv(u), weights))
 
 
 def lyapunov_energy(u: FloatArray, v: FloatArray, grid: Grid, model: Model,
                     params: ParamPoint) -> float:
-    """Mixed energy: gradient cross term minus both reaction potentials.
+    """Mixed energy: gradient cross term minus both reaction potentials,
+    gradient_inner(grid, u, v) - lam integrate(alpha F(v)) - mu integrate(beta G(u)).
 
     Along the flow its time derivative balances -2 integral(u_t v_t), so on
     decaying trajectories the recorded energies must be nonincreasing up to
     the discretization residual.  Like its quadratures it checks no field.
     """
-    alpha = model.alpha.sample(grid)
-    beta = model.beta.sample(grid)
-    return (gradient_inner(grid, u, v)
-            - params.lam * integrate(alpha * model.f.antideriv(v), grid)
-            - params.mu * integrate(beta * model.g.antideriv(u), grid))
+    return float(_energies(grid, model, params, u, v))
+
+
+# Accepted states wait in a _Recorder until this many are evaluated together.
+_RECORD_CHUNK = 8
 
 
 class _Recorder:
-    """Accumulates per-step diagnostics and snapshots for a Trajectory."""
+    """Accumulates per-step diagnostics and snapshots for a Trajectory.
+
+    Accepted states are copied into a preallocated block and their
+    diagnostics evaluated a chunk at a time, each row by the per-state
+    formula: the rates of a state take the state recorded before it, which
+    row 0 of the block holds."""
 
     def __init__(self, grid, model, params, config, reference):
         self.grid, self.model, self.params = grid, model, params
         self.config = config
-        self.ref = reference
-        self.rows = {key: [] for key in
-                     ("times", "max_u", "max_v", "ut_l2", "vt_l2", "utvt",
-                      "energy", "dist2_u", "dist2_v", "dt")}
+        self.ref = None if reference is None else np.array(reference)
+        self.times: list[float] = []
+        self.dt: list[float] = []
+        self.block = np.empty((_RECORD_CHUNK + 1, 2, grid.n_total))
+        self.filled = 0  # rows of block in use
+        self.evaluated = 0  # states whose diagnostics are in columns
+        self.columns = {key: [] for key in
+                        ("max_u", "max_v", "ut_l2", "vt_l2", "utvt",
+                         "energy", "dist2_u", "dist2_v")}
         self.snapshots: list[tuple[float, FloatArray, FloatArray]] = []
         self.accepted = 0
 
-    def _dist2(self, field, which):
+    def record(self, t, w, dt):
+        self.times.append(t)
+        self.dt.append(dt)
+        self.block[self.filled] = w
+        self.filled += 1
+        if self.filled == len(self.block):
+            self._evaluate()
+
+    def _evaluate(self):
+        g, weights, block = self.grid, self.grid.quad_weights, self.block[:self.filled]
+        first = self.evaluated == 0  # the initial state has no rates
+        w = block if first else block[1:]  # (k, 2, n), the states not yet evaluated
+        k = len(w)
+        out = self.columns
+        maxima = w.max(axis=2)
+        out["max_u"].append(maxima[:, 0])
+        out["max_v"].append(maxima[:, 1])
+        out["energy"].append(_energies(g, self.model, self.params, w[:, 0], w[:, 1]))
         if self.ref is None:
-            return math.nan
-        diff = field - self.ref[which]
-        return integrate(diff * diff, self.grid)
-
-    def record(self, t, u, v, dt, u_prev=None, v_prev=None):
-        g = self.grid
-        r = self.rows
-        r["times"].append(t)
-        r["max_u"].append(float(u.max()))
-        r["max_v"].append(float(v.max()))
-        r["energy"].append(lyapunov_energy(u, v, g, self.model, self.params))
-        r["dist2_u"].append(self._dist2(u, 0))
-        r["dist2_v"].append(self._dist2(v, 1))
-        r["dt"].append(dt)
-        if u_prev is None:
-            r["ut_l2"].append(math.nan)
-            r["vt_l2"].append(math.nan)
-            r["utvt"].append(math.nan)
+            out["dist2_u"].append(np.full(k, math.nan))
+            out["dist2_v"].append(np.full(k, math.nan))
         else:
-            ut = (u - u_prev) / dt
-            vt = (v - v_prev) / dt
-            r["ut_l2"].append(math.sqrt(integrate(ut * ut, g)))
-            r["vt_l2"].append(math.sqrt(integrate(vt * vt, g)))
-            r["utvt"].append(integrate(ut * vt, g))
+            diff = w - self.ref
+            diff *= diff
+            dist2 = np.vecdot(diff, weights)
+            out["dist2_u"].append(dist2[:, 0])
+            out["dist2_v"].append(dist2[:, 1])
+        # (u - u_prev) / dt and (v - v_prev) / dt, squared in place once the
+        # cross term is taken
+        rates = np.subtract(block[1:], block[:-1])
+        rates /= np.array(self.dt[len(self.dt) - len(rates):])[:, None, None]
+        utvt = np.vecdot(rates[:, 0] * rates[:, 1], weights)
+        rates *= rates
+        l2 = np.sqrt(np.vecdot(rates, weights))
+        if first:
+            l2 = np.concatenate([np.full((1, 2), math.nan), l2])
+            utvt = np.concatenate([[math.nan], utvt])
+        out["ut_l2"].append(l2[:, 0])
+        out["vt_l2"].append(l2[:, 1])
+        out["utvt"].append(utvt)
+        self.evaluated += k
+        self.block[0] = block[-1]
+        self.filled = 1
 
-    def snapshot(self, t, u, v, *, force=False):
+    def snapshot(self, t, w, *, force=False):
         stride = self.config.snapshot_stride
         if force or self.accepted % stride == 0:
             if not self.snapshots or self.snapshots[-1][0] != t:
-                self.snapshots.append((t, u.copy(), v.copy()))
+                self.snapshots.append((t, w[0].copy(), w[1].copy()))
 
-    def build(self, status, quench, horizon, u, v) -> Trajectory:
-        arrays = {key: np.asarray(vals, dtype=float) for key, vals in self.rows.items()}
-        return Trajectory(snapshots=tuple(self.snapshots), status=status,
+    def build(self, status, quench, horizon, w) -> Trajectory:
+        if self.evaluated < len(self.times):
+            self._evaluate()
+        arrays = {key: np.concatenate(parts) for key, parts in self.columns.items()}
+        return Trajectory(times=np.asarray(self.times, dtype=float),
+                          dt=np.asarray(self.dt, dtype=float),
+                          snapshots=tuple(self.snapshots), status=status,
                           quench=quench, config=self.config, horizon=horizon,
-                          final_u=u, final_v=v, **arrays)
+                          final_u=w[0], final_v=w[1], **arrays)
 
 
 def _aitken_quench_time(level_times: tuple[float, float, float]) -> tuple[float, bool]:
@@ -243,8 +318,8 @@ def _aitken_quench_time(level_times: tuple[float, float, float]) -> tuple[float,
     return t3, False
 
 
-def _memoized_advance(advance, u, v, react, dt):
-    """theta -> advance(u, v, react, theta * dt), each fraction computed once
+def _memoized_advance(advance, w, react, dt):
+    """theta -> advance(w, react, theta * dt), each fraction computed once
     (a StepRangeError too): the level bisections of one crossing step, for
     u and v and for successive levels, share their first midpoints."""
     outcomes = {}
@@ -252,7 +327,7 @@ def _memoized_advance(advance, u, v, react, dt):
     def advance_by(theta):
         if theta not in outcomes:
             try:
-                outcomes[theta] = advance(u, v, react, theta * dt)
+                outcomes[theta] = advance(w, react, theta * dt)
             except StepRangeError as exc:
                 outcomes[theta] = exc
         if isinstance(outcomes[theta], StepRangeError):
@@ -282,49 +357,54 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
     three crossings geometrically.  All attempts from a state, and the
     bisections and final partial step in its crossing step, share one
     reaction.
+
+    The state (u, v) is one (2, n) block.  The initial data must lie in
+    [0, 1) (ValueError); every state made from them does by construction.
+    The solves of an attempt (its full step and both half steps) are checked
+    together once they are made, and before a StepRangeError is raised.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     op = grid.laplacian
-    u = np.array(grid.check_field(initial[0], "u0"), dtype=float, copy=True)
-    v = np.array(grid.check_field(initial[1], "v0"), dtype=float, copy=True)
-    if max(float(u.max()), float(v.max())) >= 1.0:
-        raise ValueError("initial data must stay below the blow-up level 1")
+    w = _state_block(grid, initial[0], initial[1], "u0", "v0")
     reaction = _reaction(grid, model, params)
     if reference is not None:
         reference = (grid.check_field(reference[0], "reference u"),
                      grid.check_field(reference[1], "reference v"))
 
-    def single(uc, vc, react, dt):
-        return _imex_step(uc, vc, dt, op.shifted(1.0, dt), react)
+    def halves(wc, react, dt, solves):
+        half = op.shifted(1.0, 0.5 * dt)  # one factorization for both half steps
+        wm = _imex(wc, react, 0.5 * dt, half, solves)
+        return _imex(wm, reaction(wm), 0.5 * dt, half, solves)
 
-    if config.fixed_dt:
-        advance = single
-    else:
-        def advance(uc, vc, react, dt):
-            half = op.shifted(1.0, 0.5 * dt)  # one factorization for both half steps
-            um, vm = _imex_step(uc, vc, 0.5 * dt, half, react)
-            return _imex_step(um, vm, 0.5 * dt, half, reaction(um, vm))
+    def single(wc, react, dt, solves):
+        return _imex(wc, react, dt, op.shifted(1.0, dt), solves)
+
+    def advance(wc, react, dt):
+        solves = []
+        new = (single if config.fixed_dt else halves)(wc, react, dt, solves)
+        _check(grid, solves)
+        return new
 
     recorder = _Recorder(grid, model, params, config, reference)
-    recorder.record(0.0, u, v, math.nan)
-    recorder.snapshot(0.0, u, v, force=True)
+    recorder.record(0.0, w, math.nan)
+    recorder.snapshot(0.0, w, force=True)
 
     levels = config.quench_levels
+    names = ("u", "v")
     level_times = {"u": [math.nan] * 3, "v": [math.nan] * 3}
     level_cursor = {"u": 0, "v": 0}
-    for which, field in (("u", u), ("v", v)):
-        while (level_cursor[which] < 3
-               and float(field.max()) >= levels[level_cursor[which]]):
+    for which, top in zip(names, w.max(axis=1)):
+        while level_cursor[which] < 3 and top >= levels[level_cursor[which]]:
             level_times[which][level_cursor[which]] = 0.0
             level_cursor[which] += 1
     if level_cursor["u"] == 3 or level_cursor["v"] == 3:
         which = "u" if level_cursor["u"] == 3 else "v"
         quench = QuenchEvent(time=0.0, which=which,
-                             level=float((u if which == "u" else v).max()),
+                             level=float(w[names.index(which)].max()),
                              extrapolated=False,
                              level_times=tuple(level_times[which]))
-        return recorder.build(TerminalStatus.QUENCHED, quench, horizon, u, v)
+        return recorder.build(TerminalStatus.QUENCHED, quench, horizon, w)
 
     def bisect_crossing(advance_by, level, which):
         """Largest-accuracy step fraction theta with max(component) = level."""
@@ -332,12 +412,11 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
         for _ in range(_LEVEL_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             try:
-                um, vm = advance_by(mid)
+                wm = advance_by(mid)
             except StepRangeError:
                 hi = mid
                 continue
-            top = float((um if which == "u" else vm).max())
-            if top >= level:
+            if wm[names.index(which)].max() >= level:
                 hi = mid
             else:
                 lo = mid
@@ -348,24 +427,25 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
     status = TerminalStatus.HORIZON
     quench = None
     time_slack = 1e-12 * horizon
-    react = None  # the reaction at (u, v), shared by every attempt from there
+    react = None  # the reaction at w, shared by every attempt from there
 
     while t < horizon - time_slack:
         if react is None:
-            react = reaction(u, v)
-        top = max(float(u.max()), float(v.max()))
+            react = reaction(w)
+        top = float(w.max())
         cap = max(QUENCH_CAP * (1.0 - top) ** 2, config.dt_min)
         dt_eff = min(dt, config.dt_max, cap, horizon - t)
 
         try:
             if config.fixed_dt:
-                un, vn = advance(u, v, react, dt_eff)
+                wn = advance(w, react, dt_eff)
                 err = 0.0
             else:
-                u1, v1 = single(u, v, react, dt_eff)
-                un, vn = advance(u, v, react, dt_eff)
-                err = max(float(np.abs(un - u1).max()),
-                          float(np.abs(vn - v1).max()))
+                solves = []
+                w1 = single(w, react, dt_eff, solves)
+                wn = halves(w, react, dt_eff, solves)
+                _check(grid, solves)
+                err = float(np.abs(wn - w1).max())
         except StepRangeError:
             if config.fixed_dt:
                 raise
@@ -385,9 +465,8 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
         # Accepted.  Before committing, resolve any staged level crossings
         # inside this step, in increasing-level order per component.
         crossed_final: list[tuple[float, str]] = []
-        advance_by = _memoized_advance(advance, u, v, react, dt_eff)
-        for which, new_field in (("u", un), ("v", vn)):
-            new_max = float(new_field.max())
+        advance_by = _memoized_advance(advance, w, react, dt_eff)
+        for which, new_max in zip(names, wn.max(axis=1)):
             while level_cursor[which] < 3 and new_max >= levels[level_cursor[which]]:
                 idx = level_cursor[which]
                 theta = bisect_crossing(advance_by, levels[idx], which)
@@ -402,27 +481,26 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
             if (len(crossed_final) == 2
                     and abs(crossed_final[0][0] - crossed_final[1][0]) <= 1e-9):
                 which = "both"
-            uq, vq = advance_by(theta)
+            wq = advance_by(theta)
             t_cross = t + theta * dt_eff
             recorder.accepted += 1
-            recorder.record(t_cross, uq, vq, theta * dt_eff, u, v)
+            recorder.record(t_cross, wq, theta * dt_eff)
             t_event, extrapolated = _aitken_quench_time(tuple(level_times[lead]))
             quench = QuenchEvent(
                 time=t_event, which=which,
-                level=float((uq if lead == "u" else vq).max()),
+                level=float(wq[names.index(lead)].max()),
                 extrapolated=extrapolated,
                 level_times=tuple(level_times[lead]))
-            t, u, v = t_cross, uq, vq  # the closing snapshot records the crossing
+            t, w = t_cross, wq  # the closing snapshot records the crossing
             status = TerminalStatus.QUENCHED
             break
 
-        u_prev, v_prev = u, v
         t += dt_eff
-        u, v = un, vn
+        w = wn
         react = None
         recorder.accepted += 1
-        recorder.record(t, u, v, dt_eff, u_prev, v_prev)
-        recorder.snapshot(t, u, v)
+        recorder.record(t, w, dt_eff)
+        recorder.snapshot(t, w)
 
         if err > 0:
             factor = min(GROWTH_LIMIT, max(0.2, SAFETY * math.sqrt(config.tol_step / err)))
@@ -430,5 +508,5 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
             factor = GROWTH_LIMIT
         dt = min(max(dt_eff * factor, config.dt_min), config.dt_max)
 
-    recorder.snapshot(t, u, v, force=True)
-    return recorder.build(status, quench, horizon, u, v)
+    recorder.snapshot(t, w, force=True)
+    return recorder.build(status, quench, horizon, w)

@@ -14,8 +14,12 @@ with another grid's operator.  No matrix is assembled: A is held once, as the
 grid's centre and neighbour weights (``Grid.stencil``), from which come every
 product, the solve check and the band entries of ``spectra.CoupledBand``.
 
-``solve_poisson`` solves k fields at once as the columns of (n, k).  Fields
-are checked where they enter (``Grid.check_field``), not in the quadratures.
+``solve_poisson`` solves k fields at once as the columns of (n, k): an
+unchecked solve (``_solve``) and then its check (``_check_solves``), whose
+normwise backward error (``_backward_error``) takes per-row coefficients, so
+a caller with several solves to check (``evolution.simulate``) runs it once
+for all of them.  Fields are checked where they enter (``Grid.check_field``),
+not in the quadratures.
 """
 
 from __future__ import annotations
@@ -184,7 +188,9 @@ class DiscreteOperator:
     operator_coeff: float = 1.0
 
     def apply(self, field: FloatArray) -> FloatArray:
-        return _stencil_product(self.grid, self.grid.check_field(field), *self._weights)
+        return _stencil_product(self.grid, self.grid.check_field(field),
+                                *_shifted_weights(self.grid, self.identity_coeff,
+                                                  self.operator_coeff))
 
     def shifted(self, identity_coeff: float, operator_coeff: float) -> "DiscreteOperator":
         """identity_coeff*I + operator_coeff*self, in O(1): nothing is assembled."""
@@ -196,16 +202,10 @@ class DiscreteOperator:
                                 operator_coeff * self.operator_coeff)
 
     @cached_property
-    def _weights(self) -> tuple[float, float | FloatArray, float]:
-        # (centre, east, north) of s*I + c*A, as ``Grid.stencil`` holds A's
-        centre, east, north = self.grid.stencil
-        s, c = self.identity_coeff, self.operator_coeff
-        return s + c * centre, c * east, c * north
-
-    @cached_property
     def _tridiagonal_factor(self) -> tuple[FloatArray, FloatArray]:
         # 1D: L D L^T factor of the constant-diagonal tridiagonal s*I + c*A.
-        n, (centre, east, _) = self.grid.n_total, self._weights
+        n = self.grid.n_total
+        centre, east, _ = _shifted_weights(self.grid, self.identity_coeff, self.operator_coeff)
         # The LAPACK wrapper rejects an empty off-diagonal; for n == 1 it is unread.
         d, e, info = lapack.dpttrf(np.full(n, centre), np.full(max(n - 1, 1), -east))
         if info != 0:
@@ -223,6 +223,13 @@ class DiscreteOperator:
 def _sine_eigenvalue(k, n: int, hh: float):
     # Of the 1D stencil on n nodes of spacing hh, eigenvector sin(k*pi*i/(n+1)).
     return (4.0 / hh**2) * np.sin(k * np.pi / (2 * (n + 1))) ** 2
+
+
+def _shifted_weights(grid: Grid, s, c) -> tuple:
+    # (centre, east, north) weights of s*I + c*A from A's (``Grid.stencil``);
+    # s and c are scalars or per-row (k, 1) arrays.
+    centre, east, north = grid.stencil
+    return s + c * centre, c * east, c * north
 
 
 def _stencil_product(grid: Grid, x: FloatArray, centre: float,
@@ -245,19 +252,53 @@ def _stencil_product(grid: Grid, x: FloatArray, centre: float,
     return y
 
 
-def _backward_error(op: DiscreteOperator, x: FloatArray, b: FloatArray) -> FloatArray:
-    # Per column, ||Mx-b|| / (||M|| ||x|| + ||b||) for M = s*I + c*A (||Mx-b||/||b||
-    # alone is bounded below by cond(M)*eps), 0 for x = b = 0, nan on overflow.
-    # Mx comes from M's stencil weights and ||M||_inf is s + c*||A||_inf.
-    xt, bt = x.T, b.T
-    r = _stencil_product(op.grid, xt, *op._weights) - bt
-    rn = np.sqrt(np.einsum("...i,...i->...", r, r))
-    xn = np.sqrt(np.einsum("...i,...i->...", xt, xt))
-    bn = np.sqrt(np.einsum("...i,...i->...", bt, bt))
+def _backward_error(grid: Grid, x: FloatArray, b: FloatArray, s, c) -> FloatArray:
+    # Per row of x and b (shape (n,) or (k, n)), ||Mx-b|| / (||M|| ||x|| + ||b||)
+    # for M = s*I + c*A (||Mx-b||/||b|| alone is bounded below by cond(M)*eps),
+    # 0 for x = b = 0, nan on overflow.  s and c are scalars or per-row (k, 1)
+    # (rows of shape (m, 2, n) take (m, 1, 1)): Mx comes from A's stencil
+    # weights scaled row by row, ||M||_inf is s + c*||A||_inf.
+    r = _stencil_product(grid, x, *_shifted_weights(grid, s, c))
+    r -= b
+    rxb = np.array([r, x, b])
+    rn, xn, bn = np.sqrt(np.vecdot(rxb, rxb))[..., None]
     # A zero denominator has x = b = 0, so rn = 0 and the quotient is 0
     # (5e-324 is the least positive double).
-    s, c = op.identity_coeff, op.operator_coeff
-    return rn / np.maximum((s + c * op.grid.stencil_norm) * xn + bn, 5e-324)
+    return (rn / np.maximum((s + c * grid.stencil_norm) * xn + bn, 5e-324))[..., 0]
+
+
+def _check_solves(grid: Grid, x: FloatArray, b: FloatArray, s, c, *,
+                  tol_lin: float = DEFAULT_TOL_LIN, solves: int = 1) -> None:
+    """Raise unless every row of x solves (s*I + c*A) x = b to a normwise
+    backward error of tol_lin (``_backward_error``).  The rows are ``solves``
+    equal groups, one per solve in the order made, and the first group with a
+    failed row decides: ValueError when its rhs is not finite (a non-finite rhs
+    makes the error nan), else SolverBreakdownError."""
+    with np.errstate(all="ignore"):  # an overflow yields nan, which fails the check
+        err = _backward_error(grid, x, b, s, c)
+    passed = err <= tol_lin
+    if passed.all():
+        return
+    first = int(np.argmin(np.reshape(passed, (solves, -1)).all(axis=1)))
+    if not np.isfinite(np.reshape(b, (solves, -1))[first]).all():
+        raise ValueError("rhs contains non-finite entries")
+    raise SolverBreakdownError(
+        f"linear solve backward error {np.max(np.reshape(err, (solves, -1))[first]):.3e} "
+        f"exceeds tol_lin={tol_lin:g}")
+
+
+def _solve(op: DiscreteOperator, b: FloatArray) -> FloatArray:
+    # op @ x = b for b of shape (n,) or (n, k), unchecked (see solve_poisson).
+    g = op.grid
+    if g.dimension == 1:
+        d, e = op._tridiagonal_factor
+        return lapack.dpttrs(d, e, b)[0]
+    from scipy.fft import dstn, idstn  # imported here: 1D runs skip its import time
+
+    stack = b.T.reshape(-1, *g.n_interior[::-1])  # (k, ny, nx)
+    modes = dstn(stack, type=1, axes=(-2, -1), norm="ortho", workers=1)
+    return idstn(modes * op._inverse_symbol, type=1, axes=(-2, -1), norm="ortho",
+                 workers=1).reshape(b.shape[::-1]).T
 
 
 def solve_poisson(op: DiscreteOperator, rhs: FloatArray, *,
@@ -273,31 +314,16 @@ def solve_poisson(op: DiscreteOperator, rhs: FloatArray, *,
     one FFT worker keeps results bit-identical.  Raises SolverBreakdownError
     when a column's normwise backward error exceeds tol_lin.  Only the shape is
     checked up front; a non-finite rhs fails the backward-error check and is
-    then reported as ValueError.
+    then reported as ValueError.  This is the unchecked solve followed by its
+    check (``_check_solves``), which callers with several solves to check may
+    run once for all of them.
     """
     g = op.grid
     b = np.asarray(rhs, dtype=float)
     if b.shape[:1] != (g.n_total,) or b.ndim > 2:
         raise ValueError(f"rhs has shape {b.shape}, expected ({g.n_total},) or ({g.n_total}, k)")
-    if g.dimension == 1:
-        d, e = op._tridiagonal_factor
-        x, _ = lapack.dpttrs(d, e, b)
-    else:
-        from scipy.fft import dstn, idstn  # imported here: 1D runs skip its import time
-
-        stack = b.T.reshape(-1, *g.n_interior[::-1])  # (k, ny, nx)
-        modes = dstn(stack, type=1, axes=(-2, -1), norm="ortho", workers=1)
-        x = idstn(modes * op._inverse_symbol, type=1, axes=(-2, -1), norm="ortho",
-                  workers=1).reshape(b.shape[::-1]).T
-
-    with np.errstate(all="ignore"):  # an overflow yields nan, which fails the check
-        err = _backward_error(op, x, b)
-    if not (err <= tol_lin).all():
-        if not np.isfinite(b).all():
-            raise ValueError("rhs contains non-finite entries")
-        raise SolverBreakdownError(
-            f"linear solve backward error {np.max(err):.3e} exceeds tol_lin={tol_lin:g}"
-        )
+    x = _solve(op, b)
+    _check_solves(g, x.T, b.T, op.identity_coeff, op.operator_coeff, tol_lin=tol_lin)
     return x
 
 

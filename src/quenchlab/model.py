@@ -53,14 +53,16 @@ class Nonlinearity:
 
     def value(self, s):
         arr, scalar = _check_unit_range(s)
+        return _ret(self._value(arr), scalar)
+
+    def _value(self, arr: FloatArray) -> FloatArray:
+        # value on an array the caller knows lies in [0, 1), unchecked
         if self.family == "log":
-            out = 1.0 - np.log1p(-arr)
-        elif self.family == "exp":
+            return 1.0 - np.log1p(-arr)
+        if self.family == "exp":
             with np.errstate(over="ignore"):
-                out = np.exp(1.0 / (1.0 - arr))
-        else:
-            out = np.exp(-self.p * np.log1p(-arr))
-        return _ret(out, scalar)
+                return np.exp(1.0 / (1.0 - arr))
+        return np.exp(-self.p * np.log1p(-arr))
 
     def deriv(self, s):
         arr, scalar = _check_unit_range(s)

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import EigenConvergenceError, IndefiniteOperatorError
-from .grid import FloatArray, Grid, integrate
+from .grid import FloatArray, Grid, _stencil_product, integrate
 from .model import Model, ParamPoint
 
 
@@ -102,9 +102,17 @@ class LinearizedOperator:
         return [(0, 1, -self.coupling_w), (1, 0, -self.coupling_z)]
 
     def apply(self, x: FloatArray) -> FloatArray:
-        n, a = self.grid.n_total, self.grid.laplacian
-        return np.concatenate([a.apply(x[:n]) - self.coupling_w * x[n:],
-                               a.apply(x[n:]) - self.coupling_z * x[:n]])
+        g = self.grid
+        x = np.asarray(x, dtype=float)
+        if x.shape != (2 * g.n_total,):
+            raise ValueError(f"x has shape {x.shape}, expected ({2 * g.n_total},) for this grid")
+        if not np.isfinite(x).all():
+            raise ValueError("x contains non-finite entries")
+        x_w, x_z = halves = x.reshape(2, -1)
+        y = _stencil_product(g, halves, *g.stencil)  # (A x_w, A x_z)
+        y[0] -= self.coupling_w * x_z
+        y[1] -= self.coupling_z * x_w
+        return y.ravel()
 
 
 def assemble_linearization(grid: Grid, model: Model, params: ParamPoint,

@@ -41,6 +41,7 @@ from .errors import SolverBreakdownError
 from .grid import (
     FloatArray,
     Grid,
+    _stencil_product,
     integrate,
     principal_laplacian_eigenpair,
     solve_poisson,
@@ -112,9 +113,12 @@ def _steady_residual(grid: Grid, model: Model, params: ParamPoint,
     f(max z) and mu max(beta) g(max w)."""
     alpha = model.alpha.sample(grid)
     beta = model.beta.sample(grid)
-    op = grid.laplacian
-    fw = op.apply(w) - params.lam * alpha * model.f.value(z)
-    fz = op.apply(z) - params.mu * beta * model.g.value(w)
+    wz = np.array([w, z], dtype=float)
+    if wz.shape != (2, grid.n_total) or not np.isfinite(wz).all():
+        raise ValueError("w and z must be finite fields of this grid")
+    aw, az = _stencil_product(grid, wz, *grid.stencil)  # A w and A z as one product
+    fw = aw - params.lam * alpha * model.f.value(z)
+    fz = az - params.mu * beta * model.g.value(w)
     scale_w = params.lam * float(alpha.max()) * model.f.value(min(float(z.max()), 1.0 - 1e-12))
     scale_z = params.mu * float(beta.max()) * model.g.value(min(float(w.max()), 1.0 - 1e-12))
     met = (float(np.abs(fw).max()) <= tol_res * scale_w

@@ -1,5 +1,6 @@
 """Time stepping, quench detection, energy identity."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ from quenchlab import (
     Nonlinearity,
     ParamPoint,
     Profile,
+    SolverBreakdownError,
     evolution,
     gradient_inner,
     StepperConfig,
@@ -94,17 +96,17 @@ def test_horizon_run_bookkeeping(unit99):
 
 
 def _spy_solves(monkeypatch):
-    """Replace evolution's solve_poisson by a wrapper; returns the list of
+    """Replace evolution's unchecked solve by a wrapper; returns the list of
     operators it was called with (kept alive, so their ids stay distinct)."""
     ops = []
-    original = evolution.solve_poisson
+    original = evolution._solve
 
-    def spy(op, rhs, **kwargs):
+    def spy(op, rhs):
         assert np.shape(rhs) == (op.grid.n_total, 2)  # (u, v) as one block
         ops.append(op)
-        return original(op, rhs, **kwargs)
+        return original(op, rhs)
 
-    monkeypatch.setattr(evolution, "solve_poisson", spy)
+    monkeypatch.setattr(evolution, "_solve", spy)
     return ops
 
 
@@ -144,16 +146,16 @@ def test_half_step_pair_shares_one_shift(unit99, monkeypatch):
 
 
 def _spy_reactions(monkeypatch):
-    """Wrap Nonlinearity.value; returns the list of (nonlinearity id, argument
-    bytes) of its calls."""
+    """Wrap Nonlinearity._value, which the reaction calls; returns the list of
+    (nonlinearity id, argument bytes) of its calls."""
     calls = []
-    original = Nonlinearity.value
+    original = Nonlinearity._value
 
     def spy(self, s):
         calls.append((id(self), np.asarray(s, dtype=float).tobytes()))
         return original(self, s)
 
-    monkeypatch.setattr(Nonlinearity, "value", spy)
+    monkeypatch.setattr(Nonlinearity, "_value", spy)
     return calls
 
 
@@ -198,13 +200,13 @@ def test_quench_run_solves_each_system_once(unit99, monkeypatch):
     g, _, _ = unit99
     ops = _spy_solves(monkeypatch)
     rhs = []
-    original = evolution.solve_poisson
+    original = evolution._solve
 
-    def spy(op, b, **kwargs):
+    def spy(op, b):
         rhs.append((op.identity_coeff, op.operator_coeff, np.asarray(b).tobytes()))
-        return original(op, b, **kwargs)
+        return original(op, b)
 
-    monkeypatch.setattr(evolution, "solve_poisson", spy)
+    monkeypatch.setattr(evolution, "_solve", spy)
     trj = simulate(_zeros(g), g, power2_model(), ParamPoint(12.0, 12.0), StepperConfig(), 1.0)
     assert trj.status is TerminalStatus.QUENCHED and trj.quench.which == "both"
     assert len(ops) == len(rhs) == len(set(rhs))
@@ -213,14 +215,15 @@ def test_quench_run_solves_each_system_once(unit99, monkeypatch):
 def test_memoized_advance_remembers_range_errors():
     calls = []
 
-    def advance(u, v, react, dt):
+    def advance(w, react, dt):
         calls.append(dt)
         if dt > 0.5:
             raise StepRangeError(f"step of size {dt}")
-        return u + dt, v - dt
+        return w + np.array([dt, -dt])
 
-    advance_by = evolution._memoized_advance(advance, 1.0, 2.0, None, 0.8)
-    assert advance_by(0.5) == advance_by(0.5) == (1.4, 1.6)
+    advance_by = evolution._memoized_advance(advance, np.array([1.0, 2.0]), None, 0.8)
+    assert advance_by(0.5) is advance_by(0.5)
+    assert advance_by(0.5).tolist() == [1.4, 1.6]
     for _ in range(2):
         with pytest.raises(StepRangeError):
             advance_by(1.0)
@@ -406,3 +409,116 @@ def test_ordered_data_stay_ordered(unit99):
         assert ta == tb
         assert float((ub - ua).min()) >= -1e-10
         assert float((vb - va).min()) >= -1e-10
+
+
+@pytest.mark.parametrize("corrupt", ["past-one", "nan"])
+def test_failed_solve_wins_over_range_and_later_solves(unit99, monkeypatch, corrupt):
+    # The first half step of the first attempt misses its backward error.
+    # Its result reaching 1 would alone be a StepRangeError, which adaptive
+    # runs catch and retry smaller; a nan result makes the next solve's rhs
+    # non-finite, which alone would be a ValueError.  The attempt's solves
+    # are checked together, and the first failed one decides, as if each
+    # were checked alone: a breakdown.
+    g, _, _ = unit99
+    original, calls = evolution._solve, []
+
+    def broken(op, rhs):
+        calls.append(op)
+        x = original(op, rhs)
+        if len(calls) == 2:
+            return x + 5.0 if corrupt == "past-one" else np.full_like(x, np.nan)
+        return x
+
+    monkeypatch.setattr(evolution, "_solve", broken)
+    with pytest.raises(SolverBreakdownError):
+        simulate(_zeros(g), g, power2_model(), ParamPoint(12.0, 12.0), StepperConfig(), 1.0)
+    # one attempt: the full step and the corrupt half step, then (nan) the second
+    assert len(calls) == (2 if corrupt == "past-one" else 3)
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_non_finite_intermediate_is_a_value_error(unit99, monkeypatch, fixed):
+    # f overflows at the first state after the initial one: the next solve's
+    # rhs is not finite, reported as solve_poisson reports it.
+    g, _, _ = unit99
+    original, calls = Nonlinearity._value, []
+
+    def overflowing(self, s):
+        calls.append(self)
+        out = original(self, s)
+        if len(calls) > 2:
+            out[len(out) // 2] = np.inf
+        return out
+
+    monkeypatch.setattr(Nonlinearity, "_value", overflowing)
+    cfg = fixed_config(1e-3) if fixed else StepperConfig()
+    with pytest.raises(ValueError, match="rhs contains non-finite entries"):
+        simulate(_zeros(g), g, power2_model(), ParamPoint(0.5, 0.5), cfg, 1.0)
+
+
+@pytest.mark.parametrize("case", ["adaptive", "full-chunks", "quench"])
+def test_recorded_diagnostics_equal_per_state_formulas(unit99, case):
+    # The recorder evaluates accepted states a chunk at a time; every column
+    # equals the per-state formula bit for bit, across chunk boundaries, for
+    # a run that fills its last chunk and for a quench that ends mid-chunk.
+    g, _, _ = unit99
+    model = _weighted_model()
+    x = g.coordinates()[:, 0]
+    reference = (0.1 * np.sin(np.pi * x), 0.2 * np.sin(np.pi * x))
+    if case == "quench":
+        model, params, cfg, horizon = power2_model(), ParamPoint(12.5, 12.5), StepperConfig(), 1.0
+    else:
+        params, horizon = ParamPoint(0.9, 0.6), 0.32
+        cfg = StepperConfig() if case == "adaptive" else fixed_config(1e-2)
+    cfg = StepperConfig(**{**vars(cfg), "snapshot_stride": 1})
+    trj = simulate(_zeros(g), g, model, params, cfg, horizon, reference=reference)
+    chunk, states = evolution._RECORD_CHUNK, len(trj.times)
+    assert states >= 2 * chunk
+    # the initial state and then chunk after chunk of accepted states
+    assert ((states - 1) % chunk == 0) == (case == "full-chunks")
+    assert (trj.status is TerminalStatus.QUENCHED) == (case == "quench")
+    assert len(trj.snapshots) == states
+
+    alpha, beta = model.alpha.sample(g), model.beta.sample(g)
+    columns = {key: [] for key in ("max_u", "max_v", "energy", "dist2_u", "dist2_v",
+                                   "ut_l2", "vt_l2", "utvt")}
+    prev = None
+    for (t, u, v), dt in zip(trj.snapshots, trj.dt):
+        columns["max_u"].append(float(u.max()))
+        columns["max_v"].append(float(v.max()))
+        columns["energy"].append(gradient_inner(g, u, v)
+                                 - params.lam * integrate(alpha * model.f.antideriv(v), g)
+                                 - params.mu * integrate(beta * model.g.antideriv(u), g))
+        for key, field, ref in (("dist2_u", u, reference[0]), ("dist2_v", v, reference[1])):
+            diff = field - ref
+            columns[key].append(integrate(diff * diff, g))
+        if prev is None:
+            for key in ("ut_l2", "vt_l2", "utvt"):
+                columns[key].append(math.nan)
+        else:
+            ut, vt = (u - prev[0]) / dt, (v - prev[1]) / dt
+            columns["ut_l2"].append(math.sqrt(integrate(ut * ut, g)))
+            columns["vt_l2"].append(math.sqrt(integrate(vt * vt, g)))
+            columns["utvt"].append(integrate(ut * vt, g))
+        prev = u, v
+    for key, expect in columns.items():
+        assert getattr(trj, key).tobytes() == np.array(expect).tobytes(), key
+    assert trj.energy[-1] == lyapunov_energy(*trj.snapshots[-1][1:], g, model, params)
+
+
+@pytest.mark.parametrize("entry", [-1e-3, 1.0])
+def test_rejects_initial_data_outside_unit_range_at_entry(unit99, monkeypatch, entry):
+    # Both ends of the range are rejected at entry, before any solve.
+    g, _, _ = unit99
+    v0 = np.zeros(g.n_total)
+    v0[g.n_total // 2] = entry
+
+    def no_solve(op, rhs):
+        raise AssertionError("solved before the range check")
+
+    monkeypatch.setattr(evolution, "_solve", no_solve)
+    with pytest.raises(ValueError, match=r"v0 must lie in \[0, 1\)"):
+        simulate((np.zeros(g.n_total), v0), g, power2_model(), ParamPoint(1.0, 1.0),
+                 StepperConfig(), 1.0)
+    with pytest.raises(ValueError, match=r"v must lie in \[0, 1\)"):
+        step(np.zeros(g.n_total), v0, 1e-3, g, power2_model(), ParamPoint(1.0, 1.0))

@@ -340,8 +340,8 @@ def test_stencil_backward_error_matches_assembled(name, coeffs, k):
     x = solve_poisson(op, b)
     eps = np.finfo(float).eps
     for trial in (x, x + 1e-6 * rng.standard_normal(x.shape)):
-        err = _backward_error(op, trial, b)
+        err = _backward_error(g, trial.T, b.T, *coeffs)  # the fields as rows
         oracle = _assembled_backward_error(op, trial, b)
         assert np.shape(err) == np.shape(oracle)
         np.testing.assert_allclose(err, oracle, rtol=8 * eps, atol=8 * eps)
-    assert np.all(_backward_error(op, np.zeros_like(b), np.zeros_like(b)) == 0.0)
+    assert np.all(_backward_error(g, np.zeros_like(b.T), np.zeros_like(b.T), *coeffs) == 0.0)

@@ -11,6 +11,7 @@ from quenchlab import (
     ParamPoint,
     assemble_linearization,
     integrate,
+    interval,
     monotone_minimal_solution,
     principal_eigenpair,
     rectangle,
@@ -145,3 +146,24 @@ def test_budget_exhaustion_raises(unit99):
     lin = assemble_linearization(g, power2_model(), params, s.w, s.z)
     with pytest.raises(EigenConvergenceError):
         principal_eigenpair(lin, tol=1e-14, max_iter=1)
+
+
+@pytest.mark.parametrize("grid", [interval(0.0, 1.0, 13), rectangle((0.0, 2.0), (0.0, 1.0), 7, 5)],
+                         ids=["interval", "rectangle"])
+def test_apply_is_one_stacked_product(grid):
+    # M x equals A applied to each half minus the couplings, bit for bit,
+    # and a non-finite x still raises
+    n, rng = grid.n_total, np.random.default_rng(4)
+    lin = LinearizedOperator(grid, rng.random(n), rng.random(n))
+    x = rng.standard_normal(2 * n)
+    a = grid.laplacian
+    expect = np.concatenate([a.apply(x[:n]) - lin.coupling_w * x[n:],
+                             a.apply(x[n:]) - lin.coupling_z * x[:n]])
+    assert np.array_equal(lin.apply(x), expect)
+    for bad in (np.nan, np.inf):
+        y = x.copy()
+        y[n + 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            lin.apply(y)
+    with pytest.raises(ValueError, match="shape"):
+        lin.apply(x[:-1])

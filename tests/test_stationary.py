@@ -636,3 +636,22 @@ def test_escape_checks_share_one_block_solve_per_iteration(monkeypatch):
         (g.n_total, 2 * sum(it <= last for last in escaped_at))
         for it in range(1, max(escaped_at) + 1)]
     assert len(solves) < sum(escaped_at)
+
+
+@pytest.mark.parametrize("grid", [interval(0.0, 1.0, 13), rectangle((0.0, 2.0), (0.0, 1.0), 7, 5)],
+                         ids=["interval", "rectangle"])
+def test_steady_residual_is_one_stacked_product(grid):
+    # A w and A z come from one product on the stacked pair; the residuals
+    # equal the per-field formula bit for bit, and a non-finite w or z raises
+    model, params = power2_model(), ParamPoint(0.7, 1.3)
+    rng = np.random.default_rng(6)
+    w, z = 0.5 * rng.random(grid.n_total), 0.5 * rng.random(grid.n_total)
+    fw, fz, _ = stationary._steady_residual(grid, model, params, w, z, 1e-8)
+    op = grid.laplacian
+    assert np.array_equal(fw, op.apply(w) - 0.7 * model.alpha.sample(grid) * model.f.value(z))
+    assert np.array_equal(fz, op.apply(z) - 1.3 * model.beta.sample(grid) * model.g.value(w))
+    for which in (0, 1):
+        pair = [w.copy(), z.copy()]
+        pair[which][3] = np.nan
+        with pytest.raises(ValueError):
+            stationary._steady_residual(grid, model, params, *pair, 1e-8)
