@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepRangeError
-from .grid import FloatArray, Grid, _check_solves, _solve, _stencil_product
+from .grid import FloatArray, Grid, _check_solves, _solve, gradient_inner, integrate
 from .model import Model, ParamPoint
 
 _LEVEL_BISECT_ITERS = 40
@@ -194,25 +194,20 @@ def _check(grid, solves):
                   coeffs[:, :1, None], coeffs[:, 1:, None], solves=len(solves))
 
 
-def _energies(grid, model, params, u, v):
-    # The mixed energy of each row pair of u and v (shape (n,) or (k, n)).
-    # np.vecdot against the weights equals integrate's np.dot bit for bit.
-    weights = grid.quad_weights
-    return (grid.cell_volume * np.vecdot(u, _stencil_product(grid, v, *grid.stencil))
-            - params.lam * np.vecdot(model.alpha.sample(grid) * model.f.antideriv(v), weights)
-            - params.mu * np.vecdot(model.beta.sample(grid) * model.g.antideriv(u), weights))
-
-
 def lyapunov_energy(u: FloatArray, v: FloatArray, grid: Grid, model: Model,
-                    params: ParamPoint) -> float:
+                    params: ParamPoint) -> float | FloatArray:
     """Mixed energy: gradient cross term minus both reaction potentials,
     gradient_inner(grid, u, v) - lam integrate(alpha F(v)) - mu integrate(beta G(u)).
 
     Along the flow its time derivative balances -2 integral(u_t v_t), so on
     decaying trajectories the recorded energies must be nonincreasing up to
-    the discretization residual.  Like its quadratures it checks no field.
+    the discretization residual.  Stacks of fields (k, n) give the k
+    energies, each equal to the lone pair's bit for bit.  Like its
+    quadratures it checks no field.
     """
-    return float(_energies(grid, model, params, u, v))
+    return (gradient_inner(grid, u, v)
+            - params.lam * integrate(model.alpha.sample(grid) * model.f.antideriv(v), grid)
+            - params.mu * integrate(model.beta.sample(grid) * model.g.antideriv(u), grid))
 
 
 # Accepted states wait in a _Recorder until this many are evaluated together.
@@ -251,7 +246,7 @@ class _Recorder:
             self._evaluate()
 
     def _evaluate(self):
-        g, weights, block = self.grid, self.grid.quad_weights, self.block[:self.filled]
+        g, block = self.grid, self.block[:self.filled]
         first = self.evaluated == 0  # the initial state has no rates
         w = block if first else block[1:]  # (k, 2, n), the states not yet evaluated
         k = len(w)
@@ -259,23 +254,23 @@ class _Recorder:
         maxima = w.max(axis=2)
         out["max_u"].append(maxima[:, 0])
         out["max_v"].append(maxima[:, 1])
-        out["energy"].append(_energies(g, self.model, self.params, w[:, 0], w[:, 1]))
+        out["energy"].append(lyapunov_energy(w[:, 0], w[:, 1], g, self.model, self.params))
         if self.ref is None:
             out["dist2_u"].append(np.full(k, math.nan))
             out["dist2_v"].append(np.full(k, math.nan))
         else:
             diff = w - self.ref
             diff *= diff
-            dist2 = np.vecdot(diff, weights)
+            dist2 = integrate(diff, g)
             out["dist2_u"].append(dist2[:, 0])
             out["dist2_v"].append(dist2[:, 1])
         # (u - u_prev) / dt and (v - v_prev) / dt, squared in place once the
         # cross term is taken
         rates = np.subtract(block[1:], block[:-1])
         rates /= np.array(self.dt[len(self.dt) - len(rates):])[:, None, None]
-        utvt = np.vecdot(rates[:, 0] * rates[:, 1], weights)
+        utvt = integrate(rates[:, 0] * rates[:, 1], g)
         rates *= rates
-        l2 = np.sqrt(np.vecdot(rates, weights))
+        l2 = np.sqrt(integrate(rates, g))
         if first:
             l2 = np.concatenate([np.full((1, 2), math.nan), l2])
             utvt = np.concatenate([[math.nan], utvt])

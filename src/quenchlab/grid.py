@@ -19,7 +19,8 @@ unchecked solve (``_solve``) and then its check (``_check_solves``), whose
 normwise backward error (``_backward_error``) takes per-row coefficients, so
 a caller with several solves to check (``evolution.simulate``) runs it once
 for all of them.  Fields are checked where they enter (``Grid.check_field``),
-not in the quadratures.
+not in the quadratures (``integrate``, ``gradient_inner``), which take one
+field or a stack of fields along the last axis.
 """
 
 from __future__ import annotations
@@ -188,9 +189,7 @@ class DiscreteOperator:
     operator_coeff: float = 1.0
 
     def apply(self, field: FloatArray) -> FloatArray:
-        return _stencil_product(self.grid, self.grid.check_field(field),
-                                *_shifted_weights(self.grid, self.identity_coeff,
-                                                  self.operator_coeff))
+        return _stencil_product(self.grid, self.grid.check_field(field), *self._weights)
 
     def shifted(self, identity_coeff: float, operator_coeff: float) -> "DiscreteOperator":
         """identity_coeff*I + operator_coeff*self, in O(1): nothing is assembled."""
@@ -202,10 +201,14 @@ class DiscreteOperator:
                                 operator_coeff * self.operator_coeff)
 
     @cached_property
+    def _weights(self) -> tuple[float, float | FloatArray, float]:
+        # (centre, east, north) of s*I + c*A, as ``Grid.stencil`` holds A's
+        return _shifted_weights(self.grid, self.identity_coeff, self.operator_coeff)
+
+    @cached_property
     def _tridiagonal_factor(self) -> tuple[FloatArray, FloatArray]:
         # 1D: L D L^T factor of the constant-diagonal tridiagonal s*I + c*A.
-        n = self.grid.n_total
-        centre, east, _ = _shifted_weights(self.grid, self.identity_coeff, self.operator_coeff)
+        n, (centre, east, _) = self.grid.n_total, self._weights
         # The LAPACK wrapper rejects an empty off-diagonal; for n == 1 it is unread.
         d, e, info = lapack.dpttrf(np.full(n, centre), np.full(max(n - 1, 1), -east))
         if info != 0:
@@ -261,7 +264,7 @@ def _backward_error(grid: Grid, x: FloatArray, b: FloatArray, s, c) -> FloatArra
     r = _stencil_product(grid, x, *_shifted_weights(grid, s, c))
     r -= b
     rxb = np.array([r, x, b])
-    rn, xn, bn = np.sqrt(np.vecdot(rxb, rxb))[..., None]
+    rn, xn, bn = np.sqrt(np.einsum("...i,...i->...", rxb, rxb))[..., None]
     # A zero denominator has x = b = 0, so rn = 0 and the quotient is 0
     # (5e-324 is the least positive double).
     return (rn / np.maximum((s + c * grid.stencil_norm) * xn + bn, 5e-324))[..., 0]
@@ -327,18 +330,29 @@ def solve_poisson(op: DiscreteOperator, rhs: FloatArray, *,
     return x
 
 
-def integrate(field: FloatArray, grid: Grid) -> float:
-    """Quadrature of a field over the domain (boundary values implicitly 0)."""
-    return float(np.dot(grid.quad_weights, field))
+def _scalar(values: FloatArray) -> float | FloatArray:
+    # A float for one field's quadrature, the array for a stack of fields.
+    return float(values) if values.ndim == 0 else values
 
 
-def gradient_inner(grid: Grid, u: FloatArray, v: FloatArray) -> float:
+def integrate(field: FloatArray, grid: Grid) -> float | FloatArray:
+    """Quadrature of a field over the domain (boundary values implicitly 0).
+
+    A stack of fields along the last axis gives the array of their
+    quadratures, each equal to the lone field's bit for bit (np.vecdot sums
+    as np.dot does; ``@`` and einsum do not).
+    """
+    return _scalar(np.vecdot(field, grid.quad_weights))
+
+
+def gradient_inner(grid: Grid, u: FloatArray, v: FloatArray) -> float | FloatArray:
     """Quadrature of grad(u) . grad(v) with one-sided differences and zero boundary.
 
     By summation by parts this equals cell_volume * u^T A v exactly, which is
-    how it is evaluated.
+    how it is evaluated; stacks of fields along the last axis are paired row
+    by row, as in ``integrate``.
     """
-    return grid.cell_volume * float(np.dot(u, _stencil_product(grid, v, *grid.stencil)))
+    return _scalar(grid.cell_volume * np.vecdot(u, _stencil_product(grid, v, *grid.stencil)))
 
 
 def principal_laplacian_eigenpair(op: DiscreteOperator) -> tuple[float, FloatArray]:

@@ -102,14 +102,12 @@ class LinearizedOperator:
         return [(0, 1, -self.coupling_w), (1, 0, -self.coupling_z)]
 
     def apply(self, x: FloatArray) -> FloatArray:
-        g = self.grid
+        g, n = self.grid, self.grid.n_total
         x = np.asarray(x, dtype=float)
-        if x.shape != (2 * g.n_total,):
-            raise ValueError(f"x has shape {x.shape}, expected ({2 * g.n_total},) for this grid")
-        if not np.isfinite(x).all():
-            raise ValueError("x contains non-finite entries")
-        x_w, x_z = halves = x.reshape(2, -1)
-        y = _stencil_product(g, halves, *g.stencil)  # (A x_w, A x_z)
+        if x.shape != (2 * n,):
+            raise ValueError(f"x has shape {x.shape}, expected ({2 * n},) for this grid")
+        x_w, x_z = g.check_field(x[:n], "x_w"), g.check_field(x[n:], "x_z")
+        y = _stencil_product(g, x.reshape(2, n), *g.stencil)  # (A x_w, A x_z)
         y[0] -= self.coupling_w * x_z
         y[1] -= self.coupling_z * x_w
         return y.ravel()

@@ -113,10 +113,8 @@ def _steady_residual(grid: Grid, model: Model, params: ParamPoint,
     f(max z) and mu max(beta) g(max w)."""
     alpha = model.alpha.sample(grid)
     beta = model.beta.sample(grid)
-    wz = np.array([w, z], dtype=float)
-    if wz.shape != (2, grid.n_total) or not np.isfinite(wz).all():
-        raise ValueError("w and z must be finite fields of this grid")
-    aw, az = _stencil_product(grid, wz, *grid.stencil)  # A w and A z as one product
+    w, z = grid.check_field(w, "w"), grid.check_field(z, "z")
+    aw, az = _stencil_product(grid, np.array([w, z]), *grid.stencil)  # one product
     fw = aw - params.lam * alpha * model.f.value(z)
     fz = az - params.mu * beta * model.g.value(w)
     scale_w = params.lam * float(alpha.max()) * model.f.value(min(float(z.max()), 1.0 - 1e-12))
