@@ -5,9 +5,12 @@ implicit everywhere.  A field is a plain float64 array of length
 ``grid.n_total`` (2D fields are flattened row-major: y index outer, x inner).
 
 Every linear solve is a direct solve with ``s*I + c*A``, A the Dirichlet
-stencil: an L D L^T tridiagonal factor in 1D and the DST-I fast Poisson
-solver (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970) in 2D.  The
-same sine spectrum gives the principal eigenpair in closed form.
+stencil: an L D L^T tridiagonal factor in 1D and, in 2D, the tensor-product
+fast diagonalization of Lynch, Rice & Thomas (Numer. Math. 6, 1964): A is
+diagonal in the product of the per-axis orthonormal sine matrices, which the
+grid caches with A's spectrum (``Grid.sine_basis``, ``Grid.spectrum``), so a
+solve is four small matrix products.  The same sine spectrum gives the
+principal eigenpair in closed form.
 
 A grid owns its Laplacian ``grid.laplacian``, so no caller can pair a grid
 with another grid's operator.  No matrix is assembled: A is held once, as the
@@ -116,6 +119,28 @@ class Grid:
         centre, east, north = self.stencil
         return float(_stencil_product(self, np.ones(self.n_total), centre, -east, -north).max())
 
+    @cached_property
+    def sine_basis(self) -> tuple[FloatArray, ...]:
+        """Per axis, the orthonormal DST-I matrix S with S[j-1, k-1] =
+        sqrt(2/(n+1)) sin(pi*j*k/(n+1)): exactly symmetric, S @ S = I, and its
+        column k the stencil's eigenvector of ``_sine_eigenvalue(k)``."""
+        out = []
+        for n in self.n_interior:
+            jk = np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * (n + 1))
+            s = math.sqrt(2.0 / (n + 1)) * np.sin(jk * (np.pi / (n + 1)))  # arguments in [0, 2pi)
+            s.flags.writeable = False
+            out.append(s)
+        return tuple(out)
+
+    @cached_property
+    def spectrum(self) -> FloatArray:
+        """A's eigenvalues, one per sine mode: (n,) in 1D, lambda_y + lambda_x
+        on the (ny, nx) grid of mode pairs in 2D (``sine_basis``)."""
+        lam = [_sine_eigenvalue(np.arange(1, n + 1), n, hh) for n, hh in zip(self.n_interior, self.h)]
+        out = lam[0] if self.dimension == 1 else lam[1][:, None] + lam[0]
+        out.flags.writeable = False
+        return out
+
     def coordinates(self) -> FloatArray:
         """All interior node coordinates, shape (n_total, dimension)."""
         if self.dimension == 1:
@@ -182,7 +207,8 @@ class DiscreteOperator:
     the grid's 3-point (1D) or 5-point (2D) ``stencil``; the coefficients are
     nonnegative and not both zero, so the operator is SPD.  It holds no matrix:
     products come from the stencil weights, and the solver data (1D tridiagonal
-    factor, 2D inverse DST symbol) are built on first use, once per operator."""
+    factor, 2D inverse symbol 1/(s + c*spectrum) on the grid's sine modes) are
+    built on first use, once per operator."""
 
     grid: Grid
     identity_coeff: float = 0.0
@@ -217,10 +243,8 @@ class DiscreteOperator:
 
     @cached_property
     def _inverse_symbol(self) -> FloatArray:
-        # 2D: 1 / (s + c*lambda_jk) on the (ny, nx) grid of DST-I modes.
-        lam_x, lam_y = (_sine_eigenvalue(np.arange(1, n + 1), n, hh)
-                        for n, hh in zip(self.grid.n_interior, self.grid.h))
-        return 1.0 / (self.identity_coeff + self.operator_coeff * (lam_y[:, None] + lam_x))
+        # 2D: 1 / (s + c*lambda_jk) on the (ny, nx) grid of sine modes.
+        return 1.0 / (self.identity_coeff + self.operator_coeff * self.grid.spectrum)
 
 
 def _sine_eigenvalue(k, n: int, hh: float):
@@ -296,12 +320,11 @@ def _solve(op: DiscreteOperator, b: FloatArray) -> FloatArray:
     if g.dimension == 1:
         d, e = op._tridiagonal_factor
         return lapack.dpttrs(d, e, b)[0]
-    from scipy.fft import dstn, idstn  # imported here: 1D runs skip its import time
-
+    sx, sy = g.sine_basis
     stack = b.T.reshape(-1, *g.n_interior[::-1])  # (k, ny, nx)
-    modes = dstn(stack, type=1, axes=(-2, -1), norm="ortho", workers=1)
-    return idstn(modes * op._inverse_symbol, type=1, axes=(-2, -1), norm="ortho",
-                 workers=1).reshape(b.shape[::-1]).T
+    with np.errstate(all="ignore"):  # a non-finite rhs fails the check instead
+        x = sy @ ((sy @ stack @ sx) * op._inverse_symbol) @ sx
+    return x.reshape(b.shape[::-1]).T
 
 
 def solve_poisson(op: DiscreteOperator, rhs: FloatArray, *,
@@ -311,14 +334,16 @@ def solve_poisson(op: DiscreteOperator, rhs: FloatArray, *,
     ``rhs`` is one field (n,) or k fields as the columns of (n, k); each
     (contiguous) result column is bit-identical to a lone solve.  1D: LAPACK
     ``dpttrs`` with the operator's L D L^T factor (``dpttrf``); a DST pair
-    would cost about ten such solves.  2D: the orthonormal DST-I
-    diagonalizes A (eigenvalues sum over axes of 4/h^2 sin^2(k*pi/(2(n+1)))),
-    so u is the inverse transform of the transformed rhs over s + c*eigenvalue;
-    one FFT worker keeps results bit-identical.  Raises SolverBreakdownError
-    when a column's normwise backward error exceeds tol_lin.  Only the shape is
-    checked up front; a non-finite rhs fails the backward-error check and is
-    then reported as ValueError.  This is the unchecked solve followed by its
-    check (``_check_solves``), which callers with several solves to check may
+    would cost about ten such solves.  2D: the grid's sine matrices S_x, S_y
+    (symmetric, each its own inverse) diagonalize A with eigenvalues
+    ``Grid.spectrum`` (sums over axes of 4/h^2 sin^2(k*pi/(2(n+1)))), so the
+    (k, ny, nx) stack B of fields gives u = S_y ((S_y B S_x) / (s + c*spectrum))
+    S_x; numpy's stacked products run one gemm per field, so no column depends
+    on the others.  Raises SolverBreakdownError when a column's normwise
+    backward error exceeds tol_lin.  Only the shape is checked up front; a
+    non-finite rhs fails the backward-error check and is then reported as
+    ValueError.  This is the unchecked solve followed by its check
+    (``_check_solves``), which callers with several solves to check may
     run once for all of them.
     """
     g = op.grid

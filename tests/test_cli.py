@@ -259,6 +259,39 @@ def test_eigen_loads_no_sparse_linalg(decay_ini, quench_ini, tmp_path):
     assert done.stdout.strip() == "False"
 
 
+RECTANGLE_47X23 = ["--override", "domain.dimension=2", "--override", "domain.b=2",
+                   "--override", "domain.nx=47", "--override", "domain.ny=23"]
+
+
+def test_2d_stationary_loads_no_scipy_fft(decay_ini, tmp_path):
+    # 2D solves are products with the grid's sine matrices, not scipy.fft
+    code = ("import sys\nfrom quenchlab.cli import main\n"
+            f"args = ['stationary', '--config', {decay_ini!r}, '--out', {str(tmp_path)!r}]\n"
+            f"assert main(args + {RECTANGLE_47X23!r}) == 0\n"
+            "print('scipy.fft' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_2d_certify_is_byte_identical_across_blas_threads(tmp_path):
+    # One and two OpenBLAS threads give the same bytes on the bench's 47x23
+    # rectangle (README: larger 2D grids may not).
+    outs = [tmp_path / "1", tmp_path / "2"]
+    for out in outs:
+        done = subprocess.run(
+            [sys.executable, "-m", "quenchlab.cli", "certify", "--config",
+             str(CONFIGS / "decay.ini"), "--out", str(out), *RECTANGLE_47X23],
+            env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": out.name},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+    names = sorted(os.listdir(outs[0]))
+    assert names and names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_eigen_requires_steady_state(quench_ini, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["eigen", "--config", quench_ini, "--out", out]) == 1

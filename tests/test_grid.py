@@ -1,5 +1,7 @@
 """Grid, stencil, quadrature, and Laplacian eigenpair checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -217,6 +219,10 @@ SOLVER_GRIDS = {
     "interval-1": interval(0.0, 1.0, 1),
     "interval-13": interval(-0.5, 1.0, 13),
     "rectangle-11x7": rectangle((0.0, 2.0), (0.0, 1.0), 11, 7),
+    # one-row and one-column rectangles, and a square
+    "rectangle-1x7": rectangle((0.0, 0.25), (0.0, 1.0), 1, 7),
+    "rectangle-7x1": rectangle((0.0, 1.0), (0.0, 0.25), 7, 1),
+    "rectangle-9x9": rectangle((0.0, 1.0), (0.0, 1.0), 9, 9),
 }
 
 
@@ -298,14 +304,41 @@ def test_block_solve_checks_every_column(name):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_block_solve_rejects_non_finite_rhs(bad):
-    g = SOLVER_GRIDS["interval-13"]
-    op = g.laplacian
-    rhs = np.ones((g.n_total, 2))
-    rhs[4, 1] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        solve_poisson(op, rhs)
-    with pytest.raises(ValueError, match="non-finite"):
-        solve_poisson(op, rhs[:, 1])
+    # Reported by the check, with no RuntimeWarning from the solve on the way.
+    for name in ("interval-13", "rectangle-11x7"):
+        g = SOLVER_GRIDS[name]
+        op = g.laplacian
+        rhs = np.ones((g.n_total, 2))
+        rhs[4, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rhs contains non-finite entries"):
+                solve_poisson(op, rhs)
+            with pytest.raises(ValueError, match="rhs contains non-finite entries"):
+                solve_poisson(op, rhs[:, 1])
+
+
+@pytest.mark.parametrize("name", SOLVER_GRIDS)
+def test_sine_basis_diagonalizes_the_stencil(name):
+    # Each axis's S is exactly symmetric and its own inverse to rounding, and
+    # S diag(spectrum) S (S = S_y kron S_x in 2D) reproduces A on every unit
+    # vector to rounding.
+    g = SOLVER_GRIDS[name]
+    eps = np.finfo(float).eps
+    for s in g.sine_basis:
+        n = len(s)
+        assert np.array_equal(s, s.T)
+        assert np.abs(s @ s - np.eye(n)).max() <= 10 * n * eps
+    units = np.eye(g.n_total)
+    if g.dimension == 1:
+        (s,) = g.sine_basis
+        product = (s @ (g.spectrum[:, None] * (s @ units.T))).T
+    else:
+        sx, sy = g.sine_basis
+        stack = units.reshape(-1, *g.n_interior[::-1])
+        product = (sy @ ((sy @ stack @ sx) * g.spectrum) @ sx).reshape(units.shape)
+    exact = _stencil_product(g, units, *g.stencil)
+    assert np.abs(product - exact).max() <= 10 * g.n_total * eps * g.stencil_norm
 
 
 @pytest.mark.parametrize("name", SOLVER_GRIDS)
