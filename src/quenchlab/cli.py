@@ -18,7 +18,7 @@ The Laplacian and its principal eigenvalue lambda1 come from the grid.  Every
 CSV and JSON output embeds the fully resolved configuration, numeric CSV
 cells carry 17 significant digits, state snapshots are raw float64 NPY, and a
 rerun with the same inputs is bit-identical.
-``--threads`` is deprecated: validated and echoed, it has no effect.  Exit
+``--threads`` is deprecated, echoed and without effect (BLAS threads: README).  Exit
 codes: 0 for success (for certify: certificate verified), 1 for a failed run,
 a failed certificate or a numerical error, 2 for configuration errors,
 including a ValueError while building the run or its initial data (for
@@ -667,8 +667,8 @@ def _parse_args(argv):
     parser.add_argument("--config", required=True, help="INI configuration file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="deprecated, to be removed: accepted (>= 1) and echoed "
-                             "as config.threads; every command runs in one thread")
+                        help="deprecated, to be removed: accepted (>= 1) and echoed as "
+                             "config.threads; no effect, not even on BLAS threads (README)")
     parser.add_argument("--override", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="override one configuration value; repeatable")

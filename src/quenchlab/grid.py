@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
 
+from ._lapack import lapack
 from .errors import EigenConvergenceError, SolverBreakdownError
 
 FloatArray = np.ndarray

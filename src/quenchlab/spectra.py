@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
 
+from ._lapack import lapack
 from .errors import EigenConvergenceError, IndefiniteOperatorError
 from .grid import FloatArray, Grid, _stencil_product, integrate
 from .model import Model, ParamPoint

@@ -241,9 +241,15 @@ def test_eigen_artifacts(decay_ini, tmp_path):
     assert all(float(r[1]) > 0.0 for r in rows)
 
 
-def test_eigen_loads_no_sparse_linalg(decay_ini, quench_ini, tmp_path):
-    # A is held as stencil weights and M is factored on the banded LAPACK
-    # kernel: none of the six commands imports scipy.sparse
+def _assert_same_files(first: Path, second: Path) -> None:
+    names = sorted(os.listdir(first))
+    assert names and names == sorted(os.listdir(second))
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), (first, name)
+
+
+def _loaded_after_six_commands(decay_ini, quench_ini, tmp_path, names):
+    """Which of ``names`` a fresh interpreter holds after running all six commands."""
     longer = ["--override", "run.horizon=4.0"]
     runs = [["stationary", decay_ini], ["eigen", decay_ini], ["rate", decay_ini, *longer],
             ["certify", decay_ini, *longer], ["simulate", quench_ini],
@@ -252,11 +258,66 @@ def test_eigen_loads_no_sparse_linalg(decay_ini, quench_ini, tmp_path):
             f"for i, (cmd, cfg, *extra) in enumerate({runs!r}):\n"
             f"    out = {str(tmp_path)!r} + '/' + str(i)\n"
             "    assert main([cmd, '--config', cfg, '--out', out, *extra]) == 0, cmd\n"
-            "print('scipy.sparse' in sys.modules)")
+            f"print([name for name in {names!r} if name in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_eigen_loads_no_sparse_linalg(decay_ini, quench_ini, tmp_path):
+    # A is held as stencil weights and M is factored on the banded LAPACK
+    # kernel: none of the six commands imports scipy.sparse
+    assert _loaded_after_six_commands(decay_ini, quench_ini, tmp_path, ["scipy.sparse"]) == "[]"
+
+
+def test_cold_path_loads_no_scipy_linalg(decay_ini, quench_ini, tmp_path):
+    # quenchlab._lapack loads scipy's LAPACK extension by file; if a scipy
+    # moves it, the fallback runs scipy.linalg's init and this fails
+    names = ["scipy.linalg", "numpy.f2py", "numpy.testing"]
+    assert _loaded_after_six_commands(decay_ini, quench_ini, tmp_path, names) == "[]"
+
+
+# Makes only the by-file load of quenchlab._lapack fail, so it falls back to
+# scipy.linalg.lapack; find_spec is restored once quenchlab is imported.
+FORCE_LAPACK_FALLBACK = """\
+import importlib.util
+find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, *args: None if name == "scipy" else find_spec(name, *args)
+import quenchlab.cli
+importlib.util.find_spec = find_spec
+"""
+
+
+@pytest.mark.parametrize("first", ["quenchlab.cli", "scipy.linalg"])
+def test_lapack_routines_are_scipys(first):
+    # whichever module loads the extension first, the routines quenchlab
+    # calls are scipy.linalg.lapack's own objects
+    code = (f"import {first}\nimport quenchlab.cli\nfrom quenchlab import grid, spectra\n"
+            "from scipy.linalg import lapack\n"
+            "assert grid.lapack.dpttrf is lapack.dpttrf and grid.lapack.dpttrs is lapack.dpttrs\n"
+            "assert spectra.lapack.dgbtrf is lapack.dgbtrf and spectra.lapack.dgbtrs is lapack.dgbtrs\n")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_lapack_fallback_writes_the_same_bytes(tmp_path):
+    # certify decay runs dpttrf and dgbtrf, simulate the 1D solves
+    runs = [["certify", str(CONFIGS / "decay.ini")],
+            ["simulate", str(CONFIGS / "forced_quench.ini")]]
+    for path, prelude in (("direct", ""), ("fallback", FORCE_LAPACK_FALLBACK)):
+        code = (prelude + "import sys\nfrom quenchlab.cli import main\n"
+                f"for cmd, cfg in {runs!r}:\n"
+                f"    out = {str(tmp_path / path)!r} + '/' + cmd\n"
+                "    assert main([cmd, '--config', cfg, '--out', out]) == 0, cmd\n"
+                "print('scipy.linalg' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(path == "fallback")
+    for cmd, _ in runs:
+        _assert_same_files(tmp_path / "direct" / cmd, tmp_path / "fallback" / cmd)
 
 
 RECTANGLE_47X23 = ["--override", "domain.dimension=2", "--override", "domain.b=2",
@@ -286,10 +347,7 @@ def test_2d_certify_is_byte_identical_across_blas_threads(tmp_path):
             env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": out.name},
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-    names = sorted(os.listdir(outs[0]))
-    assert names and names == sorted(os.listdir(outs[1]))
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    _assert_same_files(*outs)
 
 
 def test_eigen_requires_steady_state(quench_ini, tmp_path, capsys):
