@@ -12,14 +12,13 @@ the existence region in the (lam, mu) quadrant.
 
 The boundary of that region is the fold of the minimal branch.  A curve
 sample solves for it by Newton on the Moore-Spence extended system and
-brackets it with two honest checks: escape of the iterates just above, and
-just below a supersolution, a pair (w, z) below the escape level with
-A w >= lam alpha f(z) and A z >= mu beta g(w), which bounds the monotone
-iterates and so proves existence without iterating (the linearized system has no variational
-characterization, so no eigenvalue estimate is used).  Bisection on the
-membership verdicts remains the fallback.  A curve is traced fold first
-(``_critical_mus``): each sample's Newton starts from the previous fold, and
-halving for a bracket runs only where that fails.
+brackets it without iterating: above by pairing the steady equations with the
+left null vector of the linearization (``_fold_bound``; it has no variational
+characterization, so the pairing vector is the adjoint's), below by a
+supersolution that bounds the monotone iterates (``_is_supersolution``).
+Iterate escape and bisection on the membership verdicts are the fallbacks.  A
+curve is traced fold first (``_critical_mus``): each sample's Newton starts
+from the previous fold, and halving for a bracket runs only where that fails.
 
 The fold and the second (upper-branch) steady state are both found by one
 damped-Newton kernel, ``_damped_newton``, whose linear solves go through the
@@ -47,7 +46,7 @@ from .grid import (
     solve_poisson,
 )
 from .model import Model, ParamPoint
-from .spectra import CoupledBand, assemble_linearization
+from .spectra import CoupledBand, LinearizedOperator, assemble_linearization
 
 DEFAULT_TOL_STAT = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -290,11 +289,11 @@ class CurveSample:
     With status "ok" the lower end admits a steady state and the upper end
     does not.  Where the fold Newton converges and both checks pass, the ends
     are mu_f (1 -+ bisect_tol/4) around its fold mu_f, the lower one proved by
-    a supersolution and the upper one by iterate escape; otherwise bisection
-    on membership verdicts sets them.  ``certificate`` says which: "fold" or
-    "bisection".  ``evaluations`` counts the parameter points decided:
-    membership verdicts plus supersolution checks (Newton steps are not
-    counted).
+    a supersolution and the upper one by the fold bound (``_fold_bound``) or,
+    where that declines, by iterate escape; otherwise bisection on membership
+    verdicts sets them.  ``certificate`` says which: "fold" or "bisection".
+    ``evaluations`` counts the parameter points decided: membership verdicts,
+    supersolution checks and upper-end checks (Newton steps are not counted).
     """
 
     lam: float
@@ -492,6 +491,41 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *, band: Co
     return fold if fold.phi.min() > 0.0 and fold.psi.min() > 0.0 else None
 
 
+def _left_null_vector(band: CoupledBand, lin: LinearizedOperator) -> FloatArray | None:
+    """M's left null vector near a fold: two solves with M^T from ones; None if singular."""
+    solve = band.factor(lin.couplings)
+    if solve is None:
+        return None
+    with np.errstate(all="ignore"):  # a non-finite y fails _fold_bound's test
+        y = solve(solve(np.ones(2 * lin.grid.n_total), trans=1), trans=1)
+        return y / y[np.abs(y).argmax()]
+
+
+def _fold_bound(grid: Grid, model: Model, lam: float, fold: _Fold, band: CoupledBand) -> float:
+    """delta such that no steady pair in [0, 1)^2 exists at (lam, mu) for mu >
+    fold.mu + delta; inf where the bound declines (singular factor, y not >= 0).
+    A steady pair at mu lies within |d| < 1 of the fold's, and f, g convex with
+    beta >= 0 give M_f d >= (-r_w, (mu - mu_f) beta g(w) - r_z), M_f and r the
+    linearization and residual at the fold.  Pairing with y >= 0, g(w) >= g(0):
+    (mu - mu_f) y_z^T beta g(0) <= |M_f^T y|_1 + |y^T r| + E (Keener & Keller,
+    ARMA 50, 1973; Crandall & Rabinowitz, ARMA 58, 1975), E the rounding: 64 eps
+    y^T (||A|| (1 + 2 max x) + |r| + c (1 + s)), with ||A|| bounding A's terms in
+    M_f^T y and A x, |A x| + |r| the source, c the couplings in M_f^T y and
+    c s, s their arguments, the source's rounding inside f and g."""
+    params = ParamPoint(lam=lam, mu=fold.mu)
+    lin = assemble_linearization(grid, model, params, fold.w, fold.z)
+    y = _left_null_vector(band, lin)
+    if y is None or not (np.all(np.isfinite(y)) and y.min() >= 0.0):
+        return math.inf
+    r = np.concatenate(_steady_residual(grid, model, params, fold.w, fold.z, 0.0)[:2])
+    gap = LinearizedOperator(grid, lin.coupling_z, lin.coupling_w).apply(y)  # M_f^T y
+    terms = (grid.stencil_norm * (1.0 + 2.0 * max(fold.w.max(), fold.z.max())) + np.abs(r)
+             + np.concatenate([lin.coupling_w * (1.0 + fold.z), lin.coupling_z * (1.0 + fold.w)]))
+    slack = np.abs(gap).sum() + abs(y @ r) + 64.0 * np.finfo(float).eps * (y @ terms)
+    push = model.g.at_zero * (y[grid.n_total:] @ model.beta.sample(grid))
+    return float(slack / push) if push > 0.0 else math.inf
+
+
 def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
                   bisect_tol: float,
                   tol_stat: float,
@@ -511,9 +545,9 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
        psi the Laplacian's principal eigenfunction; its fold inside that
        bracket is a candidate on the same check.  A candidate starts the
        next sample's Newton.
-    2. One ``_monotone_verdicts`` block decides every candidate's upper end
-       mu_f (1 + d); where it is NotInLambda the bracket is
-       [mu_f (1 - d), mu_f (1 + d)].
+    2. ``_fold_bound`` decides every candidate's upper end mu_f (1 + d), and
+       one ``_monotone_verdicts`` block those where it declines; where the
+       end is out of the region the bracket is [mu_f (1 - d), mu_f (1 + d)].
     3. Elsewhere bisection goes on from the halving's bracket (halved now if
        the fold skipped it): Undetermined verdicts shrink it from neither
        side, and the budget is doubled up to a cap, after which the bracket
@@ -523,6 +557,7 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
     budget_cap = max_iter * 2**max_iter_doublings
     settings = dict(tol_stat=tol_stat, delta_blow=delta_blow, tol_res=tol_res)
     newton = dict(band=CoupledBand(grid, 4), tol_res=tol_res, delta_blow=delta_blow)
+    band = CoupledBand(grid, 2)  # M at each fold, for _fold_bound
     evaluations = [0] * len(lams)
     top = mu_bar * (1.0 + 1e-9)
 
@@ -566,18 +601,18 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
                 w=verdict.solution.w, z=verdict.solution.z, phi=phi, psi=phi, mu=lo), **newton)
             if not (fold is not None and lo < fold.mu < hi and supersolution_below(k, fold)):
                 fold = None
+        evaluations[k] += fold is not None  # its upper end: the bound, else an escape verdict
         candidates.append(fold)
 
     pending = [k for k, fold in enumerate(candidates) if fold is not None]
-    above = [ParamPoint(lam=lams[k], mu=candidates[k].mu * (1.0 + delta)) for k in pending]
+    declined = [k for k in pending if not _fold_bound(
+        grid, model, lams[k], candidates[k], band) < candidates[k].mu * delta]
+    above = [ParamPoint(lam=lams[k], mu=candidates[k].mu * (1.0 + delta)) for k in declined]
     escapes = _monotone_verdicts(grid, model, above, max_iter=max_iter, **settings)
-    certified = set()
-    for k, verdict in zip(pending, escapes):
-        evaluations[k] += 1
-        if isinstance(verdict, NotInLambda):
-            mu_f = candidates[k].mu
-            brackets[k] = (mu_f * (1.0 - delta), mu_f * (1.0 + delta))
-            certified.add(k)
+    failed = {k for k, verdict in zip(declined, escapes) if not isinstance(verdict, NotInLambda)}
+    certified = set(pending) - failed
+    for k in certified:
+        brackets[k] = (candidates[k].mu * (1.0 - delta), candidates[k].mu * (1.0 + delta))
 
     samples = []
     for k, bracket in enumerate(brackets):

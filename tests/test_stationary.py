@@ -24,6 +24,7 @@ from quenchlab import (
     interval,
     mass_bound_check,
     monotone_minimal_solution,
+    principal_eigenpair,
     principal_laplacian_eigenpair,
     rectangle,
     second_solution_search,
@@ -319,6 +320,12 @@ def test_curve_brackets_are_honest(monkeypatch):
         assert p.bracket_lo < s.mu_critical < p.bracket_hi
 
 
+def _decline_fold_bound(monkeypatch):
+    """Make the fold bound decline everywhere, so that every fold candidate's
+    upper end goes to the escape verdicts."""
+    monkeypatch.setattr(stationary, "_fold_bound", lambda *args, **kwargs: np.inf)
+
+
 def _spy_curve(monkeypatch):
     """Records the fold Newton's starts and the membership verdicts of a trace
     by lam: (lam, start mu) and (lam, mu)."""
@@ -368,9 +375,10 @@ def test_curve_fold_first_falls_back(monkeypatch):
     assert second.evaluations == len(halving) + 3
     assert second.mu_critical == pytest.approx(plain[1].mu_critical, rel=1e-12)
 
-    # The escape checks fail (Undetermined or InLambda): every sample is
-    # halved, then bisected, and its bracket is honest.
+    # The fold bound declines and the escape checks fail (Undetermined or
+    # InLambda): every sample is halved, then bisected, and its bracket is honest.
     monkeypatch.setattr(stationary, "_is_supersolution", check)
+    _decline_fold_bound(monkeypatch)
     verdicts = stationary._monotone_verdicts
     for outcome in ("undetermined", "in-lambda"):
         def failing(grid, model, points, **kwargs):
@@ -483,9 +491,11 @@ def test_curve_rejects_bisect_tol_outside_unit_interval(bisect_tol):
         trace_critical_curve(g, power2_model(), [0.5], bisect_tol=bisect_tol)
 
 
-def test_curve_wide_bracket_survives_fold_newton():
+def test_curve_wide_bracket_survives_fold_newton(monkeypatch):
     # 40 iterations decide the halving probes but neither the escape check
-    # next to the fold nor the bisection midpoints near it
+    # next to the fold nor the bisection midpoints near it; the fold bound,
+    # which needs no iteration, declines
+    _decline_fold_bound(monkeypatch)
     g, _, _ = unit_stack(49)
     curve = trace_critical_curve(g, power2_model(), [0.5], max_iter=40,
                                  max_iter_doublings=0)
@@ -614,6 +624,7 @@ def test_fold_step_matches_sparse_lu(family, dimension, monkeypatch):
 
 
 def test_escape_checks_share_one_block_solve_per_iteration(monkeypatch):
+    _decline_fold_bound(monkeypatch)  # every candidate falls back to the escape block
     g, _, _ = unit_stack(49)
     calls = _spy_solves(monkeypatch)
     batches = []
@@ -636,6 +647,140 @@ def test_escape_checks_share_one_block_solve_per_iteration(monkeypatch):
         (g.n_total, 2 * sum(it <= last for last in escaped_at))
         for it in range(1, max(escaped_at) + 1)]
     assert len(solves) < sum(escaped_at)
+
+
+def _block_verdicts(g, model, points, max_iter):
+    """Membership verdicts at every point, from one block iteration with the
+    default tolerances (each equal to the lone verdict's)."""
+    return stationary._monotone_verdicts(g, model, points, tol_stat=1e-10, max_iter=max_iter,
+                                         delta_blow=1e-4, tol_res=1e-8)
+
+
+def _spy_fold_bound(monkeypatch, null_vector=None):
+    """Records each fold bound of a trace as (model, lam, fold, delta, y), y
+    the left null vector it used (the lam intercept's model is the swapped
+    one); ``null_vector`` replaces ``_left_null_vector``."""
+    records, bound = [], stationary._fold_bound
+    null_vector = null_vector or stationary._left_null_vector
+
+    def spy_null_vector(band, lin):
+        records.append(null_vector(band, lin))
+        return records[-1]
+
+    def spy_bound(grid, model, lam, fold, band):
+        delta = bound(grid, model, lam, fold, band)
+        records[-1] = (model, lam, fold, delta, records[-1])
+        return delta
+
+    monkeypatch.setattr(stationary, "_left_null_vector", spy_null_vector)
+    monkeypatch.setattr(stationary, "_fold_bound", spy_bound)
+    return records
+
+
+def test_curve_samples_do_not_depend_on_the_fold_bound(monkeypatch):
+    # where the bound certifies the upper end, the escape verdict would too
+    g, _, _ = unit_stack(49)
+    lams = [0.3, 0.7, 1.1, 1.5]
+    records = _spy_fold_bound(monkeypatch)
+    bounded = trace_critical_curve(g, power2_model(), lams, bisect_tol=5e-3).samples
+    assert [s.certificate for s in bounded] == ["fold"] * 4
+    assert all(delta < 1.25e-3 * fold.mu for _, _, fold, delta, _ in records)
+    _decline_fold_bound(monkeypatch)
+    assert trace_critical_curve(g, power2_model(), lams, bisect_tol=5e-3).samples == bounded
+
+
+_FAMILIES, _PROFILES = ["log", "exp", "power"], ["constant", "bump", "powerdist"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=st.sampled_from(_FAMILIES), g_family=st.sampled_from(_FAMILIES),
+       alpha=st.sampled_from(_PROFILES), beta=st.sampled_from(_PROFILES),
+       dimension=st.sampled_from([1, 2]), a=st.floats(0.05, 0.95))
+def test_fold_bound_certifies_only_nonexistence(f, g_family, alpha, beta, dimension, a):
+    # Wherever the bound certifies mu_f (1 + d), d = bisect_tol / 4, it is a
+    # finite delta >= 0 from a y >= 0, and the monotone iterates escape there.
+    g = _GRIDS[dimension]
+    model = Model(f=Nonlinearity(f), g=Nonlinearity(g_family),
+                  alpha=Profile(alpha), beta=Profile(beta))
+    lam_bar, _ = analytic_nonexistence_bound(g, model)
+    with pytest.MonkeyPatch.context() as patch:
+        records = _spy_fold_bound(patch)
+        trace_critical_curve(g, model, [a * lam_bar])
+    for model, lam, fold, delta, y in records:
+        if delta < 2.5e-4 * fold.mu:
+            assert 0.0 <= delta < np.inf and y.min() >= 0.0
+            above = monotone_minimal_solution(g, model, ParamPoint(lam, fold.mu * (1.0 + 2.5e-4)),
+                                              max_iter=200_000)
+            assert isinstance(above, NotInLambda)
+
+
+def _flipped(band, lin, null_vector=stationary._left_null_vector):
+    return -null_vector(band, lin)
+
+
+def _right_null_vector(band, lin):
+    """``_left_null_vector`` with M in place of M^T."""
+    solve = band.factor(lin.couplings)
+    y = solve(solve(np.ones(2 * lin.grid.n_total)))
+    return y / y[np.abs(y).argmax()]
+
+
+@pytest.mark.parametrize("null_vector", [_flipped, _right_null_vector])
+def test_fold_bound_mutations_decline_or_agree(monkeypatch, null_vector):
+    # A wrong pairing vector must not certify a point that admits a steady
+    # state.  On an asymmetric model M and M^T differ (M^T is M with its
+    # fields swapped), so the right null vector is no left one.
+    g, _, _ = unit_stack(49)
+    model = Model(f=Nonlinearity("power"), g=Nonlinearity("exp"),
+                  alpha=Profile("bump"), beta=Profile("powerdist"))
+    records = _spy_fold_bound(monkeypatch, null_vector)
+    curve = trace_critical_curve(g, model, [0.3, 1.0])
+    assert len(records) >= 2
+    assert [s.status for s in curve.samples] == ["ok", "ok"]
+    for model, lam, fold, delta, y in records:
+        assert y.max() > 0.0 if null_vector is _right_null_vector else y.max() < 0.0
+        if delta < 2.5e-4 * fold.mu:
+            (above,) = _block_verdicts(g, model, [ParamPoint(lam, fold.mu * (1.0 + 2.5e-4))],
+                                       200_000)
+            assert isinstance(above, NotInLambda)
+
+
+def test_curve_certifies_tight_brackets_by_the_fold():
+    # At bisect_tol 1e-6 the escape checks just above the folds run out of
+    # budget; the fold bound still certifies the upper ends without iterating.
+    g, _, _ = unit_stack(49)
+    model = power2_model()
+    curve = trace_critical_curve(g, model, [0.5, 1.0], bisect_tol=1e-6)
+    assert [(s.certificate, s.status) for s in curve.samples] == [("fold", "ok")] * 2
+    below = _block_verdicts(g, model, [ParamPoint(s.lam, s.bracket_lo) for s in curve.samples],
+                            100_000)
+    assert all(isinstance(v, InLambda) for v in below)
+
+
+_EPSILONS = (3e-4, 1e-4, 3e-5, 1e-5)  # nearer the fold, eigen fails to converge
+
+
+@pytest.mark.parametrize("f, g_family, alpha, lam", [
+    ("power", "power", "constant", 0.5), ("log", "log", "constant", 0.5),
+    ("exp", "exp", "constant", 0.5), ("power", "exp", "bump", 0.3)])
+def test_nu1_squared_vanishes_linearly_at_the_fold(f, g_family, alpha, lam):
+    # At a simple fold nu1 ~ C sqrt(mu_f - mu) on the minimal branch: the
+    # Newton fold, the Picard minimal states and inverse iteration for nu1
+    # must agree on where nu1^2 reaches 0.
+    g = interval(0.0, 1.0, 99)
+    model = Model(f=Nonlinearity(f), g=Nonlinearity(g_family),
+                  alpha=Profile(alpha), beta=Profile("constant"))
+    (sample,) = trace_critical_curve(g, model, [lam]).samples
+    points = [ParamPoint(lam, sample.mu_critical * (1.0 - eps)) for eps in _EPSILONS]
+    nus = np.array([principal_eigenpair(assemble_linearization(
+        g, model, p, v.solution.w, v.solution.z)).nu1
+        for p, v in zip(points, _block_verdicts(g, model, points, 10_000))])
+    assert np.all(nus > 0.0)
+    (mu_a, mu_b), (sq_a, sq_b) = [p.mu for p in points[-2:]], nus[-2:] ** 2
+    zero = mu_b + sq_b * (mu_b - mu_a) / (sq_a - sq_b)
+    assert sample.bracket_lo < zero < sample.bracket_hi
+    ratios = np.diff(nus / np.sqrt(_EPSILONS))
+    assert np.all(ratios > 0.0) or np.all(ratios < 0.0)
 
 
 @pytest.mark.parametrize("grid", [interval(0.0, 1.0, 13), rectangle((0.0, 2.0), (0.0, 1.0), 7, 5)],
