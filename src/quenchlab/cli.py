@@ -70,14 +70,6 @@ _NEEDS_MINIMAL = ("scaled_minimal", "convex_combo", "above_second")
 _NEEDS_SECOND = ("convex_combo", "above_second")
 
 
-def _float(raw: str) -> float:
-    return float(raw)
-
-
-def _int(raw: str) -> int:
-    return int(raw)
-
-
 def _float_list(raw: str, cast=float) -> tuple[float, ...]:
     return tuple(cast(p) for p in raw.replace(",", " ").split())
 
@@ -111,43 +103,43 @@ _POSITIVE, _COUNT = _between(0, math.inf), _between(0, math.inf, int)
 def _profile_keys(prefix: str) -> dict:
     return {
         f"{prefix}_family": (_choice(*_PROFILE_CHOICES), "constant"),
-        f"{prefix}_c": (_float, 1.0),
-        f"{prefix}_width": (_float, 10.0),
+        f"{prefix}_c": (float, 1.0),
+        f"{prefix}_width": (float, 10.0),
         f"{prefix}_center": (_optional_floats, None),
-        f"{prefix}_kappa": (_float, 1.0),
+        f"{prefix}_kappa": (float, 1.0),
     }
 
 
 # key -> (caster, default); None default means "unset, resolved later"
 _SCHEMA: dict[str, dict] = {
     "domain": {
-        "dimension": (_int, 1),
-        "a": (_float, 0.0),
-        "b": (_float, 1.0),
-        "c": (_float, 0.0),
-        "d": (_float, 1.0),
+        "dimension": (int, 1),
+        "a": (float, 0.0),
+        "b": (float, 1.0),
+        "c": (float, 0.0),
+        "d": (float, 1.0),
         "n": (_COUNT, 199),
         "nx": (_COUNT, None),
         "ny": (_COUNT, None),
     },
     "model": {
         "f_family": (_choice(*_FAMILY_CHOICES), "log"),
-        "f_p": (_float, 2.0),
+        "f_p": (float, 2.0),
         "g_family": (_choice(*_FAMILY_CHOICES), "log"),
-        "g_p": (_float, 2.0),
+        "g_p": (float, 2.0),
         **_profile_keys("alpha"),
         **_profile_keys("beta"),
-        "lambda": (_float, 1.0),
-        "mu": (_float, 1.0),
+        "lambda": (float, 1.0),
+        "mu": (float, 1.0),
         "initial_kind": (_choice(*_INITIAL_CHOICES), "zero"),
-        "initial_s": (_float, 0.5),
-        "initial_eps": (_float, 0.05),
-        "initial_amp_u": (_float, 0.9),
-        "initial_amp_v": (_float, 0.9),
+        "initial_s": (float, 0.5),
+        "initial_eps": (float, 0.05),
+        "initial_amp_u": (float, 0.9),
+        "initial_amp_v": (float, 0.9),
     },
     "run": {
         "horizon": (_POSITIVE, 5.0),
-        "dt_init": (_float, 1e-4),
+        "dt_init": (float, 1e-4),
         "dt_min": (_POSITIVE, 1e-12),
         "dt_max": (_POSITIVE, 0.05),
         "tol_step": (_POSITIVE, 1e-6),

@@ -13,9 +13,10 @@ the existence region in the (lam, mu) quadrant.
 The boundary of that region is the fold of the minimal branch.  A curve
 sample solves for it by Newton on the Moore-Spence extended system and
 brackets it without iterating: above by pairing the steady equations with the
-left null vector of the linearization (``_fold_bound``; it has no variational
-characterization, so the pairing vector is the adjoint's), below by a
-supersolution that bounds the monotone iterates (``_is_supersolution``).
+left null vector of the linearization, which is the Newton's own null vector
+with its two fields swapped (``_fold_bound``; the linearization has no
+variational characterization, so the pairing vector is the adjoint's), below
+by a supersolution that bounds the monotone iterates (``_is_supersolution``).
 Iterate escape and bisection on the membership verdicts are the fallbacks.  A
 curve is traced fold first (``_critical_mus``): each sample's Newton starts
 from the previous fold, and halving for a bracket runs only where that fails.
@@ -46,7 +47,7 @@ from .grid import (
     solve_poisson,
 )
 from .model import Model, ParamPoint
-from .spectra import CoupledBand, LinearizedOperator, assemble_linearization
+from .spectra import CoupledBand, assemble_linearization
 
 DEFAULT_TOL_STAT = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -135,134 +136,69 @@ def monotone_minimal_solution(grid: Grid, model: Model, params: ParamPoint, *,
     The update solves for the increments, whose right-hand sides are
     nonnegative whenever the iterates are ordered, so the iterates are
     pointwise nondecreasing by construction (a floor at 0 absorbs sub-ulp
-    sign noise from the nonlinearity evaluations).  Outcomes:
+    sign noise from the nonlinearity evaluations).  The iterate (w, z) is the
+    two columns of one (n, 2) block, advanced by one ``solve_poisson`` call
+    per iteration; ``iterate_hook(it, w, z)`` sees each iterate.  Outcomes:
 
     - converged (sup-norm change <= tol_stat) and residuals verified: InLambda;
     - an iterate reaches max >= 1 - delta_blow: NotInLambda (iterate escape);
     - lam or mu beyond the analytic nonexistence box: NotInLambda, no iteration;
     - budget exhausted: Undetermined with a max_iter hint.
-
-    This is ``_monotone_verdicts`` on one point; ``iterate_hook(it, w, z)``
-    sees each iterate.
-    """
-    (verdict,) = _monotone_verdicts(grid, model, [params], tol_stat=tol_stat,
-                                    max_iter=max_iter, delta_blow=delta_blow,
-                                    tol_res=tol_res, iterate_hook=iterate_hook)
-    return verdict
-
-
-def _solve_pairs(op, b: FloatArray, m: int) -> tuple[FloatArray, dict[int, Exception]]:
-    """Solve the block b = [b_w | b_z] of m points; if that fails, each
-    point's (n, 2) pair alone.  Returns the increments and, by point, the
-    error of each pair that failed on its own."""
-    try:
-        return solve_poisson(op, b), {}
-    except (SolverBreakdownError, ValueError) as exc:
-        if m == 1:
-            return np.zeros_like(b), {0: exc}
-    inc, failed = np.zeros_like(b), {}
-    for j in range(m):
-        try:
-            inc[:, [j, m + j]] = solve_poisson(op, b[:, [j, m + j]])
-        except (SolverBreakdownError, ValueError) as exc:
-            failed[j] = exc
-    return inc, failed
-
-
-def _monotone_verdicts(grid: Grid, model: Model, points: list[ParamPoint], *,
-                       tol_stat: float, max_iter: int, delta_blow: float, tol_res: float,
-                       iterate_hook: Callable[[int, FloatArray, FloatArray], None] | None = None
-                       ) -> list[MembershipVerdict]:
-    """``monotone_minimal_solution``'s verdict at every point, from one block
-    iteration: the iterates (w, z) of the m undecided points are the columns
-    [w_1 .. w_m | z_1 .. z_m] of one (n, 2m) block, advanced by one
-    ``solve_poisson`` call per iteration, and a point leaves the block once
-    decided, before its source is evaluated again.  Points beyond the
-    analytic box never join.  Each column is computed exactly as a lone
-    verdict computes it, so every verdict is bit-identical to a lone one.
-    ``iterate_hook``, for one point, sees each of its iterates.
     """
     lam_bar, mu_bar = analytic_nonexistence_bound(grid, model)
-    verdicts: list[MembershipVerdict | None] = [None] * len(points)
-    for k, p in enumerate(points):
-        if p.lam > lam_bar or p.mu > mu_bar:
-            verdicts[k] = NotInLambda(
-                evidence="analytic-bound",
-                detail={"lam_bar": lam_bar, "mu_bar": mu_bar, "lam": p.lam, "mu": p.mu})
-    active = [k for k, v in enumerate(verdicts) if v is None]
+    if params.lam > lam_bar or params.mu > mu_bar:
+        return NotInLambda(evidence="analytic-bound", detail={
+            "lam_bar": lam_bar, "mu_bar": mu_bar, "lam": params.lam, "mu": params.mu})
 
-    alpha = model.alpha.sample(grid)[:, None]
-    beta = model.beta.sample(grid)[:, None]
+    coeff_w = params.lam * model.alpha.sample(grid)
+    coeff_z = params.mu * model.beta.sample(grid)
     escape = 1.0 - delta_blow
-    op = grid.laplacian
-    m = len(active)
-    x = np.zeros((grid.n_total, 2 * m), order="F")
+    x = np.zeros((grid.n_total, 2), order="F")  # the columns w, z
     source_prev = np.zeros_like(x)
-    change = np.full(m, math.inf)
+    change = math.inf
 
     def escaped(it: int, top: float) -> NotInLambda:
         return NotInLambda(evidence="iterate-escape",
                            detail={"iteration": it, "max_value": top, "delta_blow": delta_blow})
 
     for it in range(1, max_iter + 1):
-        if not m:
-            break
         source = np.empty_like(x)
-        np.multiply(np.array([points[k].lam for k in active]) * alpha,
-                    model.f.value(x[:, m:]), out=source[:, :m])
-        np.multiply(np.array([points[k].mu for k in active]) * beta,
-                    model.g.value(x[:, :m]), out=source[:, m:])
+        np.multiply(coeff_w, model.f.value(x[:, 1]), out=source[:, 0])
+        np.multiply(coeff_z, model.g.value(x[:, 0]), out=source[:, 1])
         b = np.maximum(source - source_prev, 0.0)
-        inc, failed = _solve_pairs(op, b, m)
-        for j, exc in failed.items():
+        try:
+            inc = solve_poisson(grid.laplacian, b)
+        except (SolverBreakdownError, ValueError):
             # A source overflowed (exp does past s = 0.9986, below the escape
             # level).  A^-1 >= 0 with (A^-1)_jj >= 1/A_jj, so for b >= 0 the
             # next iterate is at least x + b/diag(A): escape needs no solve.
-            pair = [j, m + j]
-            bound = float((x[:, pair] + b[:, pair] / grid.stencil[0]).max())
+            bound = float((x + b / grid.stencil[0]).max())
             if not bound >= escape:
-                raise exc
-            verdicts[active[j]] = escaped(it, bound)
+                raise
+            return escaped(it, bound)
         np.maximum(inc, 0.0, out=inc)
         x = x + inc
         source_prev = source
-        if iterate_hook is not None and not failed:
+        if iterate_hook is not None:
             iterate_hook(it, x[:, 0], x[:, 1])
 
-        top = np.maximum(x[:, :m].max(axis=0), x[:, m:].max(axis=0))
-        change = np.maximum(inc[:, :m].max(axis=0), inc[:, m:].max(axis=0))
-        for j, k in enumerate(active):
-            if verdicts[k] is not None:
-                continue
-            if top[j] >= escape:
-                verdicts[k] = escaped(it, float(top[j]))
-            elif change[j] <= tol_stat:
-                w, z = x[:, j].copy(), x[:, m + j].copy()
-                fw, fz, met = _steady_residual(grid, model, points[k], w, z, tol_res)
-                if met:
-                    verdicts[k] = InLambda(solution=StationarySolution(
-                        w=w, z=z, params=points[k], iterations=it,
-                        final_change=float(change[j]), residual_w=float(np.abs(fw).max()),
-                        residual_z=float(np.abs(fz).max())))
-                else:
-                    verdicts[k] = Undetermined(
-                        iterations=it, last_change=float(change[j]),
-                        hint="iteration converged but the residual target was not met; "
-                             "check the linear-solver tolerance")
+        top, change = float(x.max()), float(inc.max())
+        if top >= escape:
+            return escaped(it, top)
+        if change <= tol_stat:
+            w, z = x[:, 0].copy(), x[:, 1].copy()
+            fw, fz, met = _steady_residual(grid, model, params, w, z, tol_res)
+            if not met:
+                return Undetermined(
+                    iterations=it, last_change=change,
+                    hint="iteration converged but the residual target was not met; "
+                         "check the linear-solver tolerance")
+            return InLambda(solution=StationarySolution(
+                w=w, z=z, params=params, iterations=it, final_change=change,
+                residual_w=float(np.abs(fw).max()), residual_z=float(np.abs(fz).max())))
 
-        keep = [j for j, k in enumerate(active) if verdicts[k] is None]
-        if len(keep) < m:
-            cols = keep + [m + j for j in keep]
-            x, source_prev = np.asfortranarray(x[:, cols]), np.asfortranarray(source_prev[:, cols])
-            change = change[keep]
-            active = [active[j] for j in keep]
-            m = len(active)
-
-    for j, k in enumerate(active):
-        verdicts[k] = Undetermined(
-            iterations=max_iter, last_change=float(change[j]),
-            hint="increase max_iter; the iteration had not settled or escaped")
-    return verdicts
+    return Undetermined(iterations=max_iter, last_change=change,
+                        hint="increase max_iter; the iteration had not settled or escaped")
 
 
 def analytic_nonexistence_bound(grid: Grid, model: Model) -> tuple[float, float]:
@@ -491,19 +427,9 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *, band: Co
     return fold if fold.phi.min() > 0.0 and fold.psi.min() > 0.0 else None
 
 
-def _left_null_vector(band: CoupledBand, lin: LinearizedOperator) -> FloatArray | None:
-    """M's left null vector near a fold: two solves with M^T from ones; None if singular."""
-    solve = band.factor(lin.couplings)
-    if solve is None:
-        return None
-    with np.errstate(all="ignore"):  # a non-finite y fails _fold_bound's test
-        y = solve(solve(np.ones(2 * lin.grid.n_total), trans=1), trans=1)
-        return y / y[np.abs(y).argmax()]
-
-
-def _fold_bound(grid: Grid, model: Model, lam: float, fold: _Fold, band: CoupledBand) -> float:
+def _fold_bound(grid: Grid, model: Model, lam: float, fold: _Fold) -> float:
     """delta such that no steady pair in [0, 1)^2 exists at (lam, mu) for mu >
-    fold.mu + delta; inf where the bound declines (singular factor, y not >= 0).
+    fold.mu + delta; inf where the bound declines (phi or psi not > 0).
     A steady pair at mu lies within |d| < 1 of the fold's, and f, g convex with
     beta >= 0 give M_f d >= (-r_w, (mu - mu_f) beta g(w) - r_z), M_f and r the
     linearization and residual at the fold.  Pairing with y >= 0, g(w) >= g(0):
@@ -511,14 +437,18 @@ def _fold_bound(grid: Grid, model: Model, lam: float, fold: _Fold, band: Coupled
     ARMA 50, 1973; Crandall & Rabinowitz, ARMA 58, 1975), E the rounding: 64 eps
     y^T (||A|| (1 + 2 max x) + |r| + c (1 + s)), with ||A|| bounding A's terms in
     M_f^T y and A x, |A x| + |r| the source, c the couplings in M_f^T y and
-    c s, s their arguments, the source's rounding inside f and g."""
+    c s, s their arguments, the source's rounding inside f and g.  M_f^T = P M_f
+    P, P swapping the two fields (A is symmetric, the couplings diagonal), so
+    y = P (phi, psi) = (psi, phi), scaled to max 1, comes from the fold's own
+    null vector with no solve, and |M_f^T y|_1 = |M_f P y|_1."""
+    if not (fold.phi.min() > 0.0 and fold.psi.min() > 0.0):
+        return math.inf
     params = ParamPoint(lam=lam, mu=fold.mu)
     lin = assemble_linearization(grid, model, params, fold.w, fold.z)
-    y = _left_null_vector(band, lin)
-    if y is None or not (np.all(np.isfinite(y)) and y.min() >= 0.0):
-        return math.inf
+    scale = max(fold.phi.max(), fold.psi.max())
+    y = np.concatenate([fold.psi, fold.phi]) / scale
     r = np.concatenate(_steady_residual(grid, model, params, fold.w, fold.z, 0.0)[:2])
-    gap = LinearizedOperator(grid, lin.coupling_z, lin.coupling_w).apply(y)  # M_f^T y
+    gap = lin.apply(np.concatenate([fold.phi, fold.psi]) / scale)  # P M_f^T y
     terms = (grid.stencil_norm * (1.0 + 2.0 * max(fold.w.max(), fold.z.max())) + np.abs(r)
              + np.concatenate([lin.coupling_w * (1.0 + fold.z), lin.coupling_z * (1.0 + fold.w)]))
     slack = np.abs(gap).sum() + abs(y @ r) + 64.0 * np.finfo(float).eps * (y @ terms)
@@ -534,7 +464,7 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
                   max_iter_doublings: int,
                   delta_blow: float,
                   floor_factor: float) -> list[CurveSample]:
-    """Locate the largest admissible mu at each lam, in three phases.
+    """Locate the largest admissible mu at each lam, in three steps.
 
     1. Per sample, fold first: the Newton runs from the previous sample's
        fold, and its fold mu_f in (0, mu_bar (1 + 1e-9)) is a candidate when
@@ -545,9 +475,9 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
        psi the Laplacian's principal eigenfunction; its fold inside that
        bracket is a candidate on the same check.  A candidate starts the
        next sample's Newton.
-    2. ``_fold_bound`` decides every candidate's upper end mu_f (1 + d), and
-       one ``_monotone_verdicts`` block those where it declines; where the
-       end is out of the region the bracket is [mu_f (1 - d), mu_f (1 + d)].
+    2. ``_fold_bound`` decides each candidate's upper end mu_f (1 + d) or,
+       where it declines, one membership verdict there; where the end is out
+       of the region the bracket is [mu_f (1 - d), mu_f (1 + d)].
     3. Elsewhere bisection goes on from the halving's bracket (halved now if
        the fold skipped it): Undetermined verdicts shrink it from neither
        side, and the budget is doubled up to a cap, after which the bracket
@@ -557,7 +487,6 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
     budget_cap = max_iter * 2**max_iter_doublings
     settings = dict(tol_stat=tol_stat, delta_blow=delta_blow, tol_res=tol_res)
     newton = dict(band=CoupledBand(grid, 4), tol_res=tol_res, delta_blow=delta_blow)
-    band = CoupledBand(grid, 2)  # M at each fold, for _fold_bound
     evaluations = [0] * len(lams)
     top = mu_bar * (1.0 + 1e-9)
 
@@ -584,10 +513,18 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
         return _is_supersolution(grid, model, below, *fold.lifted(model, delta),
                                  delta_blow=delta_blow)
 
+    def excluded(k: int, fold: _Fold) -> bool:  # is mu_f (1 + d) out of the region?
+        evaluations[k] += 1
+        if _fold_bound(grid, model, lams[k], fold) < fold.mu * delta:
+            return True
+        above = ParamPoint(lam=lams[k], mu=fold.mu * (1.0 + delta))
+        return isinstance(monotone_minimal_solution(grid, model, above, max_iter=max_iter,
+                                                    **settings), NotInLambda)
+
     _, phi = principal_laplacian_eigenpair(grid.laplacian)
     phi = phi * (grid.n_total / phi.sum())
     brackets: list[tuple[float | None, float] | None] = []  # None: not halved yet
-    candidates: list[_Fold | None] = []
+    certified = set()
     fold = None
     for k, lam in enumerate(lams):
         if fold is not None:
@@ -601,18 +538,9 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
                 w=verdict.solution.w, z=verdict.solution.z, phi=phi, psi=phi, mu=lo), **newton)
             if not (fold is not None and lo < fold.mu < hi and supersolution_below(k, fold)):
                 fold = None
-        evaluations[k] += fold is not None  # its upper end: the bound, else an escape verdict
-        candidates.append(fold)
-
-    pending = [k for k, fold in enumerate(candidates) if fold is not None]
-    declined = [k for k in pending if not _fold_bound(
-        grid, model, lams[k], candidates[k], band) < candidates[k].mu * delta]
-    above = [ParamPoint(lam=lams[k], mu=candidates[k].mu * (1.0 + delta)) for k in declined]
-    escapes = _monotone_verdicts(grid, model, above, max_iter=max_iter, **settings)
-    failed = {k for k, verdict in zip(declined, escapes) if not isinstance(verdict, NotInLambda)}
-    certified = set(pending) - failed
-    for k in certified:
-        brackets[k] = (candidates[k].mu * (1.0 - delta), candidates[k].mu * (1.0 + delta))
+        if fold is not None and excluded(k, fold):
+            certified.add(k)
+            brackets[k] = (fold.mu * (1.0 - delta), fold.mu * (1.0 + delta))
 
     samples = []
     for k, bracket in enumerate(brackets):

@@ -1,5 +1,8 @@
 """Monotone construction, membership verdicts, curve trace, mass bounds."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -378,26 +381,32 @@ def test_curve_fold_first_falls_back(monkeypatch):
     # The fold bound declines and the escape checks fail (Undetermined or
     # InLambda): every sample is halved, then bisected, and its bracket is honest.
     monkeypatch.setattr(stationary, "_is_supersolution", check)
-    _decline_fold_bound(monkeypatch)
-    verdicts = stationary._monotone_verdicts
-    for outcome in ("undetermined", "in-lambda"):
-        def failing(grid, model, points, **kwargs):
-            if "iterate_hook" in kwargs:  # a lone verdict
-                return verdicts(grid, model, points, **kwargs)
-            lower = [ParamPoint(p.lam, p.mu / 2.0) for p in points]
-            return (verdicts(grid, model, lower, **kwargs) if outcome == "in-lambda"
-                    else [Undetermined(1, 1.0, "forced")] * len(points))
+    escapes = []  # the upper ends mu_f (1 + d) left to an escape verdict
 
-        monkeypatch.setattr(stationary, "_monotone_verdicts", failing)
-        del starts[:], probes[:]
+    def decline(grid, model, lam, fold):
+        escapes.append(ParamPoint(lam, fold.mu * (1.0 + 5e-3 / 4.0)))
+        return np.inf
+
+    monkeypatch.setattr(stationary, "_fold_bound", decline)
+    spied = stationary.monotone_minimal_solution  # _spy_curve's
+    for outcome in ("undetermined", "in-lambda"):
+        def failing(grid, model, params, **kwargs):
+            if params not in escapes:
+                return spied(grid, model, params, **kwargs)
+            return (spied(grid, model, ParamPoint(params.lam, params.mu / 2.0), **kwargs)
+                    if outcome == "in-lambda" else Undetermined(1, 1.0, "forced"))
+
+        monkeypatch.setattr(stationary, "monotone_minimal_solution", failing)
+        del starts[:], probes[:], escapes[:]
         curve = trace_critical_curve(g, model, lams, bisect_tol=5e-3)
+        assert [p.lam for p in escapes][:2] == lams  # then the two intercepts'
         for s in curve.samples:
             assert (s.certificate, s.status) == ("bisection", "ok")
             assert s.bracket_hi - s.bracket_lo <= 5e-3 * s.bracket_hi
             assert (s.lam, mu_bar / 2.0) in probes
-            assert isinstance(stationary.monotone_minimal_solution(
+            assert isinstance(monotone_minimal_solution(
                 g, model, ParamPoint(s.lam, s.bracket_lo), max_iter=100_000), InLambda)
-            assert isinstance(stationary.monotone_minimal_solution(
+            assert isinstance(monotone_minimal_solution(
                 g, model, ParamPoint(s.lam, s.bracket_hi), max_iter=100_000), NotInLambda)
         assert [lam for lam, _ in starts if lam in lams] == [0.5, 1.0]  # warm at 1.0
 
@@ -538,6 +547,20 @@ def _verdict_record(verdict):
 # the escape level (0.5565 to 0.8095).
 _BATCH_FRACTIONS = (0.02, 0.1, 0.2, 0.5, 0.9, 1.01, 0.8095, 0.6975, 0.7725, 0.5565)
 
+# sha256 (first 16 hex digits) of repr([_verdict_record(v) ...]) over the
+# verdicts at every fraction with budget 12, then 10,000, as the m-point block
+# iteration that the one-point iteration replaced wrote them, all points in
+# one block per budget (its lone verdicts had the same digests); Python
+# 3.11.7, numpy 2.4.6, OpenBLAS 0.3.31, x86-64
+_VERDICT_DIGESTS = {
+    ("log", "constant", 1): "508dc6e22809c7af", ("log", "constant", 2): "32f3273d0673c006",
+    ("log", "bump", 1): "72cb3f09637db874", ("log", "bump", 2): "138cede06d2d890b",
+    ("exp", "constant", 1): "b8ac11245dceb90a", ("exp", "constant", 2): "012c74f8844219fc",
+    ("exp", "bump", 1): "b0a12c07da5d155f", ("exp", "bump", 2): "cb395abea4831091",
+    ("power", "constant", 1): "0e713db9835a06cc", ("power", "constant", 2): "d4a8d59fae2267e8",
+    ("power", "bump", 1): "c420e7a4974e15fa", ("power", "bump", 2): "f5f470608678e04a",
+}
+
 
 @pytest.mark.parametrize("family", ["log", "exp", "power"])
 @pytest.mark.parametrize("profile", ["constant", "bump"])
@@ -548,19 +571,22 @@ def test_batched_verdicts_equal_lone_verdicts(monkeypatch, family, profile, dime
     model = Model(f=nl, g=nl, alpha=Profile(profile), beta=Profile(profile))
     lam_bar, mu_bar = analytic_nonexistence_bound(g, model)
     points = [ParamPoint(t * lam_bar, 0.9 * t * mu_bar) for t in _BATCH_FRACTIONS]
-    settings = dict(tol_stat=1e-10, max_iter=12, delta_blow=1e-4, tol_res=1e-8)
     calls = _spy_solves(monkeypatch)
-    lone = [monotone_minimal_solution(g, model, p, **settings) for p in points]
-    overflows = sum(exc is not None for _, exc in calls)
-    del calls[:]
-    batched = stationary._monotone_verdicts(g, model, points, **settings)
-    assert [_verdict_record(v) for v in batched] == [_verdict_record(v) for v in lone]
-    kinds = {(v.status, getattr(v, "evidence", None)) for v in lone}
-    assert kinds == {("in-lambda", None), ("undetermined", None),
-                     ("not-in-lambda", "iterate-escape"), ("not-in-lambda", "analytic-bound")}
-    # an overflow fails the block solve, and then its point's lone solve
-    assert overflows == (1 if family == "exp" else 0)
-    assert [exc is not None for _, exc in calls].count(True) == 2 * overflows
+    records = []
+    for max_iter in (12, 10_000):
+        del calls[:]
+        verdicts = [monotone_minimal_solution(g, model, p, tol_stat=1e-10, max_iter=max_iter,
+                                              delta_blow=1e-4, tol_res=1e-8) for p in points]
+        records += [_verdict_record(v) for v in verdicts]
+        # an overflow fails its point's one solve, and escape is proved without it
+        assert [exc is not None for _, exc in calls].count(True) == (family == "exp")
+        if max_iter == 12:
+            kinds = {(v.status, getattr(v, "evidence", None)) for v in verdicts}
+            assert kinds == {("in-lambda", None), ("undetermined", None),
+                             ("not-in-lambda", "iterate-escape"),
+                             ("not-in-lambda", "analytic-bound")}
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    assert digest == _VERDICT_DIGESTS[family, profile, dimension]
 
 
 def _bmat_fold_matrices(g, model, lam, w, z, phi, psi, mu):
@@ -623,56 +649,18 @@ def test_fold_step_matches_sparse_lu(family, dimension, monkeypatch):
                 assert np.abs(solve(rhs) - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
-def test_escape_checks_share_one_block_solve_per_iteration(monkeypatch):
-    _decline_fold_bound(monkeypatch)  # every candidate falls back to the escape block
-    g, _, _ = unit_stack(49)
-    calls = _spy_solves(monkeypatch)
-    batches = []
-    original = stationary._monotone_verdicts
-
-    def spy(grid, model, points, **kwargs):
-        before = len(calls)
-        verdicts = original(grid, model, points, **kwargs)
-        batches.append((points, calls[before:], verdicts))
-        return verdicts
-
-    monkeypatch.setattr(stationary, "_monotone_verdicts", spy)
-    curve = trace_critical_curve(g, power2_model(), [0.3, 0.7, 1.1, 1.5], bisect_tol=5e-3)
-    assert [s.certificate for s in curve.samples] == ["fold"] * 4
-    ((points, solves, verdicts),) = [b for b in batches if len(b[0]) > 1]
-    assert [p.lam for p in points] == [0.3, 0.7, 1.1, 1.5]
-    escaped_at = [v.detail["iteration"] for v in verdicts]
-    # one (n, 2m) solve per iteration, m the points still in the block
-    assert [shape for shape, _ in solves] == [
-        (g.n_total, 2 * sum(it <= last for last in escaped_at))
-        for it in range(1, max(escaped_at) + 1)]
-    assert len(solves) < sum(escaped_at)
-
-
-def _block_verdicts(g, model, points, max_iter):
-    """Membership verdicts at every point, from one block iteration with the
-    default tolerances (each equal to the lone verdict's)."""
-    return stationary._monotone_verdicts(g, model, points, tol_stat=1e-10, max_iter=max_iter,
-                                         delta_blow=1e-4, tol_res=1e-8)
-
-
-def _spy_fold_bound(monkeypatch, null_vector=None):
+def _spy_fold_bound(monkeypatch, mutate=None):
     """Records each fold bound of a trace as (model, lam, fold, delta, y), y
-    the left null vector it used (the lam intercept's model is the swapped
-    one); ``null_vector`` replaces ``_left_null_vector``."""
+    the pairing vector (psi, phi) of the fold it was given (the lam
+    intercept's model is the swapped one); ``mutate`` replaces that fold."""
     records, bound = [], stationary._fold_bound
-    null_vector = null_vector or stationary._left_null_vector
 
-    def spy_null_vector(band, lin):
-        records.append(null_vector(band, lin))
-        return records[-1]
-
-    def spy_bound(grid, model, lam, fold, band):
-        delta = bound(grid, model, lam, fold, band)
-        records[-1] = (model, lam, fold, delta, records[-1])
+    def spy_bound(grid, model, lam, fold):
+        given = fold if mutate is None else mutate(fold)
+        delta = bound(grid, model, lam, given)
+        records.append((model, lam, fold, delta, np.concatenate([given.psi, given.phi])))
         return delta
 
-    monkeypatch.setattr(stationary, "_left_null_vector", spy_null_vector)
     monkeypatch.setattr(stationary, "_fold_bound", spy_bound)
     return records
 
@@ -714,35 +702,53 @@ def test_fold_bound_certifies_only_nonexistence(f, g_family, alpha, beta, dimens
             assert isinstance(above, NotInLambda)
 
 
-def _flipped(band, lin, null_vector=stationary._left_null_vector):
-    return -null_vector(band, lin)
+def _flipped(fold):
+    return dataclasses.replace(fold, phi=-fold.phi, psi=-fold.psi)
 
 
-def _right_null_vector(band, lin):
-    """``_left_null_vector`` with M in place of M^T."""
-    solve = band.factor(lin.couplings)
-    y = solve(solve(np.ones(2 * lin.grid.n_total)))
-    return y / y[np.abs(y).argmax()]
+def _right_null_vector(fold):
+    """The fold with phi and psi swapped: y = (phi, psi), M's null vector."""
+    return dataclasses.replace(fold, phi=fold.psi, psi=fold.phi)
 
 
-@pytest.mark.parametrize("null_vector", [_flipped, _right_null_vector])
-def test_fold_bound_mutations_decline_or_agree(monkeypatch, null_vector):
+_ASYMMETRIC = Model(f=Nonlinearity("power"), g=Nonlinearity("exp"),
+                    alpha=Profile("bump"), beta=Profile("powerdist"))
+
+
+@pytest.mark.parametrize("mutate", [_flipped, _right_null_vector])
+def test_fold_bound_mutations_decline_or_agree(monkeypatch, mutate):
     # A wrong pairing vector must not certify a point that admits a steady
     # state.  On an asymmetric model M and M^T differ (M^T is M with its
     # fields swapped), so the right null vector is no left one.
     g, _, _ = unit_stack(49)
-    model = Model(f=Nonlinearity("power"), g=Nonlinearity("exp"),
-                  alpha=Profile("bump"), beta=Profile("powerdist"))
-    records = _spy_fold_bound(monkeypatch, null_vector)
-    curve = trace_critical_curve(g, model, [0.3, 1.0])
+    records = _spy_fold_bound(monkeypatch, mutate)
+    curve = trace_critical_curve(g, _ASYMMETRIC, [0.3, 1.0])
     assert len(records) >= 2
     assert [s.status for s in curve.samples] == ["ok", "ok"]
     for model, lam, fold, delta, y in records:
-        assert y.max() > 0.0 if null_vector is _right_null_vector else y.max() < 0.0
+        assert y.max() > 0.0 if mutate is _right_null_vector else y.max() < 0.0
         if delta < 2.5e-4 * fold.mu:
-            (above,) = _block_verdicts(g, model, [ParamPoint(lam, fold.mu * (1.0 + 2.5e-4))],
-                                       200_000)
+            above = monotone_minimal_solution(g, model, ParamPoint(lam, fold.mu * (1.0 + 2.5e-4)),
+                                              max_iter=200_000)
             assert isinstance(above, NotInLambda)
+
+
+def test_fold_pairing_vector_is_the_left_null_vector(monkeypatch):
+    # (psi_f, phi_f) spans the dense left null space of M at the fold, and
+    # (phi_f, psi_f), its right null vector, does not on an asymmetric model.
+    g, _, _ = unit_stack(49)
+    records = _spy_fold_bound(monkeypatch)
+    trace_critical_curve(g, _ASYMMETRIC, [0.3, 1.0])
+    assert len(records) >= 2
+    for model, lam, fold, _, _ in records:
+        lin = assemble_linearization(g, model, ParamPoint(lam, fold.mu), fold.w, fold.z)
+        u, sigma, _ = np.linalg.svd(oracles.linearization_matrix(lin).toarray())
+        left = u[:, -1] * np.sign(u[:, -1].sum())
+        assert sigma[-1] < 1e-6 * sigma[-2]
+        swapped = np.concatenate([fold.psi, fold.phi])
+        assert np.abs(swapped / np.linalg.norm(swapped) - left).max() <= 1e-6
+        right = np.concatenate([fold.phi, fold.psi])
+        assert np.abs(right / np.linalg.norm(right) - left).max() > 1e-2
 
 
 def test_curve_certifies_tight_brackets_by_the_fold():
@@ -752,9 +758,9 @@ def test_curve_certifies_tight_brackets_by_the_fold():
     model = power2_model()
     curve = trace_critical_curve(g, model, [0.5, 1.0], bisect_tol=1e-6)
     assert [(s.certificate, s.status) for s in curve.samples] == [("fold", "ok")] * 2
-    below = _block_verdicts(g, model, [ParamPoint(s.lam, s.bracket_lo) for s in curve.samples],
-                            100_000)
-    assert all(isinstance(v, InLambda) for v in below)
+    assert all(isinstance(monotone_minimal_solution(g, model, ParamPoint(s.lam, s.bracket_lo),
+                                                    max_iter=100_000), InLambda)
+               for s in curve.samples)
 
 
 _EPSILONS = (3e-4, 1e-4, 3e-5, 1e-5)  # nearer the fold, eigen fails to converge
@@ -772,9 +778,9 @@ def test_nu1_squared_vanishes_linearly_at_the_fold(f, g_family, alpha, lam):
                   alpha=Profile(alpha), beta=Profile("constant"))
     (sample,) = trace_critical_curve(g, model, [lam]).samples
     points = [ParamPoint(lam, sample.mu_critical * (1.0 - eps)) for eps in _EPSILONS]
-    nus = np.array([principal_eigenpair(assemble_linearization(
-        g, model, p, v.solution.w, v.solution.z)).nu1
-        for p, v in zip(points, _block_verdicts(g, model, points, 10_000))])
+    minimal = [monotone_minimal_solution(g, model, p, max_iter=10_000).solution for p in points]
+    nus = np.array([principal_eigenpair(assemble_linearization(g, model, p, s.w, s.z)).nu1
+                    for p, s in zip(points, minimal)])
     assert np.all(nus > 0.0)
     (mu_a, mu_b), (sq_a, sq_b) = [p.mu for p in points[-2:]], nus[-2:] ** 2
     zero = mu_b + sq_b * (mu_b - mu_a) / (sq_a - sq_b)
