@@ -32,7 +32,6 @@ from .model import (
     Nonlinearity,
     ParamPoint,
     Profile,
-    materialize_initial,
     validate_hypotheses,
 )
 from .stationary import (

@@ -9,11 +9,14 @@ Commands
     certify      case classification plus the applicable verification
 
 Configuration lives in one INI file with sections [domain], [model], [run];
-``--override section.key=value`` flags win over the file.  Each command builds
-one ``Run`` from the resolved configuration (grid, model, parameters; the
-membership verdict, the second steady state and the initial data on first
-use, each at most once) and writes its artifacts from it; ``certify`` hands
-the run's verdict, initial pair and second-state lookup to ``classify_case``.
+``--override section.key=value`` flags win over the file; the families and
+initial-data recipes a key may name are ``model``'s.  Each command builds one
+``Run`` from the resolved configuration (grid, model, parameters and the
+``InitialData`` recipe; on first use and at most once each, the membership
+verdict, the second steady state and the initial pair, which
+``InitialData.pair`` builds on lookups of those two states) and writes its
+artifacts from it; ``certify`` hands the run's verdict, initial pair and
+second-state lookup to ``classify_case``.
 The Laplacian and its principal eigenvalue lambda1 come from the grid.  Every
 CSV and JSON output embeds the fully resolved configuration, numeric CSV
 cells carry 17 significant digits, state snapshots are raw float64 NPY, and a
@@ -42,12 +45,14 @@ from .errors import ConfigError, QuenchlabError
 from .evolution import StepperConfig, TerminalStatus, simulate
 from .grid import interval, principal_laplacian_eigenpair, rectangle
 from .model import (
+    FAMILIES,
+    PROFILE_FAMILIES,
+    RECIPES,
     InitialData,
     Model,
     Nonlinearity,
     ParamPoint,
     Profile,
-    materialize_initial,
     validate_hypotheses,
 )
 from .spectra import assemble_linearization, principal_eigenpair
@@ -62,12 +67,7 @@ from .stationary import (
     trace_critical_curve,
 )
 
-_FAMILY_CHOICES = ("log", "exp", "power")
-_PROFILE_CHOICES = ("constant", "bump", "powerdist")
-_INITIAL_CHOICES = ("zero", "sine", "scaled_minimal", "convex_combo", "above_second")
 _REFERENCE_CHOICES = ("none", "minimal")
-_NEEDS_MINIMAL = ("scaled_minimal", "convex_combo", "above_second")
-_NEEDS_SECOND = ("convex_combo", "above_second")
 
 
 def _float_list(raw: str, cast=float) -> tuple[float, ...]:
@@ -76,7 +76,7 @@ def _float_list(raw: str, cast=float) -> tuple[float, ...]:
 
 def _optional_floats(raw: str) -> tuple[float, ...] | None:
     raw = raw.strip()
-    return _float_list(raw) if raw else None
+    return _float_list(raw, _FINITE) if raw else None
 
 
 def _choice(*allowed: str):
@@ -98,15 +98,16 @@ def _between(lo: float, hi: float, kind=float):
 
 
 _POSITIVE, _COUNT = _between(0, math.inf), _between(0, math.inf, int)
+_FINITE = _between(-math.inf, math.inf)
 
 
 def _profile_keys(prefix: str) -> dict:
     return {
-        f"{prefix}_family": (_choice(*_PROFILE_CHOICES), "constant"),
-        f"{prefix}_c": (float, 1.0),
-        f"{prefix}_width": (float, 10.0),
+        f"{prefix}_family": (_choice(*PROFILE_FAMILIES), "constant"),
+        f"{prefix}_c": (_FINITE, 1.0),
+        f"{prefix}_width": (_FINITE, 10.0),
         f"{prefix}_center": (_optional_floats, None),
-        f"{prefix}_kappa": (float, 1.0),
+        f"{prefix}_kappa": (_FINITE, 1.0),
     }
 
 
@@ -114,32 +115,32 @@ def _profile_keys(prefix: str) -> dict:
 _SCHEMA: dict[str, dict] = {
     "domain": {
         "dimension": (int, 1),
-        "a": (float, 0.0),
-        "b": (float, 1.0),
-        "c": (float, 0.0),
-        "d": (float, 1.0),
+        "a": (_FINITE, 0.0),
+        "b": (_FINITE, 1.0),
+        "c": (_FINITE, 0.0),
+        "d": (_FINITE, 1.0),
         "n": (_COUNT, 199),
         "nx": (_COUNT, None),
         "ny": (_COUNT, None),
     },
     "model": {
-        "f_family": (_choice(*_FAMILY_CHOICES), "log"),
-        "f_p": (float, 2.0),
-        "g_family": (_choice(*_FAMILY_CHOICES), "log"),
-        "g_p": (float, 2.0),
+        "f_family": (_choice(*FAMILIES), "log"),
+        "f_p": (_FINITE, 2.0),
+        "g_family": (_choice(*FAMILIES), "log"),
+        "g_p": (_FINITE, 2.0),
         **_profile_keys("alpha"),
         **_profile_keys("beta"),
-        "lambda": (float, 1.0),
-        "mu": (float, 1.0),
-        "initial_kind": (_choice(*_INITIAL_CHOICES), "zero"),
-        "initial_s": (float, 0.5),
-        "initial_eps": (float, 0.05),
-        "initial_amp_u": (float, 0.9),
-        "initial_amp_v": (float, 0.9),
+        "lambda": (_POSITIVE, 1.0),
+        "mu": (_POSITIVE, 1.0),
+        "initial_kind": (_choice(*RECIPES), "zero"),
+        "initial_s": (_FINITE, 0.5),
+        "initial_eps": (_FINITE, 0.05),
+        "initial_amp_u": (_FINITE, 0.9),
+        "initial_amp_v": (_FINITE, 0.9),
     },
     "run": {
         "horizon": (_POSITIVE, 5.0),
-        "dt_init": (float, 1e-4),
+        "dt_init": (_FINITE, 1e-4),
         "dt_min": (_POSITIVE, 1e-12),
         "dt_max": (_POSITIVE, 0.05),
         "tol_step": (_POSITIVE, 1e-6),
@@ -243,29 +244,6 @@ def build_stepper(cfg: dict) -> StepperConfig:
         snapshot_stride=r["snapshot_stride"])
 
 
-def _sine_pair(grid, amp_u: float, amp_v: float):
-    coords = grid.coordinates()
-    shape = np.ones(grid.n_total)
-    for axis, (lo, hi) in enumerate(grid.extents):
-        shape = shape * np.sin(np.pi * (coords[:, axis] - lo) / (hi - lo))
-    return amp_u * shape, amp_v * shape
-
-
-def build_recipe(cfg: dict, grid) -> InitialData:
-    m = cfg["model"]
-    kind = m["initial_kind"]
-    if kind == "zero":
-        return InitialData.zero()
-    if kind == "sine":
-        return InitialData.explicit(*_sine_pair(grid, m["initial_amp_u"],
-                                                m["initial_amp_v"]))
-    if kind == "scaled_minimal":
-        return InitialData.scaled_minimal(m["initial_s"])
-    if kind == "convex_combo":
-        return InitialData.convex_combo(m["initial_s"])
-    return InitialData.above_second(m["initial_eps"])
-
-
 class Run:
     """Everything one command computes from the resolved configuration.
 
@@ -284,7 +262,9 @@ class Run:
             self.grid = build_grid(cfg)
             self.model, self.params = build_model(cfg)
             self.stepper = build_stepper(cfg)
-            self.recipe = build_recipe(cfg, self.grid)
+            m = cfg["model"]
+            self.recipe = InitialData(m["initial_kind"], s=m["initial_s"], eps=m["initial_eps"],
+                                      amp=(m["initial_amp_u"], m["initial_amp_v"]))
             hypotheses = validate_hypotheses(self.model, self.grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -323,22 +303,23 @@ class Run:
         are computed only for recipes built on them; a missing state or an
         inadmissible pair is a ConfigError."""
         kind = self.recipe.kind
-        minimal = second = None
-        if kind in _NEEDS_MINIMAL:
+
+        def minimal():
             if self.minimal is None:
                 raise ConfigError(
                     f"initial recipe {kind!r} needs a minimal steady state, "
                     f"but the membership verdict is {self.verdict.status!r}")
-            minimal = (self.minimal.w, self.minimal.z)
-        if kind in _NEEDS_SECOND:
+            return self.minimal.w, self.minimal.z
+
+        def second():
             if self.second is None:
                 raise ConfigError(
                     f"initial recipe {kind!r} needs a second steady "
                     "state and the search found none")
-            second = (self.second.w, self.second.z)
+            return self.second.w, self.second.z
+
         try:
-            return materialize_initial(self.recipe, self.grid,
-                                       minimal=minimal, second=second)
+            return self.recipe.pair(self.grid, minimal, second)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

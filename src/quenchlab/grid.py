@@ -29,6 +29,7 @@ field or a stack of fields along the last axis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,6 +69,11 @@ class Grid:
                 raise ValueError(f"invalid extent ({lo}, {hi})")
             if n < 1:
                 raise ValueError(f"need at least one interior node per axis, got {n}")
+            # past a normal 1/h^2, the stencil and its spectrum divide by zero or overflow
+            hh = (hi - lo) / (n + 1)
+            if not (hh * hh > 0 and sys.float_info.min <= 1.0 / (hh * hh) < math.inf):
+                raise ValueError(f"extent ({lo}, {hi}) with {n} interior nodes gives "
+                                 f"spacing {hh}, whose 1/h^2 is not a normal float")
 
     @cached_property
     def h(self) -> tuple[float, ...]:

@@ -21,7 +21,7 @@ from .grid import FloatArray, Grid
 
 FAMILIES = ("log", "exp", "power")
 PROFILE_FAMILIES = ("constant", "bump", "powerdist")
-RECIPES = ("zero", "scaled_minimal", "convex_combo", "above_second", "explicit")
+RECIPES = ("zero", "sine", "scaled_minimal", "convex_combo", "above_second")
 
 # Lattice used by the admissibility checks; 1 - 1e-6 probes the singular end.
 _LATTICE = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 1.0 - 1e-6])
@@ -196,84 +196,57 @@ class Model:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Recipe for the initial pair; materialized against a grid (and, for the
-    solution-relative recipes, against previously computed steady states)."""
+    """Recipe for the initial pair, built on a grid by ``pair``.
+
+    zero            u0 = v0 = 0
+    sine            amp * (product over the axes of sin(pi (x - low)/(high - low)))
+    scaled_minimal  s * minimal,                          s in [0, 1]
+    convex_combo    s * minimal + (1 - s) * second,       s in (0, 1)
+    above_second    (1 + eps) * second - eps * minimal,   eps > 0
+    """
 
     kind: str
-    s: float | None = None
-    eps: float | None = None
-    fields: tuple[FloatArray, FloatArray] | None = None
+    s: float = 0.5
+    eps: float = 0.05
+    amp: tuple[float, float] = (0.9, 0.9)  # (u, v); only sine reads it
 
     def __post_init__(self):
         if self.kind not in RECIPES:
             raise ValueError(f"unknown initial-data recipe {self.kind!r}")
+        if self.kind == "scaled_minimal" and not 0.0 <= self.s <= 1.0:
+            raise ValueError(f"scaled_minimal needs s in [0, 1], got {self.s}")
+        if self.kind == "convex_combo" and not 0.0 < self.s < 1.0:
+            raise ValueError(f"convex_combo needs s in (0, 1), got {self.s}")
+        if self.kind == "above_second" and not self.eps > 0:
+            raise ValueError(f"above_second needs eps > 0, got {self.eps}")
 
-    @classmethod
-    def zero(cls) -> "InitialData":
-        return cls(kind="zero")
-
-    @classmethod
-    def scaled_minimal(cls, s: float) -> "InitialData":
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"scaled_minimal needs s in [0, 1], got {s}")
-        return cls(kind="scaled_minimal", s=float(s))
-
-    @classmethod
-    def convex_combo(cls, s: float) -> "InitialData":
-        if not 0.0 < s < 1.0:
-            raise ValueError(f"convex_combo needs s in (0, 1), got {s}")
-        return cls(kind="convex_combo", s=float(s))
-
-    @classmethod
-    def above_second(cls, eps: float) -> "InitialData":
-        if not eps > 0:
-            raise ValueError(f"above_second needs eps > 0, got {eps}")
-        return cls(kind="above_second", eps=float(eps))
-
-    @classmethod
-    def explicit(cls, u0: FloatArray, v0: FloatArray) -> "InitialData":
-        return cls(kind="explicit", fields=(np.asarray(u0, float), np.asarray(v0, float)))
-
-
-def _check_initial_pair(u0: FloatArray, v0: FloatArray, grid: Grid) -> tuple[FloatArray, FloatArray]:
-    u0 = grid.check_field(u0, "u0")
-    v0 = grid.check_field(v0, "v0")
-    for name, arr in (("u0", u0), ("v0", v0)):
-        if arr.min() < 0.0 or arr.max() >= 1.0:
-            raise ValueError(f"{name} leaves the admissible range [0, 1)")
-    return u0.copy(), v0.copy()
-
-
-def materialize_initial(recipe: InitialData, grid: Grid,
-                        minimal: tuple[FloatArray, FloatArray] | None = None,
-                        second: tuple[FloatArray, FloatArray] | None = None
-                        ) -> tuple[FloatArray, FloatArray]:
-    """Turn a recipe into a concrete admissible pair of interior fields.
-
-    ``minimal`` and ``second`` are (w, z) pairs of steady states; they are
-    required by the solution-relative recipes and ignored otherwise.
-    """
-    if recipe.kind == "zero":
-        return np.zeros(grid.n_total), np.zeros(grid.n_total)
-    if recipe.kind == "explicit":
-        if recipe.fields is None:
-            raise ValueError("explicit recipe carries no fields")
-        return _check_initial_pair(*recipe.fields, grid)
-    if minimal is None:
-        raise ValueError(f"recipe {recipe.kind!r} requires a minimal steady state")
-    w, z = (grid.check_field(a) for a in minimal)
-    if recipe.kind == "scaled_minimal":
-        return _check_initial_pair(recipe.s * w, recipe.s * z, grid)
-    if second is None:
-        raise ValueError(f"recipe {recipe.kind!r} requires a second steady state")
-    w1, z1 = (grid.check_field(a) for a in second)
-    if recipe.kind == "convex_combo":
-        s = recipe.s
-        return _check_initial_pair(s * w + (1 - s) * w1, s * z + (1 - s) * z1, grid)
-    # above_second: push past the second solution along the direction away from
-    # the minimal one; stays nonnegative because second >= minimal pointwise.
-    e = recipe.eps
-    return _check_initial_pair((1 + e) * w1 - e * w, (1 + e) * z1 - e * z, grid)
+    def pair(self, grid: Grid, minimal, second) -> tuple[FloatArray, FloatArray]:
+        """The admissible initial pair (u0, v0).  ``minimal()`` and ``second()``
+        return the (w, z) of those steady states; the recipe calls only the
+        ones it is built on, minimal first."""
+        if self.kind == "zero":
+            return np.zeros(grid.n_total), np.zeros(grid.n_total)
+        if self.kind == "sine":
+            coords = grid.coordinates()
+            shape = np.ones(grid.n_total)
+            for axis, (lo, hi) in enumerate(grid.extents):
+                shape = shape * np.sin(np.pi * (coords[:, axis] - lo) / (hi - lo))
+            pair = self.amp[0] * shape, self.amp[1] * shape
+        elif self.kind == "scaled_minimal":
+            pair = tuple(self.s * grid.check_field(a) for a in minimal())
+        else:
+            w, z = (grid.check_field(a) for a in minimal())
+            w1, z1 = (grid.check_field(a) for a in second())
+            s, e = self.s, self.eps
+            if self.kind == "convex_combo":
+                pair = s * w + (1 - s) * w1, s * z + (1 - s) * z1
+            else:  # above_second stays >= 0: second >= minimal pointwise
+                pair = (1 + e) * w1 - e * w, (1 + e) * z1 - e * z
+        for name, arr in zip(("u0", "v0"), pair):
+            grid.check_field(arr, name)
+            if arr.min() < 0.0 or arr.max() >= 1.0:
+                raise ValueError(f"{name} leaves the admissible range [0, 1)")
+        return pair
 
 
 @dataclass(frozen=True)
@@ -288,14 +261,12 @@ class HypothesisReport:
         return self.failures[0] if self.failures else None
 
 
-def validate_hypotheses(model: Model, grid: Grid,
-                        initial: tuple[FloatArray, FloatArray] | None = None) -> HypothesisReport:
+def validate_hypotheses(model: Model, grid: Grid) -> HypothesisReport:
     """Check the standing structural assumptions on a lattice of [0, 1 - 1e-6].
 
     Nonlinearities must be positive, strictly increasing, strictly convex, and
-    genuinely singular at 1; weights must be nonnegative and nontrivial; the
-    initial pair, when given, must sit in [0, 1).  Returns all violations, in
-    the order encountered.
+    genuinely singular at 1; weights must be nonnegative and nontrivial.
+    Returns all violations, in the order encountered.
     """
     failures: list[str] = []
 
@@ -323,11 +294,5 @@ def validate_hypotheses(model: Model, grid: Grid,
             failures.append(f"{name}: negative weight values")
         if not sampled.max() > 0:
             failures.append(f"{name}: trivial (identically zero) weight")
-
-    if initial is not None:
-        for name, arr in zip(("u0", "v0"), initial):
-            arr = grid.check_field(arr, name)
-            if arr.min() < 0.0 or arr.max() >= 1.0:
-                failures.append(f"{name}: leaves the admissible range [0, 1)")
 
     return HypothesisReport(ok=not failures, failures=tuple(failures))

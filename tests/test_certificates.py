@@ -23,7 +23,6 @@ from quenchlab import (
     Undetermined,
     classify_case,
     integrate,
-    materialize_initial,
     monotone_minimal_solution,
     quench_time_bound,
     rate_certificate,
@@ -174,18 +173,18 @@ def test_verify_quench_bound_branches():
     assert not verify_quench_bound(stalled, bound).passes
 
 
-def classify(g, model, params, recipe, search=second_solution_search,
+def classify(g, model, params, initial, search=second_solution_search,
              **membership_kwargs):
     """The verdict, and classify_case fed as the certify command feeds it:
-    that verdict, the recipe's pair, and a second-state search run at most
-    once, first for recipes built on the second state."""
+    that verdict, the initial pair (a recipe's, or one given as is), and a
+    second-state search run at most once, first for recipes built on the
+    second state."""
     verdict = monotone_minimal_solution(g, model, params, **membership_kwargs)
     minimal = verdict.solution if isinstance(verdict, InLambda) else None
     find_second = functools.cache(lambda: search(g, model, params, minimal))
-    second = find_second() if recipe.kind in ("convex_combo", "above_second") else None
-    initial = materialize_initial(
-        recipe, g, minimal=None if minimal is None else (minimal.w, minimal.z),
-        second=None if second is None else (second.w, second.z))
+    if isinstance(initial, InitialData):
+        initial = initial.pair(g, lambda: (minimal.w, minimal.z),
+                               lambda: (find_second().w, find_second().z))
     return verdict, classify_case(g, model, params, verdict, initial, find_second)
 
 
@@ -194,26 +193,25 @@ def test_classify_all_cases():
     g, _, _ = stack
     model = power2_model()
 
-    verdict, report = classify(g, model, ParamPoint(0.5, 0.5), InitialData.zero())
+    verdict, report = classify(g, model, ParamPoint(0.5, 0.5), InitialData("zero"))
     assert report.case == "a1"
     assert verdict.status == "in-lambda"
     assert not report.bound.applicable
 
-    verdict, report = classify(g, model, ParamPoint(12.0, 12.0), InitialData.zero())
+    verdict, report = classify(g, model, ParamPoint(12.0, 12.0), InitialData("zero"))
     assert report.case == "b"
     assert verdict.status == "not-in-lambda"
 
-    _, report = classify(g, model, ParamPoint(1.0, 1.0), InitialData.convex_combo(0.5))
+    _, report = classify(g, model, ParamPoint(1.0, 1.0), InitialData("convex_combo", s=0.5))
     assert report.case == "a21"
     assert report.second is not None
 
-    _, report = classify(g, model, ParamPoint(1.0, 1.0), InitialData.above_second(0.05))
+    _, report = classify(g, model, ParamPoint(1.0, 1.0), InitialData("above_second", eps=0.05))
     assert report.case == "a22"
 
     x = g.coordinates()[:, 0]
     u0 = 0.9 * np.sin(np.pi * x)
-    _, report = classify(g, log_model(), ParamPoint(20.0, 20.0),
-                         InitialData.explicit(u0, u0))
+    _, report = classify(g, log_model(), ParamPoint(20.0, 20.0), (u0, u0))
     assert report.case == "c"
     assert report.bound.applicable
 
@@ -229,7 +227,7 @@ def test_classify_searches_second_state_only_when_needed():
     model = power2_model()
 
     # data below the minimal state: a1 is decided without a second state
-    for recipe in (InitialData.zero(), InitialData.scaled_minimal(0.5)):
+    for recipe in (InitialData("zero"), InitialData("scaled_minimal", s=0.5)):
         _, report = classify(g, model, ParamPoint(0.5, 0.5), recipe, counted)
         assert report.case == "a1"
         assert report.second is None
@@ -238,9 +236,9 @@ def test_classify_searches_second_state_only_when_needed():
     # recipes built on the second state, and data above the minimal state
     params = ParamPoint(1.0, 1.0)
     minimal = monotone_minimal_solution(g, model, params).solution
-    for recipe, case in ((InitialData.convex_combo(0.5), "a21"),
-                         (InitialData.above_second(0.05), "a22"),
-                         (InitialData.explicit(1.5 * minimal.w, 1.5 * minimal.z), "a21")):
+    for recipe, case in ((InitialData("convex_combo", s=0.5), "a21"),
+                         (InitialData("above_second", eps=0.05), "a22"),
+                         ((1.5 * minimal.w, 1.5 * minimal.z), "a21")):
         _, report = classify(g, model, params, recipe, counted)
         assert report.case == case
         assert report.second is not None
@@ -251,7 +249,7 @@ def test_classify_undetermined_membership():
     stack = unit_stack(99)
     g, _, _ = stack
     verdict, report = classify(g, power2_model(), ParamPoint(1.0, 1.0),
-                               InitialData.zero(), tol_stat=1e-16, max_iter=3)
+                               InitialData("zero"), tol_stat=1e-16, max_iter=3)
     assert report.case == "none-established"
     assert verdict.status == "undetermined"
 

@@ -143,7 +143,9 @@ def test_out_of_range_knob_exits_2_at_once(command, override, decay_ini, tmp_pat
     "run.tol_stat=0", "run.tol_res=-1", "run.max_iter=0", "run.dt_min=0", "run.dt_max=-1",
     "run.snapshot_stride=0", "run.quench_delta=0.5", "domain.n=0", "domain.nx=0",
     "domain.ny=0", "run.horizon=inf", "run.lambda_samples=0", "run.lambda_samples=-1",
-    "run.lambda_samples=nan"])
+    "run.lambda_samples=nan", "model.lambda=inf", "model.mu=0", "model.alpha_c=inf",
+    "model.alpha_c=nan", "model.alpha_center=nan", "model.beta_center=0.5 inf",
+    "model.f_p=inf", "model.initial_amp_u=nan", "domain.b=inf", "run.dt_init=nan"])
 def test_single_key_range_exits_2_and_names_it(override, decay_ini, tmp_path, capsys):
     # checked where the value is parsed, so the error names its key
     out = str(tmp_path / "out")
@@ -577,6 +579,42 @@ def test_trivial_weight_is_config_error(decay_ini, tmp_path, capsys):
     saved = json.load(open(os.path.join(out, "error.json")))
     assert saved["error"]["type"] == "ConfigError"
     assert "alpha: trivial" in saved["error"]["message"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("overrides", [
+    ["domain.b=1e-160"], ["domain.b=1e200"],
+    ["domain.dimension=2", "domain.nx=15", "domain.ny=9", "domain.d=1e200"]],
+    ids=["tiny", "huge", "huge-2d"])
+def test_extent_without_a_normal_stencil_weight_is_config_error(overrides, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    args = ["stationary", "--config", str(CONFIGS / "forced_quench.ini"), "--out", out]
+    for item in overrides:
+        args += ["--override", item]
+    assert main(args) == 2
+    saved = json.load(open(os.path.join(out, "error.json")))
+    assert saved["error"]["type"] == "ConfigError"
+    assert "is not a normal float" in saved["error"]["message"]
+    capsys.readouterr()
+
+
+def test_recipe_parameter_is_checked_in_the_config_phase(decay_ini, tmp_path, monkeypatch,
+                                                         capsys):
+    # stationary never builds the initial pair, yet a bad initial_s stops it
+    # before any steady state is computed
+    import quenchlab.cli as cli
+
+    def no_verdict(*args, **kwargs):
+        raise AssertionError("the membership verdict was computed")
+
+    monkeypatch.setattr(cli, "monotone_minimal_solution", no_verdict)
+    out = str(tmp_path / "out")
+    assert main(["stationary", "--config", decay_ini, "--out", out,
+                 "--override", "model.initial_kind=convex_combo",
+                 "--override", "model.initial_s=1"]) == 2
+    saved = json.load(open(os.path.join(out, "error.json")))
+    assert saved["error"] == {"type": "ConfigError",
+                              "message": "convex_combo needs s in (0, 1), got 1.0"}
     capsys.readouterr()
 
 

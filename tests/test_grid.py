@@ -267,6 +267,21 @@ def test_check_field_rejects_bad_input():
         g.check_field(bad)
 
 
+@pytest.mark.parametrize("make", [lambda: interval(0.0, 1e-160, 199),
+                                  lambda: interval(0.0, 1e200, 199),
+                                  lambda: rectangle((0.0, 1.0), (0.0, 1e200), 15, 9)],
+                         ids=["tiny", "huge", "huge-2d"])
+def test_grid_rejects_extents_without_a_normal_stencil_weight(make):
+    # 1/h^2 underflows h^2 (division by zero) or overflows it (zero weight)
+    with pytest.raises(ValueError, match="1/h\\^2 is not a normal float"):
+        make()
+
+
+def test_grid_keeps_extents_with_a_normal_stencil_weight():
+    for g in (interval(0.0, 1e-150, 199), interval(0.0, 1e150, 199)):
+        assert all(np.isfinite(g.spectrum)) and g.spectrum.min() > 0
+
+
 def test_boundary_distance():
     g = interval(0.0, 1.0, 9)
     d = g.boundary_distance()

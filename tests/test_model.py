@@ -11,7 +11,6 @@ from quenchlab import (
     ParamPoint,
     Profile,
     interval,
-    materialize_initial,
     validate_hypotheses,
 )
 
@@ -135,21 +134,26 @@ def test_validate_hypotheses_flags_trivial_weight():
     assert any("alpha" in msg for msg in report.failures)
 
 
-def test_validate_hypotheses_flags_bad_initial():
+def _missing():
+    raise ValueError("no such steady state")
+
+
+def test_pair_flags_u0_out_of_range():
     g = interval(0.0, 1.0, 19)
-    report = validate_hypotheses(_toy_model(), g,
-                                 initial=(np.full(g.n_total, 1.5), np.zeros(g.n_total)))
-    assert not report.ok
-    assert any("u0" in msg for msg in report.failures)
+    high = np.full(g.n_total, 1.5), np.zeros(g.n_total)
+    with pytest.raises(ValueError, match="u0 leaves the admissible range"):
+        InitialData("scaled_minimal", s=1.0).pair(g, lambda: high, _missing)
+    with pytest.raises(ValueError, match="u0 leaves the admissible range"):
+        InitialData("sine", amp=(1.5, 0.5)).pair(g, _missing, _missing)
 
 
 def test_materialize_zero_and_scaled():
     g = interval(0.0, 1.0, 19)
     w = 0.5 * np.ones(g.n_total)
-    u0, v0 = materialize_initial(InitialData.zero(), g)
+    u0, v0 = InitialData("zero").pair(g, _missing, _missing)
     np.testing.assert_array_equal(u0, 0.0)
     np.testing.assert_array_equal(v0, 0.0)
-    u0, v0 = materialize_initial(InitialData.scaled_minimal(0.5), g, minimal=(w, w))
+    u0, v0 = InitialData("scaled_minimal", s=0.5).pair(g, lambda: (w, w), _missing)
     np.testing.assert_allclose(u0, 0.25)
 
 
@@ -157,25 +161,56 @@ def test_materialize_combinations():
     g = interval(0.0, 1.0, 19)
     lo = 0.1 * np.ones(g.n_total)
     hi = 0.6 * np.ones(g.n_total)
-    u0, _ = materialize_initial(InitialData.convex_combo(0.25), g,
-                                minimal=(lo, lo), second=(hi, hi))
+    u0, _ = InitialData("convex_combo", s=0.25).pair(g, lambda: (lo, lo), lambda: (hi, hi))
     # s weights the minimal state, 1-s the second one
     np.testing.assert_allclose(u0, 0.25 * 0.1 + 0.75 * 0.6)
-    u0, _ = materialize_initial(InitialData.above_second(0.1), g,
-                                minimal=(lo, lo), second=(hi, hi))
+    u0, _ = InitialData("above_second", eps=0.1).pair(g, lambda: (lo, lo), lambda: (hi, hi))
     np.testing.assert_allclose(u0, 1.1 * 0.6 - 0.1 * 0.1)
 
 
 def test_materialize_requires_context():
+    # a recipe built on a missing state gets its lookup's error
     g = interval(0.0, 1.0, 19)
     with pytest.raises(ValueError):
-        materialize_initial(InitialData.scaled_minimal(0.5), g)
+        InitialData("scaled_minimal", s=0.5).pair(g, _missing, _missing)
     with pytest.raises(ValueError):
-        materialize_initial(InitialData.convex_combo(0.5), g,
-                            minimal=(np.zeros(g.n_total), np.zeros(g.n_total)))
+        InitialData("convex_combo", s=0.5).pair(
+            g, lambda: (np.zeros(g.n_total), np.zeros(g.n_total)), _missing)
 
 
 def test_materialize_explicit_validates_shape():
+    # states handed to a recipe are checked against the grid
     g = interval(0.0, 1.0, 19)
     with pytest.raises(ValueError):
-        materialize_initial(InitialData.explicit(np.zeros(5), np.zeros(5)), g)
+        InitialData("scaled_minimal").pair(g, lambda: (np.zeros(5), np.zeros(5)), _missing)
+
+
+@pytest.mark.parametrize("kind, built_on", [
+    ("zero", []), ("sine", []), ("scaled_minimal", ["minimal"]),
+    ("convex_combo", ["minimal", "second"]), ("above_second", ["minimal", "second"])])
+def test_pair_calls_only_the_states_it_is_built_on(kind, built_on):
+    g = interval(0.0, 1.0, 19)
+    calls = []
+
+    def state(name, level):
+        def lookup():
+            calls.append(name)
+            return np.full(g.n_total, level), np.full(g.n_total, level)
+        return lookup
+
+    u0, v0 = InitialData(kind).pair(g, state("minimal", 0.1), state("second", 0.6))
+    assert calls == built_on
+    assert u0.shape == v0.shape == (g.n_total,)
+
+
+@pytest.mark.parametrize("kind, field, value, message", [
+    ("scaled_minimal", "s", 1.5, "scaled_minimal needs s in [0, 1], got 1.5"),
+    ("convex_combo", "s", 1.0, "convex_combo needs s in (0, 1), got 1.0"),
+    ("above_second", "eps", 0.0, "above_second needs eps > 0, got 0.0"),
+    ("explicit", "s", 0.5, "unknown initial-data recipe 'explicit'")])
+def test_initial_data_checks_its_own_parameters(kind, field, value, message):
+    with pytest.raises(ValueError) as info:
+        InitialData(kind, **{field: value})
+    assert str(info.value) == message
+    # a parameter the recipe does not read is not checked
+    InitialData("zero", s=1.5, eps=0.0)
