@@ -8,14 +8,17 @@ running maxima for approach to the blow-up level 1 and reports a quench event
 built from three staged level crossings, refined by bisection inside the
 crossing step and extrapolated geometrically to the level itself.
 
-The state (u, v) is one (2, n) block, and ``step`` and ``simulate`` share one
-kernel (``_imex``): its solves are unchecked, and the backward errors of all
-solves of an attempt (the full step and both half steps) are checked in one
-call (``_check``) before the result is used or a StepRangeError is raised.
-Initial data are range-checked once, at entry; the reaction then evaluates f
-and g unchecked, since every state the step makes lies in [0, 1).  The
-diagnostics of accepted states are evaluated a chunk at a time
-(``_RECORD_CHUNK``), each row by the per-state formula, bit for bit.
+The state (u, v) is one (2, n) block.  One attempt kernel (``_Kernel``)
+per ``simulate`` or ``step`` call makes every step: its rows full, half 1
+and half 2 for an adaptive attempt, the full row for a fixed step, the half
+rows for the bisection of a crossing step.  It writes rhs and solutions
+into two reused (3, 2, n) buffers, factors I + c*A from the grid's stencil
+(``grid._factor``), and checks all rows of an attempt in one
+``_check_solves`` call before a result is used or a StepRangeError raised.
+Initial data are range-checked once, at entry; the reaction then evaluates
+f and g unchecked, since every state the step makes lies in [0, 1), on the
+whole block when f == g.  The diagnostics of accepted states are evaluated
+a chunk at a time (``_RECORD_CHUNK``), each row by the per-state formula.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepRangeError
-from .grid import FloatArray, Grid, _check_solves, _solve, gradient_inner, integrate
+from .grid import FloatArray, Grid, _check_solves, _factor, _solve, gradient_inner, integrate
 from .model import Model, ParamPoint
 
 _LEVEL_BISECT_ITERS = 40
@@ -142,10 +145,8 @@ def step(u: FloatArray, v: FloatArray, dt: float, grid: Grid, model: Model,
     if dt <= 0:
         raise ValueError("dt must be positive")
     w = _state_block(grid, u, v, "u", "v")
-    solves = []
-    new = _imex(w, _reaction(grid, model, params)(w), dt, grid.laplacian.shifted(1.0, dt),
-                solves)
-    _check(grid, solves)
+    kernel = _Kernel(grid, model, params)
+    new, _ = kernel.attempt(w, kernel.reaction(w), dt, halves=False)
     return new[0], new[1]
 
 
@@ -158,40 +159,71 @@ def _state_block(grid, u, v, u_name, v_name):
     return w
 
 
-def _reaction(grid, model, params):
-    """State block (u, v) -> block (lam alpha f(v), mu beta g(u)): the explicit
-    terms at one state, which every step from that state shares.  Every state
-    the stepper makes lies in [0, 1), so f and g are evaluated unchecked."""
-    lam_alpha = params.lam * model.alpha.sample(grid)
-    mu_beta = params.mu * model.beta.sample(grid)
-    return lambda w: np.array([lam_alpha * model.f._value(w[1]),
-                               mu_beta * model.g._value(w[0])])
+class _Kernel:
+    """IMEX Euler steps of one grid, model and parameter point on a reused
+    workspace: row 0 of ``rhs`` and ``x`` holds a full step, rows 1 and 2 the
+    half steps, which share one factor; ``dt`` holds each row's step size.
+    ``x`` keeps the solutions as solved, for the check."""
 
+    def __init__(self, grid, model, params):
+        self.grid = grid
+        self.rhs, self.x = np.empty((2, 3, 2, grid.n_total))
+        self.dt = np.empty((3, 1, 1))
+        self.coeffs = np.array([params.lam * model.alpha.sample(grid),
+                                params.mu * model.beta.sample(grid)])
+        self.f, self.g = model.f._value, None if model.f == model.g else model.g._value
 
-def _imex(w, react, dt, solver, solves):
-    """One IMEX Euler step of size dt from the (2, n) state block w with the
-    explicit terms react: solves solver @ x = w + dt react for both rows at
-    once, unchecked, and appends (x, rhs, solver) to ``solves``.  Returns x
-    clamped at 0 in a new array (the check needs x as solved).  When x reaches
-    1 it raises StepRangeError, after checking ``solves``: a failed solve wins."""
-    rhs = w + dt * react
-    x = _solve(solver, rhs.T).T
-    solves.append((x, rhs, solver))
-    top = x.max()
-    if top >= 1.0:
-        _check(solver.grid, solves)
-        raise StepRangeError(f"step of size {dt:.3e} reached max value {top:.6f}")
-    return np.maximum(x, 0.0)
+    def reaction(self, w):
+        """The explicit terms (lam alpha f(v), mu beta g(u)) at the state block
+        w = (u, v), shared by every step from w; f and g are evaluated
+        unchecked, and when f == g on the block (v, u) in one call
+        (elementwise, so bit for bit as row by row)."""
+        if self.g is None:
+            return self.coeffs * self.f(w[::-1])
+        return np.array([self.coeffs[0] * self.f(w[1]), self.coeffs[1] * self.g(w[0])])
 
+    def attempt(self, w, react, dt, *, full=True, halves=True):
+        """From the state block w with explicit terms react, the full step of
+        size dt and/or the pair of half steps: their new states, clamped at 0
+        in new arrays (None for one not taken).  Every solve made is checked
+        before a result is returned or a step reaching 1 raises
+        StepRangeError: a failed solve wins."""
+        lo, hi = (0 if full else 1), (3 if halves else 1)
+        if full:
+            self._step(0, w, react, dt, _factor(self.grid, 1.0, dt))
+        if halves:
+            half = _factor(self.grid, 1.0, 0.5 * dt)  # one factorization for both half steps
+            self._step(1, w, react, 0.5 * dt, half)
+            self._range(lo, 2)  # the midpoint's reaction needs it below 1
+            wm = np.maximum(self.x[1], 0.0)
+            self._step(2, wm, self.reaction(wm), 0.5 * dt, half)
+        self._range(lo, hi)
+        self._check(lo, hi)
+        return (np.maximum(self.x[0], 0.0) if full else None,
+                np.maximum(self.x[2], 0.0) if halves else None)
 
-def _check(grid, solves):
-    """The backward-error check of every (x, rhs, solver) in ``solves``, as one
-    call on their (m, 2, n) stacks; raises as the first failed solve would
-    alone (``_check_solves``)."""
-    coeffs = np.array([(op.identity_coeff, op.operator_coeff) for _, _, op in solves])
-    _check_solves(grid, np.array([x for x, _, _ in solves]),
-                  np.array([rhs for _, rhs, _ in solves]),
-                  coeffs[:, :1, None], coeffs[:, 1:, None], solves=len(solves))
+    def _step(self, row, w, react, dt, factor):
+        # (I + dt A) x = w + dt react, both components, into the row
+        rhs, x = self.rhs[row], self.x[row]
+        np.multiply(react, dt, out=rhs)
+        rhs += w
+        x[...] = rhs
+        _solve(self.grid, factor, x)
+        self.dt[row] = dt
+
+    def _range(self, lo, hi):
+        # StepRangeError when a solution of rows lo to hi reached 1, once they are checked
+        if self.x[lo:hi].max() >= 1.0:
+            self._check(lo, hi)
+            tops = self.x[lo:hi].max(axis=(1, 2))
+            row = lo + int(np.argmax(tops >= 1.0))
+            raise StepRangeError(f"step of size {self.dt[row, 0, 0]:.3e} reached max value "
+                                 f"{tops[row - lo]:.6f}")
+
+    def _check(self, lo, hi):
+        # rows lo to hi in one call, which raises as the first failed row would alone
+        _check_solves(self.grid, self.x[lo:hi], self.rhs[lo:hi], 1.0, self.dt[lo:hi],
+                      solves=hi - lo)
 
 
 def lyapunov_energy(u: FloatArray, v: FloatArray, grid: Grid, model: Model,
@@ -360,26 +392,16 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    op = grid.laplacian
     w = _state_block(grid, initial[0], initial[1], "u0", "v0")
-    reaction = _reaction(grid, model, params)
     if reference is not None:
         reference = (grid.check_field(reference[0], "reference u"),
                      grid.check_field(reference[1], "reference v"))
-
-    def halves(wc, react, dt, solves):
-        half = op.shifted(1.0, 0.5 * dt)  # one factorization for both half steps
-        wm = _imex(wc, react, 0.5 * dt, half, solves)
-        return _imex(wm, reaction(wm), 0.5 * dt, half, solves)
-
-    def single(wc, react, dt, solves):
-        return _imex(wc, react, dt, op.shifted(1.0, dt), solves)
+    kernel = _Kernel(grid, model, params)
+    fixed = config.fixed_dt
 
     def advance(wc, react, dt):
-        solves = []
-        new = (single if config.fixed_dt else halves)(wc, react, dt, solves)
-        _check(grid, solves)
-        return new
+        full, halves = kernel.attempt(wc, react, dt, full=fixed, halves=not fixed)
+        return full if fixed else halves
 
     recorder = _Recorder(grid, model, params, config, reference)
     recorder.record(0.0, w, math.nan)
@@ -423,32 +445,26 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
     quench = None
     time_slack = 1e-12 * horizon
     react = None  # the reaction at w, shared by every attempt from there
+    top = float(w.max())
 
     while t < horizon - time_slack:
         if react is None:
-            react = reaction(w)
-        top = float(w.max())
+            react = kernel.reaction(w)
         cap = max(QUENCH_CAP * (1.0 - top) ** 2, config.dt_min)
         dt_eff = min(dt, config.dt_max, cap, horizon - t)
 
         try:
-            if config.fixed_dt:
-                wn = advance(w, react, dt_eff)
-                err = 0.0
-            else:
-                solves = []
-                w1 = single(w, react, dt_eff, solves)
-                wn = halves(w, react, dt_eff, solves)
-                _check(grid, solves)
-                err = float(np.abs(wn - w1).max())
+            w1, wn = kernel.attempt(w, react, dt_eff, halves=not fixed)
         except StepRangeError:
-            if config.fixed_dt:
+            if fixed:
                 raise
             dt = 0.5 * dt_eff
             if dt < config.dt_min:
                 status = TerminalStatus.STEP_UNDERFLOW
                 break
             continue
+        wn = w1 if fixed else wn
+        err = 0.0 if fixed else float(np.abs(wn - w1).max())
 
         if err > config.tol_step:
             dt = dt_eff * max(0.2, SAFETY * math.sqrt(config.tol_step / err))
@@ -458,40 +474,43 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
             continue
 
         # Accepted.  Before committing, resolve any staged level crossings
-        # inside this step, in increasing-level order per component.
-        crossed_final: list[tuple[float, str]] = []
-        advance_by = _memoized_advance(advance, w, react, dt_eff)
-        for which, new_max in zip(names, wn.max(axis=1)):
-            while level_cursor[which] < 3 and new_max >= levels[level_cursor[which]]:
-                idx = level_cursor[which]
-                theta = bisect_crossing(advance_by, levels[idx], which)
-                level_times[which][idx] = t + theta * dt_eff
-                level_cursor[which] = idx + 1
-                if idx == 2:
-                    crossed_final.append((theta, which))
+        # inside this step, in increasing-level order per component (both
+        # cursors are below 3 here: the innermost crossing ends the run).
+        maxima = wn.max(axis=1).tolist()
+        if maxima[0] >= levels[level_cursor["u"]] or maxima[1] >= levels[level_cursor["v"]]:
+            crossed_final: list[tuple[float, str]] = []
+            advance_by = _memoized_advance(advance, w, react, dt_eff)
+            for which, new_max in zip(names, maxima):
+                while level_cursor[which] < 3 and new_max >= levels[level_cursor[which]]:
+                    idx = level_cursor[which]
+                    theta = bisect_crossing(advance_by, levels[idx], which)
+                    level_times[which][idx] = t + theta * dt_eff
+                    level_cursor[which] = idx + 1
+                    if idx == 2:
+                        crossed_final.append((theta, which))
 
-        if crossed_final:
-            theta, lead = min(crossed_final)
-            which = lead
-            if (len(crossed_final) == 2
-                    and abs(crossed_final[0][0] - crossed_final[1][0]) <= 1e-9):
-                which = "both"
-            wq = advance_by(theta)
-            t_cross = t + theta * dt_eff
-            recorder.accepted += 1
-            recorder.record(t_cross, wq, theta * dt_eff)
-            t_event, extrapolated = _aitken_quench_time(tuple(level_times[lead]))
-            quench = QuenchEvent(
-                time=t_event, which=which,
-                level=float(wq[names.index(lead)].max()),
-                extrapolated=extrapolated,
-                level_times=tuple(level_times[lead]))
-            t, w = t_cross, wq  # the closing snapshot records the crossing
-            status = TerminalStatus.QUENCHED
-            break
+            if crossed_final:
+                theta, lead = min(crossed_final)
+                which = lead
+                if (len(crossed_final) == 2
+                        and abs(crossed_final[0][0] - crossed_final[1][0]) <= 1e-9):
+                    which = "both"
+                wq = advance_by(theta)
+                t_cross = t + theta * dt_eff
+                recorder.accepted += 1
+                recorder.record(t_cross, wq, theta * dt_eff)
+                t_event, extrapolated = _aitken_quench_time(tuple(level_times[lead]))
+                quench = QuenchEvent(
+                    time=t_event, which=which,
+                    level=float(wq[names.index(lead)].max()),
+                    extrapolated=extrapolated,
+                    level_times=tuple(level_times[lead]))
+                t, w = t_cross, wq  # the closing snapshot records the crossing
+                status = TerminalStatus.QUENCHED
+                break
 
         t += dt_eff
-        w = wn
+        w, top = wn, max(maxima)
         react = None
         recorder.accepted += 1
         recorder.record(t, w, dt_eff)

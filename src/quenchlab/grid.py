@@ -18,10 +18,10 @@ grid's centre and neighbour weights (``Grid.stencil``), from which come every
 product, the solve check and the band entries of ``spectra.CoupledBand``.
 
 ``solve_poisson`` solves k fields at once as the columns of (n, k): an
-unchecked solve (``_solve``) and then its check (``_check_solves``), whose
-normwise backward error (``_backward_error``) takes per-row coefficients, so
-a caller with several solves to check (``evolution.simulate``) runs it once
-for all of them.  Fields are checked where they enter (``Grid.check_field``),
+unchecked solve (``_factor``, ``_solve``) and then its check
+(``_check_solves``), whose normwise backward error (``_backward_error``)
+takes per-row coefficients, so ``evolution``'s attempt kernel checks all its
+solves in one call.  Fields are checked where they enter (``Grid.check_field``),
 not in the quadratures (``integrate``, ``gradient_inner``), which take one
 field or a stack of fields along the last axis.
 """
@@ -74,6 +74,10 @@ class Grid:
             if not (hh * hh > 0 and sys.float_info.min <= 1.0 / (hh * hh) < math.inf):
                 raise ValueError(f"extent ({lo}, {hi}) with {n} interior nodes gives "
                                  f"spacing {hh}, whose 1/h^2 is not a normal float")
+        # the centre weight and the solve check's ||A||_inf overflow before 1/h^2 does
+        if not sum(4.0 / (hh * hh) for hh in self.h) < math.inf:
+            raise ValueError(f"spacings {self.h} give a stencil whose ||A||_inf = sum of "
+                             "4/h^2 over the axes is not a normal float")
 
     @cached_property
     def h(self) -> tuple[float, ...]:
@@ -238,19 +242,8 @@ class DiscreteOperator:
         return _shifted_weights(self.grid, self.identity_coeff, self.operator_coeff)
 
     @cached_property
-    def _tridiagonal_factor(self) -> tuple[FloatArray, FloatArray]:
-        # 1D: L D L^T factor of the constant-diagonal tridiagonal s*I + c*A.
-        n, (centre, east, _) = self.grid.n_total, self._weights
-        # The LAPACK wrapper rejects an empty off-diagonal; for n == 1 it is unread.
-        d, e, info = lapack.dpttrf(np.full(n, centre), np.full(max(n - 1, 1), -east))
-        if info != 0:
-            raise SolverBreakdownError(f"tridiagonal factorization failed with info={info}")
-        return d, e
-
-    @cached_property
-    def _inverse_symbol(self) -> FloatArray:
-        # 2D: 1 / (s + c*lambda_jk) on the (ny, nx) grid of sine modes.
-        return 1.0 / (self.identity_coeff + self.operator_coeff * self.grid.spectrum)
+    def _factored(self) -> tuple[FloatArray, FloatArray] | FloatArray:
+        return _factor(self.grid, self.identity_coeff, self.operator_coeff)
 
 
 def _sine_eigenvalue(k, n: int, hh: float):
@@ -288,16 +281,25 @@ def _stencil_product(grid: Grid, x: FloatArray, centre: float,
 def _backward_error(grid: Grid, x: FloatArray, b: FloatArray, s, c) -> FloatArray:
     # Per row of x and b (shape (n,) or (k, n)), ||Mx-b|| / (||M|| ||x|| + ||b||)
     # for M = s*I + c*A (||Mx-b||/||b|| alone is bounded below by cond(M)*eps),
-    # 0 for x = b = 0, nan on overflow.  s and c are scalars or per-row (k, 1)
-    # (rows of shape (m, 2, n) take (m, 1, 1)): Mx comes from A's stencil
-    # weights scaled row by row, ||M||_inf is s + c*||A||_inf.
+    # 0 for x = b = 0, nan for a row with an inf or nan.  s and c are scalars or
+    # per-row (k, 1) (rows of shape (m, 2, n) take (m, 1, 1)): Mx comes from A's
+    # stencil weights scaled row by row, ||M||_inf is s + c*||A||_inf.
     r = _stencil_product(grid, x, *_shifted_weights(grid, s, c))
     r -= b
     rxb = np.array([r, x, b])
-    rn, xn, bn = np.sqrt(np.einsum("...i,...i->...", rxb, rxb))[..., None]
-    # A zero denominator has x = b = 0, so rn = 0 and the quotient is 0
-    # (5e-324 is the least positive double).
-    return (rn / np.maximum((s + c * grid.stencil_norm) * xn + bn, 5e-324))[..., 0]
+    squares = np.vecdot(rxb, rxb)[..., None]
+    norm = s + c * grid.stencil_norm
+    rn, xn, bn = np.sqrt(squares)
+    den = norm * xn + bn
+    # Squares overflow past 1e154 and go subnormal below 1e-154.  Unless all sums
+    # are at most 2^800 and all denominators at least 2^-400 (where a residual of
+    # relative size 1e-12 squares to normal numbers), each row is divided by its
+    # largest |entry|, which leaves the quotient as it is; 5e-324 is the least double.
+    if not (squares.max() <= 2.0**800 and den.min() >= 2.0**-400):
+        rxb /= np.maximum(np.abs(rxb).max(axis=(0, -1), keepdims=True), 5e-324)
+        rn, xn, bn = np.sqrt(np.vecdot(rxb, rxb))[..., None]
+        den = np.maximum(norm * xn + bn, 5e-324)
+    return (rn / den)[..., 0]
 
 
 def _check_solves(grid: Grid, x: FloatArray, b: FloatArray, s, c, *,
@@ -320,17 +322,33 @@ def _check_solves(grid: Grid, x: FloatArray, b: FloatArray, s, c, *,
         f"exceeds tol_lin={tol_lin:g}")
 
 
-def _solve(op: DiscreteOperator, b: FloatArray) -> FloatArray:
-    # op @ x = b for b of shape (n,) or (n, k), unchecked (see solve_poisson).
-    g = op.grid
-    if g.dimension == 1:
-        d, e = op._tridiagonal_factor
-        return lapack.dpttrs(d, e, b)[0]
-    sx, sy = g.sine_basis
-    stack = b.T.reshape(-1, *g.n_interior[::-1])  # (k, ny, nx)
+def _factor(grid: Grid, s: float, c: float) -> tuple[FloatArray, FloatArray] | FloatArray:
+    # The solver data of s*I + c*A: 1D its L D L^T factor (d, e) from dpttrf, 2D
+    # its inverse symbol 1/(s + c*lambda_jk) on the (ny, nx) grid of sine modes.
+    if grid.dimension == 2:
+        return 1.0 / (s + c * grid.spectrum)
+    n, (centre, east, _) = grid.n_total, _shifted_weights(grid, s, c)
+    # The LAPACK wrapper rejects an empty off-diagonal; for n == 1 it is unread.
+    d, e = np.empty(n), np.empty(max(n - 1, 1))
+    d.fill(centre)
+    e.fill(-east)
+    d, e, info = lapack.dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise SolverBreakdownError(f"tridiagonal factorization failed with info={info}")
+    return d, e
+
+
+def _solve(grid: Grid, factor, x: FloatArray) -> FloatArray:
+    # Overwrites the C-contiguous rows x ((n,) or (k, n)) with the solutions for
+    # those right-hand sides of the operator ``factor`` is of, unchecked.
+    if grid.dimension == 1:
+        lapack.dpttrs(*factor, x.T, overwrite_b=1)
+        return x
+    sx, sy = grid.sine_basis
+    stack = x.reshape(-1, *grid.n_interior[::-1])  # (k, ny, nx), a view of x
     with np.errstate(all="ignore"):  # a non-finite rhs fails the check instead
-        x = sy @ ((sy @ stack @ sx) * op._inverse_symbol) @ sx
-    return x.reshape(b.shape[::-1]).T
+        np.matmul(sy @ ((sy @ stack @ sx) * factor), sx, out=stack)
+    return x
 
 
 def solve_poisson(op: DiscreteOperator, rhs: FloatArray, *,
@@ -356,9 +374,9 @@ def solve_poisson(op: DiscreteOperator, rhs: FloatArray, *,
     b = np.asarray(rhs, dtype=float)
     if b.shape[:1] != (g.n_total,) or b.ndim > 2:
         raise ValueError(f"rhs has shape {b.shape}, expected ({g.n_total},) or ({g.n_total}, k)")
-    x = _solve(op, b)
-    _check_solves(g, x.T, b.T, op.identity_coeff, op.operator_coeff, tol_lin=tol_lin)
-    return x
+    x = _solve(g, op._factored, np.array(b.T, order="C"))  # the fields as rows
+    _check_solves(g, x, b.T, op.identity_coeff, op.operator_coeff, tol_lin=tol_lin)
+    return x.T
 
 
 def _scalar(values: FloatArray) -> float | FloatArray:

@@ -584,8 +584,10 @@ def test_trivial_weight_is_config_error(decay_ini, tmp_path, capsys):
 
 @pytest.mark.parametrize("overrides", [
     ["domain.b=1e-160"], ["domain.b=1e200"],
-    ["domain.dimension=2", "domain.nx=15", "domain.ny=9", "domain.d=1e200"]],
-    ids=["tiny", "huge", "huge-2d"])
+    ["domain.dimension=2", "domain.nx=15", "domain.ny=9", "domain.d=1e200"],
+    ["domain.b=2e-152"],
+    ["domain.dimension=2", "domain.nx=15", "domain.ny=9", "domain.d=1e-153"]],
+    ids=["tiny", "huge", "huge-2d", "norm-overflow", "norm-overflow-2d"])
 def test_extent_without_a_normal_stencil_weight_is_config_error(overrides, tmp_path, capsys):
     out = str(tmp_path / "out")
     args = ["stationary", "--config", str(CONFIGS / "forced_quench.ini"), "--out", out]

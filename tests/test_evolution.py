@@ -1,5 +1,6 @@
 """Time stepping, quench detection, energy identity."""
 
+import hashlib
 import math
 from collections import Counter
 
@@ -9,7 +10,6 @@ import pytest
 import oracles
 from conftest import power2_model
 from quenchlab import (
-    DiscreteOperator,
     Model,
     Nonlinearity,
     ParamPoint,
@@ -24,6 +24,7 @@ from quenchlab import (
     interval,
     lyapunov_energy,
     monotone_minimal_solution,
+    rectangle,
     simulate,
     step,
 )
@@ -97,17 +98,17 @@ def test_horizon_run_bookkeeping(unit99):
 
 def _spy_solves(monkeypatch):
     """Replace evolution's unchecked solve by a wrapper; returns the list of
-    operators it was called with (kept alive, so their ids stay distinct)."""
-    ops = []
+    factors it was called with (kept alive, so their ids stay distinct)."""
+    factors = []
     original = evolution._solve
 
-    def spy(op, rhs):
-        assert np.shape(rhs) == (op.grid.n_total, 2)  # (u, v) as one block
-        ops.append(op)
-        return original(op, rhs)
+    def spy(grid, factor, x):
+        assert np.shape(x) == (2, grid.n_total)  # (u, v) as one block
+        factors.append(factor)
+        return original(grid, factor, x)
 
     monkeypatch.setattr(evolution, "_solve", spy)
-    return ops
+    return factors
 
 
 def test_fixed_step_run_solves_once_per_step(unit99, monkeypatch):
@@ -120,29 +121,28 @@ def test_fixed_step_run_solves_once_per_step(unit99, monkeypatch):
 
 
 def test_half_step_pair_shares_one_shift(unit99, monkeypatch):
-    # An adaptive trial step is one full step (its own shift, one solve) and
-    # a pair of half steps (one shift, two solves).
+    # An adaptive trial step is one full step (its own factor of I + dt A, one
+    # solve) and a pair of half steps (one factor, two solves).
     g, _, _ = unit99
     ops = _spy_solves(monkeypatch)
     shifts = []
-    original = DiscreteOperator.shifted
+    original = evolution._factor
 
-    def spy_shift(self, *args):
-        shifts.append(original(self, *args))
-        return shifts[-1]
+    def spy_factor(grid, s, c):
+        shifts.append((s, c, original(grid, s, c)))
+        return shifts[-1][2]
 
-    monkeypatch.setattr(DiscreteOperator, "shifted", spy_shift)
+    monkeypatch.setattr(evolution, "_factor", spy_factor)
     trj = simulate(_zeros(g), g, power2_model(), ParamPoint(0.5, 0.5),
                    StepperConfig(), 1.0)
     assert trj.status is TerminalStatus.HORIZON
     uses = Counter(id(op) for op in ops)
-    assert set(uses) == {id(op) for op in shifts}
+    assert set(uses) == {id(op) for _, _, op in shifts}
     per_shift = Counter(uses.values())
     assert set(per_shift) == {1, 2}
     assert per_shift[1] == per_shift[2] >= trj.n_steps
-    assert all(op.operator_coeff == 0.5 * full.operator_coeff
-               for op, full in zip(shifts[1::2], shifts[0::2]))
-
+    assert all(s == 1.0 for s, _, _ in shifts)
+    assert all(half[1] == 0.5 * full[1] for half, full in zip(shifts[1::2], shifts[0::2]))
 
 
 def _spy_reactions(monkeypatch):
@@ -159,27 +159,43 @@ def _spy_reactions(monkeypatch):
     return calls
 
 
-def test_reaction_evaluated_once_per_attempt(unit99, monkeypatch):
-    # An adaptive attempt makes three solves (the full step and two half
-    # steps) but evaluates f and g only at its start state, shared with every
-    # other attempt from there, and at the half-step state.
-    g, _, _ = unit99
-    model = power2_model()
+def _reactions_per_attempt(g, model, monkeypatch):
+    """A horizon run's trajectory, its number of adaptive attempts (three
+    solves each) and the calls of Nonlinearity._value it made."""
     ops = _spy_solves(monkeypatch)
     calls = _spy_reactions(monkeypatch)
     trj = simulate(_zeros(g), g, model, ParamPoint(0.5, 0.5), StepperConfig(), 1.0)
     assert trj.status is TerminalStatus.HORIZON
     assert len(ops) % 3 == 0
-    attempts = len(ops) // 3
-    per_function = Counter(key for key, _ in calls)
-    assert per_function == {id(model.f): trj.n_steps + attempts,
-                            id(model.g): trj.n_steps + attempts}
     assert len(set(calls)) == len(calls)  # no state evaluated twice
+    return trj, len(ops) // 3, calls
+
+
+def test_reaction_evaluated_once_per_attempt(unit99, monkeypatch):
+    # An adaptive attempt makes three solves (the full step and two half
+    # steps) but evaluates f and g only at its start state, shared with every
+    # other attempt from there, and at the half-step state.  With f == g one
+    # call evaluates both, on the (v, u) block.
+    g, _, _ = unit99
+    model = power2_model()
+    trj, attempts, calls = _reactions_per_attempt(g, model, monkeypatch)
+    assert Counter(key for key, _ in calls) == {id(model.f): trj.n_steps + attempts}
+    assert {len(arg) for _, arg in calls} == {2 * g.n_total * 8}
+
+
+def test_reaction_evaluated_once_per_attempt_when_f_differs_from_g(unit99, monkeypatch):
+    g, _, _ = unit99
+    model = _weighted_model()
+    trj, attempts, calls = _reactions_per_attempt(g, model, monkeypatch)
+    assert Counter(key for key, _ in calls) == {id(model.f): trj.n_steps + attempts,
+                                                id(model.g): trj.n_steps + attempts}
+    assert {len(arg) for _, arg in calls} == {g.n_total * 8}
 
 
 def test_quench_run_evaluates_each_state_once(unit99, monkeypatch):
     # Every attempt from an accepted state, the level bisections inside the
-    # crossing step and the final partial step share one reaction there.
+    # crossing step and the final partial step share one reaction there,
+    # one call of f on the block (v, u) (f == g here).
     g, _, _ = unit99
     model = power2_model()
     calls = _spy_reactions(monkeypatch)
@@ -189,8 +205,8 @@ def test_quench_run_evaluates_each_state_once(unit99, monkeypatch):
     calls = Counter(calls)
     assert len(trj.snapshots) == trj.n_steps + 1
     for _, u, v in trj.snapshots[:-1]:
-        assert calls[(id(model.f), v.tobytes())] == 1
-        assert calls[(id(model.g), u.tobytes())] == 1
+        assert calls[(id(model.f), np.array([v, u]).tobytes())] == 1
+    assert id(model.g) not in {key for key, _ in calls}
 
 
 def test_quench_run_solves_each_system_once(unit99, monkeypatch):
@@ -202,14 +218,34 @@ def test_quench_run_solves_each_system_once(unit99, monkeypatch):
     rhs = []
     original = evolution._solve
 
-    def spy(op, b):
-        rhs.append((op.identity_coeff, op.operator_coeff, np.asarray(b).tobytes()))
-        return original(op, b)
+    def spy(grid, factor, x):
+        rhs.append((b"".join(part.tobytes() for part in factor), x.tobytes()))
+        return original(grid, factor, x)
 
     monkeypatch.setattr(evolution, "_solve", spy)
     trj = simulate(_zeros(g), g, power2_model(), ParamPoint(12.0, 12.0), StepperConfig(), 1.0)
     assert trj.status is TerminalStatus.QUENCHED and trj.quench.which == "both"
     assert len(ops) == len(rhs) == len(set(rhs))
+
+
+def test_crossing_machinery_runs_only_in_crossing_steps(unit99, monkeypatch):
+    # The memoized advance of the level bisections is built in a step that
+    # crosses a level, not in every accepted step: never in a run that stays
+    # below the levels, and at most once per level in a symmetric quench.
+    g, _, _ = unit99
+    built = []
+    original = evolution._memoized_advance
+
+    def spy(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evolution, "_memoized_advance", spy)
+    simulate(_zeros(g), g, power2_model(), ParamPoint(0.5, 0.5), StepperConfig(), 1.0)
+    assert built == []
+    trj = simulate(_zeros(g), g, power2_model(), ParamPoint(12.0, 12.0), StepperConfig(), 1.0)
+    assert trj.status is TerminalStatus.QUENCHED
+    assert 1 <= len(built) <= 3
 
 
 def test_memoized_advance_remembers_range_errors():
@@ -228,6 +264,27 @@ def test_memoized_advance_remembers_range_errors():
         with pytest.raises(StepRangeError):
             advance_by(1.0)
     assert calls == [0.4, 0.8]
+
+
+@pytest.mark.parametrize("family", ["log", "exp", "power"])
+def test_block_reaction_equals_row_reactions(family):
+    # With f == g the kernel evaluates f once on the (v, u) block; each row
+    # equals the per-component formula bit for bit, and the kernel's results
+    # are new arrays, never views of its reused workspace.
+    g = interval(0.0, 1.0, 49)
+    nl = Nonlinearity(family, p=1.5)
+    model = Model(f=nl, g=Nonlinearity(family, p=1.5), alpha=Profile("bump", c=1.2),
+                  beta=Profile("powerdist", c=0.7))
+    params = ParamPoint(0.9, 0.6)
+    kernel = evolution._Kernel(g, model, params)
+    w = np.random.default_rng(3).uniform(0.0, 0.99, (2, g.n_total))
+    rows = np.array([params.lam * model.alpha.sample(g) * model.f._value(w[1]),
+                     params.mu * model.beta.sample(g) * model.g._value(w[0])])
+    react = kernel.reaction(w)
+    assert react.tobytes() == rows.tobytes()
+    low = 0.1 * w
+    for out in kernel.attempt(low, kernel.reaction(low), 1e-4):
+        assert not np.shares_memory(out, kernel.x) and not np.shares_memory(out, kernel.rhs)
 
 
 def test_quench_run_snapshots_end_at_the_crossing(unit99):
@@ -422,11 +479,14 @@ def test_failed_solve_wins_over_range_and_later_solves(unit99, monkeypatch, corr
     g, _, _ = unit99
     original, calls = evolution._solve, []
 
-    def broken(op, rhs):
-        calls.append(op)
-        x = original(op, rhs)
+    def broken(grid, factor, x):
+        calls.append(factor)
+        original(grid, factor, x)
         if len(calls) == 2:
-            return x + 5.0 if corrupt == "past-one" else np.full_like(x, np.nan)
+            if corrupt == "past-one":
+                x += 5.0
+            else:
+                x[...] = np.nan
         return x
 
     monkeypatch.setattr(evolution, "_solve", broken)
@@ -438,16 +498,15 @@ def test_failed_solve_wins_over_range_and_later_solves(unit99, monkeypatch, corr
 
 @pytest.mark.parametrize("fixed", [False, True])
 def test_non_finite_intermediate_is_a_value_error(unit99, monkeypatch, fixed):
-    # f overflows at the first state after the initial one: the next solve's
-    # rhs is not finite, reported as solve_poisson reports it.
+    # f overflows at the first state after the initial one (which is zero):
+    # the next solve's rhs is not finite, reported as solve_poisson reports it.
     g, _, _ = unit99
-    original, calls = Nonlinearity._value, []
+    original = Nonlinearity._value
 
     def overflowing(self, s):
-        calls.append(self)
         out = original(self, s)
-        if len(calls) > 2:
-            out[len(out) // 2] = np.inf
+        if s.any():
+            out[..., s.shape[-1] // 2] = np.inf
         return out
 
     monkeypatch.setattr(Nonlinearity, "_value", overflowing)
@@ -513,7 +572,7 @@ def test_rejects_initial_data_outside_unit_range_at_entry(unit99, monkeypatch, e
     v0 = np.zeros(g.n_total)
     v0[g.n_total // 2] = entry
 
-    def no_solve(op, rhs):
+    def no_solve(grid, factor, x):
         raise AssertionError("solved before the range check")
 
     monkeypatch.setattr(evolution, "_solve", no_solve)
@@ -522,3 +581,44 @@ def test_rejects_initial_data_outside_unit_range_at_entry(unit99, monkeypatch, e
                  StepperConfig(), 1.0)
     with pytest.raises(ValueError, match=r"v must lie in \[0, 1\)"):
         step(np.zeros(g.n_total), v0, 1e-3, g, power2_model(), ParamPoint(1.0, 1.0))
+
+
+# sha256 (first 16 hex digits) of every Trajectory array, its snapshots, status
+# and quench event, for four runs; written by the stepper of separate IMEX
+# closures that the one attempt kernel replaced, and unchanged by it.  Python
+# 3.11.7, numpy 2.4.6, OpenBLAS 0.3.31, x86-64
+_TRAJECTORY_DIGESTS = {"quench-1d": "4ffa0793515bbd09", "fixed-1d": "388adddfa34604f5",
+                       "adaptive-2d": "47a999d76cee6883", "power-log": "3b3e935f50c098ca"}
+
+
+def _trajectory_digest(trj):
+    h = hashlib.sha256()
+    for key in ("times", "max_u", "max_v", "ut_l2", "vt_l2", "utvt", "energy",
+                "dist2_u", "dist2_v", "dt", "final_u", "final_v"):
+        h.update(getattr(trj, key).tobytes())
+    for t, u, v in trj.snapshots:
+        h.update(np.float64(t).tobytes() + u.tobytes() + v.tobytes())
+    h.update(repr((trj.status.value, trj.quench)).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("run", sorted(_TRAJECTORY_DIGESTS))
+def test_trajectories_are_pinned(unit99, run):
+    # An adaptive quench, a fixed-step run, a 2D adaptive run with a reference
+    # and a quench with f != g: every recorded bit of each is pinned.
+    g, _, _ = unit99
+    power_log = Model(f=Nonlinearity("power", p=2.0), g=Nonlinearity("log"),
+                      alpha=Profile("constant"), beta=Profile("constant"))
+    if run == "adaptive-2d":
+        g = rectangle((0.0, 1.0), (0.0, 1.0), 15, 7)
+        x, y = g.coordinates().T
+        shape = np.sin(np.pi * x) * np.sin(np.pi * y)
+        trj = simulate(_zeros(g), g, power2_model(), ParamPoint(1.0, 1.0), StepperConfig(),
+                       0.3, reference=(0.1 * shape, 0.2 * shape))
+    elif run == "fixed-1d":
+        trj = simulate(_zeros(g), g, power2_model(), ParamPoint(0.5, 0.5),
+                       fixed_config(1e-2, snapshot_stride=3), 0.5)
+    else:
+        model = power2_model() if run == "quench-1d" else power_log
+        trj = simulate(_zeros(g), g, model, ParamPoint(12.0, 12.0), StepperConfig(), 1.0)
+    assert _trajectory_digest(trj) == _TRAJECTORY_DIGESTS[run]

@@ -18,7 +18,7 @@ from quenchlab import (
     rectangle,
     solve_poisson,
 )
-from quenchlab.grid import _backward_error, _stencil_product
+from quenchlab.grid import _backward_error, _check_solves, _stencil_product
 
 
 def _entries(op):
@@ -277,6 +277,16 @@ def test_grid_rejects_extents_without_a_normal_stencil_weight(make):
         make()
 
 
+@pytest.mark.parametrize("make", [lambda: interval(0.0, 2e-152, 199),
+                                  lambda: rectangle((0.0, 1.0), (0.0, 1e-153), 15, 9)],
+                         ids=["tiny", "tiny-2d"])
+def test_grid_rejects_a_stencil_norm_that_overflows(make):
+    # h = 1e-154: 1/h^2 = 1e308 is normal, but the centre weight 2/h^2 and
+    # ||A||_inf = sum of 4/h^2 are inf
+    with pytest.raises(ValueError, match="sum of 4/h\\^2 over the axes is not a normal float"):
+        make()
+
+
 def test_grid_keeps_extents_with_a_normal_stencil_weight():
     for g in (interval(0.0, 1e-150, 199), interval(0.0, 1e150, 199)):
         assert all(np.isfinite(g.spectrum)) and g.spectrum.min() > 0
@@ -309,12 +319,58 @@ def test_block_solve_checks_every_column(name):
     rhs = np.random.default_rng(9).random((g.n_total, 3)) + 0.1
     with pytest.raises(SolverBreakdownError):
         solve_poisson(op, rhs, tol_lin=0.0)
-    # One column so large that its norms overflow: its backward error is nan,
-    # which fails the check without a RuntimeWarning, while the others pass.
+    # One column so large that squares of its entries overflow is checked like
+    # the others, without a RuntimeWarning: it passes at the default tolerance,
+    # alone and beside the others, and fails at tolerance 0.
     rhs[:, 1] *= 1e300
-    with pytest.raises(SolverBreakdownError, match="nan"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         solve_poisson(op, rhs)
+        with pytest.raises(SolverBreakdownError):
+            solve_poisson(op, rhs[:, [1]], tol_lin=0.0)
     solve_poisson(op, rhs[:, [0, 2]])
+
+
+def _scaled_solve(scale):
+    # (1e4 I + A) x = b on 49 nodes with every b_i = scale: x from the solve at
+    # scale 1, times scale (exact up to rounding at any magnitude)
+    g = interval(0.0, 1.0, 49)
+    x = solve_poisson(g.laplacian.shifted(1e4, 1.0), np.ones(g.n_total))
+    return g, scale * x, np.full(g.n_total, scale)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e250, 1e-160, 1e-250])
+def test_check_passes_exact_solves_at_any_magnitude(scale):
+    # Squares of the entries overflow or underflow here; the rows are scaled
+    # by their largest entry first, with no RuntimeWarning.
+    g, x, b = _scaled_solve(scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_solves(g, x, b, 1e4, 1.0)
+    with np.errstate(all="ignore"):  # as _check_solves calls it
+        assert _backward_error(g, x, b, 1e4, 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e250, 1e-160, 1e-250])
+def test_check_fails_a_solve_off_by_1e_9_at_any_magnitude(scale):
+    # At scale 1e160 the unscaled norms read the error as 0 (the denominator
+    # overflows), at 1e250 as nan; both must fail the check as at scale 1.
+    g, x, b = _scaled_solve(scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverBreakdownError, match="backward error 3\\.3"):
+            _check_solves(g, x * (1.0 + 1e-9), b, 1e4, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_check_never_passes_a_non_finite_rhs(bad, scale):
+    g, x, b = _scaled_solve(scale)
+    b[7] = bad
+    with np.errstate(all="ignore"):  # as _check_solves calls it
+        assert np.isnan(_backward_error(g, x, b, 1e4, 1.0))
+    with pytest.raises(ValueError, match="rhs contains non-finite entries"):
+        _check_solves(g, x, b, 1e4, 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
