@@ -208,7 +208,7 @@ class _Kernel:
         np.multiply(react, dt, out=rhs)
         rhs += w
         x[...] = rhs
-        _solve(self.grid, factor, x)
+        _solve(self.grid, factor, x, overwrite=True)
         self.dt[row] = dt
 
     def _range(self, lo, hi):

@@ -279,27 +279,20 @@ def _stencil_product(grid: Grid, x: FloatArray, centre: float,
 
 
 def _backward_error(grid: Grid, x: FloatArray, b: FloatArray, s, c) -> FloatArray:
-    # Per row of x and b (shape (n,) or (k, n)), ||Mx-b|| / (||M|| ||x|| + ||b||)
-    # for M = s*I + c*A (||Mx-b||/||b|| alone is bounded below by cond(M)*eps),
-    # 0 for x = b = 0, nan for a row with an inf or nan.  s and c are scalars or
-    # per-row (k, 1) (rows of shape (m, 2, n) take (m, 1, 1)): Mx comes from A's
-    # stencil weights scaled row by row, ||M||_inf is s + c*||A||_inf.
+    # Per row of x and b (shape (n,) or (k, n)), the normwise backward error in
+    # the inf-norm, ||Mx-b|| / (||M|| ||x|| + ||b||) for M = s*I + c*A (Higham
+    # 2002, Thm 7.1; ||Mx-b||/||b|| alone is bounded below by cond(M)*eps), 0 for
+    # x = b = 0, nan for a row with an inf or nan.  s and c are scalars or per-row
+    # (k, 1) (rows of shape (m, 2, n) take (m, 1, 1)): Mx comes from A's stencil
+    # weights scaled row by row, ||M||_inf is s + c*||A||_inf.  The three norms
+    # square nothing, and dividing them by max(||x||, ||b||) keeps ||M|| ||x||
+    # finite, so the quotient holds at any magnitude (5e-324 is the least double).
     r = _stencil_product(grid, x, *_shifted_weights(grid, s, c))
     r -= b
     rxb = np.array([r, x, b])
-    squares = np.vecdot(rxb, rxb)[..., None]
-    norm = s + c * grid.stencil_norm
-    rn, xn, bn = np.sqrt(squares)
-    den = norm * xn + bn
-    # Squares overflow past 1e154 and go subnormal below 1e-154.  Unless all sums
-    # are at most 2^800 and all denominators at least 2^-400 (where a residual of
-    # relative size 1e-12 squares to normal numbers), each row is divided by its
-    # largest |entry|, which leaves the quotient as it is; 5e-324 is the least double.
-    if not (squares.max() <= 2.0**800 and den.min() >= 2.0**-400):
-        rxb /= np.maximum(np.abs(rxb).max(axis=(0, -1), keepdims=True), 5e-324)
-        rn, xn, bn = np.sqrt(np.vecdot(rxb, rxb))[..., None]
-        den = np.maximum(norm * xn + bn, 5e-324)
-    return (rn / den)[..., 0]
+    top = np.maximum.reduce(np.abs(rxb, out=rxb), axis=-1, keepdims=True)
+    rn, xn, bn = top / np.maximum(np.maximum(top[1], top[2]), 5e-324)
+    return (rn / np.maximum((s + c * grid.stencil_norm) * xn + bn, 5e-324))[..., 0]
 
 
 def _check_solves(grid: Grid, x: FloatArray, b: FloatArray, s, c, *,
@@ -338,17 +331,17 @@ def _factor(grid: Grid, s: float, c: float) -> tuple[FloatArray, FloatArray] | F
     return d, e
 
 
-def _solve(grid: Grid, factor, x: FloatArray) -> FloatArray:
-    # Overwrites the C-contiguous rows x ((n,) or (k, n)) with the solutions for
-    # those right-hand sides of the operator ``factor`` is of, unchecked.
+def _solve(grid: Grid, factor, b: FloatArray, *, overwrite: bool = False) -> FloatArray:
+    # The solutions for the right-hand sides b (rows, (n,) or (k, n)) of the
+    # operator ``factor`` is of, as rows, unchecked; ``overwrite`` solves
+    # C-contiguous rows in place.
     if grid.dimension == 1:
-        lapack.dpttrs(*factor, x.T, overwrite_b=1)
-        return x
+        return lapack.dpttrs(*factor, b.T, overwrite_b=overwrite)[0].T
     sx, sy = grid.sine_basis
-    stack = x.reshape(-1, *grid.n_interior[::-1])  # (k, ny, nx), a view of x
+    stack = b.reshape(-1, *grid.n_interior[::-1])  # (k, ny, nx)
     with np.errstate(all="ignore"):  # a non-finite rhs fails the check instead
-        np.matmul(sy @ ((sy @ stack @ sx) * factor), sx, out=stack)
-    return x
+        x = np.matmul(sy @ ((sy @ stack @ sx) * factor), sx, out=stack if overwrite else None)
+    return x.reshape(b.shape)
 
 
 def solve_poisson(op: DiscreteOperator, rhs: FloatArray, *,
@@ -374,7 +367,7 @@ def solve_poisson(op: DiscreteOperator, rhs: FloatArray, *,
     b = np.asarray(rhs, dtype=float)
     if b.shape[:1] != (g.n_total,) or b.ndim > 2:
         raise ValueError(f"rhs has shape {b.shape}, expected ({g.n_total},) or ({g.n_total}, k)")
-    x = _solve(g, op._factored, np.array(b.T, order="C"))  # the fields as rows
+    x = _solve(g, op._factored, b.T)  # the fields as rows
     _check_solves(g, x, b.T, op.identity_coeff, op.operator_coeff, tol_lin=tol_lin)
     return x.T
 

@@ -102,10 +102,10 @@ def _spy_solves(monkeypatch):
     factors = []
     original = evolution._solve
 
-    def spy(grid, factor, x):
+    def spy(grid, factor, x, **kwargs):
         assert np.shape(x) == (2, grid.n_total)  # (u, v) as one block
         factors.append(factor)
-        return original(grid, factor, x)
+        return original(grid, factor, x, **kwargs)
 
     monkeypatch.setattr(evolution, "_solve", spy)
     return factors
@@ -218,9 +218,9 @@ def test_quench_run_solves_each_system_once(unit99, monkeypatch):
     rhs = []
     original = evolution._solve
 
-    def spy(grid, factor, x):
+    def spy(grid, factor, x, **kwargs):
         rhs.append((b"".join(part.tobytes() for part in factor), x.tobytes()))
-        return original(grid, factor, x)
+        return original(grid, factor, x, **kwargs)
 
     monkeypatch.setattr(evolution, "_solve", spy)
     trj = simulate(_zeros(g), g, power2_model(), ParamPoint(12.0, 12.0), StepperConfig(), 1.0)
@@ -479,9 +479,9 @@ def test_failed_solve_wins_over_range_and_later_solves(unit99, monkeypatch, corr
     g, _, _ = unit99
     original, calls = evolution._solve, []
 
-    def broken(grid, factor, x):
+    def broken(grid, factor, x, **kwargs):
         calls.append(factor)
-        original(grid, factor, x)
+        original(grid, factor, x, **kwargs)
         if len(calls) == 2:
             if corrupt == "past-one":
                 x += 5.0
@@ -572,7 +572,7 @@ def test_rejects_initial_data_outside_unit_range_at_entry(unit99, monkeypatch, e
     v0 = np.zeros(g.n_total)
     v0[g.n_total // 2] = entry
 
-    def no_solve(grid, factor, x):
+    def no_solve(grid, factor, x, **kwargs):
         raise AssertionError("solved before the range check")
 
     monkeypatch.setattr(evolution, "_solve", no_solve)

@@ -306,10 +306,14 @@ def test_block_solve_equals_column_solves_bitwise(name, k):
     g = SOLVER_GRIDS[name]
     op = g.laplacian.shifted(1.0, 0.37)
     rhs = np.random.default_rng(8).standard_normal((g.n_total, k))
+    kept = rhs.copy()
     block = solve_poisson(op, rhs)
     assert block.shape == (g.n_total, k)
     for j in range(k):
         assert block[:, j].tobytes() == solve_poisson(op, rhs[:, j]).tobytes()
+    # in either memory order, and the caller's rhs is left as it was
+    assert np.array_equal(solve_poisson(op, np.asfortranarray(rhs)), block)
+    assert rhs.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("name", ["interval-13", "rectangle-11x7"])
@@ -319,9 +323,9 @@ def test_block_solve_checks_every_column(name):
     rhs = np.random.default_rng(9).random((g.n_total, 3)) + 0.1
     with pytest.raises(SolverBreakdownError):
         solve_poisson(op, rhs, tol_lin=0.0)
-    # One column so large that squares of its entries overflow is checked like
-    # the others, without a RuntimeWarning: it passes at the default tolerance,
-    # alone and beside the others, and fails at tolerance 0.
+    # One column of entries past 1e300 is checked like the others, without a
+    # RuntimeWarning: it passes at the default tolerance, alone and beside the
+    # others, and fails at tolerance 0.
     rhs[:, 1] *= 1e300
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -339,10 +343,10 @@ def _scaled_solve(scale):
     return g, scale * x, np.full(g.n_total, scale)
 
 
-@pytest.mark.parametrize("scale", [1e160, 1e250, 1e-160, 1e-250])
+@pytest.mark.parametrize("scale", [1e160, 1e250, 1e308, 1e-160, 1e-250])
 def test_check_passes_exact_solves_at_any_magnitude(scale):
-    # Squares of the entries overflow or underflow here; the rows are scaled
-    # by their largest entry first, with no RuntimeWarning.
+    # Squares of the entries would overflow or underflow here, and at 1e308
+    # ||M|| ||x|| does unless the norms are scaled; no RuntimeWarning either.
     g, x, b = _scaled_solve(scale)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -351,10 +355,11 @@ def test_check_passes_exact_solves_at_any_magnitude(scale):
         assert _backward_error(g, x, b, 1e4, 1.0) < 1e-15
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e160, 1e250, 1e-160, 1e-250])
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e250, 1e308, 1e-160, 1e-250])
 def test_check_fails_a_solve_off_by_1e_9_at_any_magnitude(scale):
-    # At scale 1e160 the unscaled norms read the error as 0 (the denominator
-    # overflows), at 1e250 as nan; both must fail the check as at scale 1.
+    # Unscaled sums of squares read the error as 0 at scale 1e160 (the
+    # denominator overflows) and as nan at 1e250, an unscaled ||M|| ||x|| as 0
+    # at 1e308; all must fail the check as at scale 1.
     g, x, b = _scaled_solve(scale)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -425,9 +430,9 @@ def test_solve_rejects_misshapen_rhs(name, shape):
 def _assembled_backward_error(op, x, b):
     # Oracle: the same normwise formula from the assembled sparse matrix.
     m = oracles.shifted_matrix(op)
-    return (np.linalg.norm(m @ x - b, axis=0)
-            / (scipy.sparse.linalg.norm(m, np.inf) * np.linalg.norm(x, axis=0)
-               + np.linalg.norm(b, axis=0)))
+    return (np.linalg.norm(m @ x - b, np.inf, axis=0)
+            / (scipy.sparse.linalg.norm(m, np.inf) * np.linalg.norm(x, np.inf, axis=0)
+               + np.linalg.norm(b, np.inf, axis=0)))
 
 
 @pytest.mark.parametrize("name", SOLVER_GRIDS)
