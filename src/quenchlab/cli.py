@@ -333,14 +333,14 @@ class Run:
                         self.settings["horizon"], reference=reference)
 
     def decay_rate(self):
-        """Trajectory from the initial pair against the minimal state, and
-        its decay-rate certificate."""
+        """Trajectory from the initial pair against the minimal state, its
+        decay-rate certificate, and the eigenpair the certificate uses."""
         minimal = self.steady_state()
         initial = self.initial
         pair = self.linearized_pair(minimal)
         trajectory = self.evolve(initial, reference=(minimal.w, minimal.z))
         lam1, _ = principal_laplacian_eigenpair(self.grid.laplacian)
-        return trajectory, rate_certificate(trajectory, lam1, pair.nu1)
+        return trajectory, rate_certificate(trajectory, lam1, pair.nu1), pair
 
 
 def _fmt(value) -> str:
@@ -476,11 +476,18 @@ def cmd_curve(run: Run, out: str) -> int:
     return 0
 
 
+def _bracket_payload(pair) -> dict:
+    """The Collatz-Wielandt bracket of nu1 and the factorizations it took."""
+    return {"nu1_lower": pair.nu1_lower, "nu1_upper": pair.nu1_upper,
+            "factorizations": pair.factorizations}
+
+
 def cmd_eigen(run: Run, out: str) -> int:
     solution = run.steady_state()
     pair = run.linearized_pair(solution)
     write_json(os.path.join(out, "eigen.json"), {
         "nu1": pair.nu1,
+        **_bracket_payload(pair),
         "residual": pair.residual,
         "iterations": pair.iterations,
         "lambda1": principal_laplacian_eigenpair(run.grid.laplacian)[0],
@@ -544,7 +551,7 @@ def cmd_simulate(run: Run, out: str) -> int:
 
 
 def cmd_rate(run: Run, out: str) -> int:
-    trajectory, certificate = run.decay_rate()
+    trajectory, certificate, pair = run.decay_rate()
     _write_trajectory(trajectory, run.grid, out, run.echo)
     write_json(os.path.join(out, "rate.json"), {
         "gamma_claimed": certificate.gamma_claimed,
@@ -555,6 +562,7 @@ def cmd_rate(run: Run, out: str) -> int:
         "n_points": certificate.n_points,
         "passes": certificate.passes,
         "nu1": certificate.nu1,
+        **_bracket_payload(pair),
         "lambda1": certificate.lam1,
         "note": certificate.note,
         "config": run.echo,
@@ -587,7 +595,7 @@ def cmd_certify(run: Run, out: str) -> int:
                                    "note": "no certificate applies"}
         exit_code = 2
     elif report.case in ("a1", "a21"):
-        _, certificate = run.decay_rate()
+        _, certificate, _ = run.decay_rate()
         payload["verification"] = {
             "kind": "decay-rate", "passes": certificate.passes,
             "fitted_rate": certificate.fitted_rate,

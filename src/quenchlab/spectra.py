@@ -8,8 +8,15 @@ About a steady pair (w, z) the linearized operator is the 2x2 block
 
 with A the grid's discrete negative Laplacian.  Off-diagonal entries of M are
 nonpositive, so M perturbs like an M-matrix: at a minimal steady pair its
-principal eigenvalue nu1 is positive with a positive eigenvector, and inverse
-power iteration on M converges to it.  A nonpositive nu1 (or a sign-changing
+principal eigenvalue nu1 is positive with a positive eigenvector.  nu1 has no
+variational characterization (M is not symmetric when lam alpha f'(z) differs
+from mu beta g'(w)), but for any x > 0 the Collatz-Wielandt quotients bracket
+it: min_i (M x)_i / x_i <= nu1 <= max_i (M x)_i / x_i (Donsker & Varadhan,
+PNAS 72, 1975; Berestycki, Nirenberg & Varadhan, CPAM 47, 1994).  The lower
+end is a shift sigma below nu1, so inverse iteration with M - sigma I, a
+nonsingular M-matrix, keeps its iterates positive and contracts by
+(nu1 - sigma) / (nu2 - sigma) per step; ``principal_eigenpair`` reports the
+bracket at its eigenvector.  A nonpositive nu1 (or a sign-changing
 eigenvector) means the state under study is not linearly stable; that outcome
 is reported as an exception carrying the estimate, since every downstream
 certificate needs nu1 > 0.
@@ -29,8 +36,11 @@ import numpy as np
 
 from ._lapack import lapack
 from .errors import EigenConvergenceError, IndefiniteOperatorError
-from .grid import FloatArray, Grid, _stencil_product, integrate
+from .grid import FloatArray, Grid, _stencil_product, integrate, principal_laplacian_eigenpair
 from .model import Model, ParamPoint
+
+_MAX_FACTORS = 4  # factorizations of M - sigma I per eigenpair, a fallback included
+_ROUNDING = 64.0 * np.finfo(float).eps  # rounding of M x, per unit of |M| |x|
 
 
 class CoupledBand:
@@ -126,36 +136,89 @@ def assemble_linearization(grid: Grid, model: Model, params: ParamPoint,
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Principal eigenvalue of the linearization with its positive eigenvector."""
+    """Principal eigenvalue of the linearization with its positive eigenvector,
+    the Collatz-Wielandt bracket nu1_lower <= nu1 <= nu1_upper at that vector,
+    and the work done: solves (``iterations``) and band factorizations."""
 
     nu1: float
     phi: FloatArray
     psi: FloatArray
     residual: float
     iterations: int
+    nu1_lower: float
+    nu1_upper: float
+    factorizations: int
+
+
+def _collatz_wielandt(lin: LinearizedOperator, x: FloatArray,
+                      mx: FloatArray) -> tuple[float, float]:
+    """min_i and max_i of (M x)_i / x_i at x > 0, which bracket nu1 for the
+    Z-matrix M (Donsker & Varadhan, PNAS 72, 1975), each widened outward by
+    the rounding of the computed M x: _ROUNDING (|M| x)_i / x_i."""
+    g, n = lin.grid, lin.grid.n_total
+    centre, east, north = g.stencil
+    size = _stencil_product(g, x.reshape(2, n), centre, -east, -north)  # |A| x
+    size[0] += lin.coupling_w * x[n:]
+    size[1] += lin.coupling_z * x[:n]
+    ratio, slack = mx / x, _ROUNDING * size.ravel() / x
+    return float((ratio - slack).min()), float((ratio + slack).max())
 
 
 def principal_eigenpair(lin: LinearizedOperator, *,
                         tol: float = 1e-10,
                         max_iter: int = 500) -> EigenPair:
-    """Inverse power iteration for the smallest eigenvalue of the block
-    linearization.
+    """Inverse iteration with M - sigma I for the smallest eigenvalue of the
+    block linearization, sigma a Collatz-Wielandt lower bound on nu1.
+
+    The iteration starts from (phi1, phi1), phi1 > 0 the grid's sine mode, and
+    factors M - sigma I at sigma = max(0, lower bound there).  Below nu1,
+    M - sigma I stays a nonsingular M-matrix, so the iterates stay positive,
+    and each step cuts the error by (nu1 - sigma) / (nu2 - sigma) instead of
+    nu1 / nu2.  A step that cuts the residual by less than 10x while the
+    lower bound has closed more than half of nu - sigma re-factors at that
+    bound, up to _MAX_FACTORS factorizations; a shift whose factor hits a zero
+    pivot falls back to the previous one.  The old factor is dropped before
+    the next is built, so one band is alive at a time.  Converged when
+    ||M x - nu x|| <= tol |nu|, nu = x^T M x at the unit vector x.
 
     Raises IndefiniteOperatorError (with the best estimate attached) when the
     operator is singular, the converged eigenvalue is nonpositive, or the
     eigenvector fails to be positive: all three mean no stability margin.
     Raises EigenConvergenceError when the budget runs out first.
 
-    The returned eigenvector is normalized so quadrature(phi^2 + psi^2) = 1.
+    The returned eigenvector is normalized so quadrature(phi^2 + psi^2) = 1;
+    the bracket is the one at (phi, psi).
     """
     grid, n = lin.grid, lin.grid.n_total
-    solve = CoupledBand(grid, 2).factor(lin.couplings)
+    factors = 0
+
+    def shift(target: float, previous: float) -> tuple[Callable | None, float]:
+        # the solve with M - target I, or with M - previous I when that factor
+        # hits a zero pivot (None when both do); the band's index arrays are
+        # not kept between factorizations, only the factor itself
+        nonlocal factors
+        for sigma in dict.fromkeys((target, previous)):
+            factors += 1
+            diagonal = np.full(n, -sigma)
+            solve = CoupledBand(grid, 2).factor(
+                lin.couplings + [(0, 0, diagonal), (1, 1, diagonal)])
+            if solve is not None:
+                break
+        return solve, sigma
+
+    def rayleigh(x: FloatArray) -> tuple[FloatArray, float, float]:
+        mx = lin.apply(x)
+        nu = float(x @ mx)
+        return mx, nu, float(np.linalg.norm(mx - nu * x)) / max(abs(nu), 1e-30)
+
+    x = np.tile(principal_laplacian_eigenpair(grid.laplacian)[1], 2)
+    x /= np.linalg.norm(x)
+    mx, nu, residual = rayleigh(x)
+    solve, sigma = shift(max(0.0, _collatz_wielandt(lin, x, mx)[0]), 0.0)
     if solve is None:
         raise IndefiniteOperatorError(
             "linearization is numerically singular", nu_estimate=0.0)
 
-    x = np.full(2 * n, 1.0 / np.sqrt(2 * n))
-    nu = 0.0
     for it in range(1, max_iter + 1):
         y = solve(x)
         norm = float(np.linalg.norm(y))
@@ -167,11 +230,16 @@ def principal_eigenpair(lin: LinearizedOperator, *,
         if y.sum() < 0:
             norm = -norm
         x = y / norm
-        mx = lin.apply(x)
-        nu = float(x @ mx)
-        residual = float(np.linalg.norm(mx - nu * x)) / max(abs(nu), 1e-30)
+        last = residual
+        mx, nu, residual = rayleigh(x)
         if residual <= tol:
             break
+        # Re-shift while the cap leaves room for a fallback factor.
+        if factors + 2 <= _MAX_FACTORS and residual > 0.1 * last and x.min() > 0.0:
+            lower = _collatz_wielandt(lin, x, mx)[0]
+            if lower - sigma > 0.5 * (nu - sigma):
+                solve = None  # drop the old band before building the next
+                solve, sigma = shift(lower, sigma)
     else:
         raise EigenConvergenceError(
             f"principal eigenpair did not converge in {max_iter} iterations "
@@ -195,4 +263,7 @@ def principal_eigenpair(lin: LinearizedOperator, *,
         psi *= scale
         if mass == 1.0:
             break
-    return EigenPair(nu1=nu, phi=phi, psi=psi, residual=residual, iterations=it)
+    x = np.concatenate([phi, psi])
+    lower, upper = _collatz_wielandt(lin, x, lin.apply(x))
+    return EigenPair(nu1=nu, phi=phi, psi=psi, residual=residual, iterations=it,
+                     nu1_lower=lower, nu1_upper=upper, factorizations=factors)

@@ -667,14 +667,14 @@ def _weighted_masses(grid: Grid, model: Model, first: FloatArray,
     """(lambda1, K_alpha, K_beta, integral(first * phi), integral(second * phi))
     with (lambda1, phi) the grid's principal pair (phi of unit mass) and
     K_alpha = integral(phi / alpha), K_beta = integral(phi / beta).  ``names``
-    label the two fields in shape errors; the weights must be positive.
+    label the two fields in shape errors.  A weight that vanishes at a node
+    (a narrow bump underflows to 0 near the boundary) makes its K inf: the
+    bounds built on that side then assert nothing.
     """
     lam1, phi = principal_laplacian_eigenpair(grid.laplacian)
-    alpha = model.alpha.sample(grid)
-    beta = model.beta.sample(grid)
-    if alpha.min() <= 0 or beta.min() <= 0:
-        raise ValueError("weighted-mass pairing needs strictly positive weights")
-    return (lam1, integrate(phi / alpha, grid), integrate(phi / beta, grid),
+    k_alpha, k_beta = (integrate(phi / weight, grid) if weight.min() > 0 else math.inf
+                       for weight in (model.alpha.sample(grid), model.beta.sample(grid)))
+    return (lam1, k_alpha, k_beta,
             integrate(grid.check_field(first, names[0]) * phi, grid),
             integrate(grid.check_field(second, names[1]) * phi, grid))
 

@@ -23,6 +23,7 @@ from quenchlab import (
     Undetermined,
     classify_case,
     integrate,
+    mass_bound_check,
     monotone_minimal_solution,
     quench_time_bound,
     rate_certificate,
@@ -142,6 +143,25 @@ def test_quench_bound_inapplicable_from_rest():
     bound = quench_time_bound(zero, zero, g, log_model(), ParamPoint(20.0, 20.0))
     assert not bound.applicable
     assert bound.mass_u == 0.0
+
+
+def test_quench_bound_with_a_vanishing_weight_uses_the_other_side():
+    # alpha = exp(-1e4 |x - 1/2|^2) underflows to 0 near the boundary: K_alpha
+    # is inf, so the u side asserts nothing and the beta side alone applies
+    stack = unit_stack(99)
+    g, _, eig, u0 = _flagship(stack)
+    nl = Nonlinearity("log")
+    model = Model(f=nl, g=nl, alpha=Profile("bump", width=1e4), beta=Profile("constant"))
+    assert model.alpha.sample(g).min() == 0.0
+    bound = quench_time_bound(u0, u0, g, model, ParamPoint(20.0, 20.0))
+    assert bound.k_alpha == np.inf and bound.threshold_u == np.inf
+    assert bound.bound_u is None and bound.bound_v is not None
+    same = quench_time_bound(u0, u0, g, log_model(), ParamPoint(20.0, 20.0))
+    assert bound.bound_v == same.bound_v and bound.best == same.bound_v
+    # and the steady-state mass bound on that side passes vacuously
+    s = monotone_minimal_solution(g, model, ParamPoint(0.5, 0.5)).solution
+    report = mass_bound_check(s.w, s.z, g, model, ParamPoint(0.5, 0.5))
+    assert report.bound_w == np.inf and report.passes
 
 
 def test_verify_quench_bound_branches():

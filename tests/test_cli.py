@@ -243,6 +243,31 @@ def test_eigen_artifacts(decay_ini, tmp_path):
     assert all(float(r[1]) > 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("overrides", [
+    ["model.g_family=exp", "model.lambda=0.05", "model.mu=0.05"],
+    ["domain.dimension=2", "domain.c=0", "domain.d=1", "domain.nx=15", "domain.ny=7",
+     "model.f_family=power", "model.g_family=exp", "model.alpha_family=powerdist",
+     "model.beta_family=powerdist", "model.lambda=0.3", "model.mu=0.3"]],
+    ids=["exp-1d", "asym-15x7"])
+def test_slow_contraction_states_end_exit_0(overrides, tmp_path):
+    # nu1 / nu2 near 1: unshifted inverse iteration ran out of steps here, and
+    # eigen, rate and certify all exited 1; eigen.json and rate.json report
+    # the Collatz-Wielandt bracket and the factorizations
+    extra = [arg for value in overrides for arg in ("--override", value)]
+    reports = {}
+    for command, name in (("eigen", "eigen.json"), ("rate", "rate.json"),
+                          ("certify", "certify.json")):
+        out = str(tmp_path / command)
+        assert main([command, "--config", str(CONFIGS / "decay.ini"), "--out", out, *extra]) == 0
+        reports[command] = json.load(open(os.path.join(out, name)))
+    eig, rate = reports["eigen"], reports["rate"]
+    assert eig["nu1_lower"] <= eig["nu1"] <= eig["nu1_upper"]
+    assert eig["factorizations"] >= 1
+    assert {key: rate[key] for key in ("nu1", "nu1_lower", "nu1_upper", "factorizations")} \
+        == {key: eig[key] for key in ("nu1", "nu1_lower", "nu1_upper", "factorizations")}
+    assert reports["certify"]["case"] == "a1" and reports["certify"]["verification"]["passes"]
+
+
 def _assert_same_files(first: Path, second: Path) -> None:
     names = sorted(os.listdir(first))
     assert names and names == sorted(os.listdir(second))
@@ -488,6 +513,19 @@ def test_certify_exit_codes(decay_ini, quench_ini, tmp_path):
     assert code == 2
     report3 = json.load(open(os.path.join(out3, "certify.json")))
     assert report3["case"] == "none-established"
+
+
+def test_certify_with_a_vanishing_weight_ends_in_a_verdict(tmp_path):
+    # a bump of width 1e4 is 0 near the boundary: its side's threshold is inf,
+    # written as null, and the other side and the decay certificate decide
+    out = str(tmp_path / "out")
+    assert main(["certify", "--config", str(CONFIGS / "decay.ini"), "--out", out,
+                 "--override", "model.alpha_family=bump",
+                 "--override", "model.alpha_width=1e4"]) == 0
+    report = json.load(open(os.path.join(out, "certify.json")))
+    assert report["case"] == "a1" and report["verification"]["passes"]
+    assert report["bound"]["threshold_u"] is None and report["bound"]["bound_u"] is None
+    assert report["bound"]["threshold_v"] > 0.0
 
 
 def test_certify_shares_one_verdict_and_one_second_search(decay_ini, tmp_path,

@@ -1,5 +1,8 @@
 """Linearized coupled operator and its principal eigenvalue."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,36 @@ from quenchlab import (
     rectangle,
     second_solution_search,
 )
+from quenchlab import spectra
+from quenchlab.cli import build_grid, build_model, load_config
 from quenchlab.spectra import CoupledBand, LinearizedOperator
+
+DECAY_INI = str(Path(__file__).resolve().parent.parent / "configs" / "decay.ini")
+# States where nu1 / nu2 is near 1, so unshifted inverse iteration runs out of
+# its 500 steps (residuals 8.7e-9 and 3.1e-8): the 1D exp state has nu1 = 9.749
+# and nu2 = 9.990, the 15x7 rectangle nu1 = 19.370 and nu2 = 19.793.
+SLOW_STATES = {
+    "exp-1d": ["model.g_family=exp", "model.lambda=0.05", "model.mu=0.05"],
+    "asym-15x7": ["domain.dimension=2", "domain.c=0", "domain.d=1", "domain.nx=15",
+                  "domain.ny=7", "model.f_family=power", "model.g_family=exp",
+                  "model.alpha_family=powerdist", "model.beta_family=powerdist",
+                  "model.lambda=0.3", "model.mu=0.3"],
+}
+
+
+def _config_linearization(overrides):
+    """The linearization at the minimal state of configs/decay.ini with overrides."""
+    cfg = load_config(DECAY_INI, overrides)
+    g, (model, params) = build_grid(cfg), build_model(cfg)
+    s = monotone_minimal_solution(g, model, params).solution
+    return assemble_linearization(g, model, params, s.w, s.z)
+
+
+def _assert_bracketed(pair, lin):
+    dense = oracles.dense_principal_eigenvalue(oracles.linearization_matrix(lin))
+    assert abs(pair.nu1 - dense) / abs(dense) <= 1e-10
+    assert pair.nu1_lower <= dense <= pair.nu1_upper
+    assert 1 <= pair.factorizations <= spectra._MAX_FACTORS
 
 
 def _minimal(stack, lam, mu=None):
@@ -167,3 +199,69 @@ def test_apply_is_one_stacked_product(grid):
             lin.apply(y)
     with pytest.raises(ValueError, match="shape"):
         lin.apply(x[:-1])
+
+
+@pytest.mark.parametrize("name", SLOW_STATES)
+def test_slow_contraction_states_converge(name):
+    # the shift at the Collatz-Wielandt lower bound makes each step contract
+    # by (nu1 - sigma) / (nu2 - sigma), far below nu1 / nu2 ~ 0.98
+    lin = _config_linearization(SLOW_STATES[name])
+    pair = principal_eigenpair(lin)
+    assert pair.iterations < 10
+    assert pair.residual <= 1e-10
+    _assert_bracketed(pair, lin)
+
+
+def test_bench_sized_asymmetric_state_takes_one_factor():
+    # lam != mu on the benchmark's 47x23 rectangle: 92 unshifted steps, and
+    # a handful from the sine mode with the first shift alone
+    g = rectangle((0.0, 2.0), (0.0, 1.0), 47, 23)
+    params = ParamPoint(0.48, 0.52)
+    s = monotone_minimal_solution(g, power2_model(), params).solution
+    pair = principal_eigenpair(assemble_linearization(g, power2_model(), params, s.w, s.z))
+    assert pair.iterations < 10
+    assert pair.factorizations == 1
+    assert pair.nu1_lower <= pair.nu1 <= pair.nu1_upper
+    assert pair.nu1_upper - pair.nu1_lower <= 1e-9 * pair.nu1
+
+
+def test_bracket_contains_dense_eigenvalue_at_minimal_states(membership_batch, unit99):
+    # the ten states of acceptance 05: log, exp and power families, bump weights
+    records, _ = membership_batch
+    g, _, _ = unit99
+    for model, params, solution, _ in records[:10]:
+        lin = assemble_linearization(g, model, params, solution.w, solution.z)
+        _assert_bracketed(principal_eigenpair(lin), lin)
+
+
+def test_one_band_alive_while_reshifting():
+    # the 15x7 state re-factors once; the old band is dropped before the new
+    # one is built, so the peak stays below two bands' bytes
+    lin = _config_linearization(SLOW_STATES["asym-15x7"])
+    band = CoupledBand(lin.grid, 2)
+    band_bytes = 8 * band.shape[0] * band.shape[1]
+    tracemalloc.start()
+    try:
+        pair = principal_eigenpair(lin)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pair.factorizations >= 2
+    assert peak < 2 * band_bytes
+
+
+def test_zero_pivot_falls_back_to_the_previous_shift(unit99, monkeypatch):
+    # a shifted factor that hits a zero pivot leaves the iteration on the
+    # last shift that factored, here M itself: the unshifted iteration
+    g, _, eig, params, s = _minimal(unit99, 1.2, 0.7)
+    lin = assemble_linearization(g, power2_model(), params, s.w, s.z)
+    factor = CoupledBand.factor
+
+    def unshifted_only(self, couplings):
+        shifted = any(row == col and np.any(c) for row, col, c in couplings)
+        return None if shifted else factor(self, couplings)
+    monkeypatch.setattr(CoupledBand, "factor", unshifted_only)
+    pair = principal_eigenpair(lin)
+    assert 2 <= pair.factorizations <= spectra._MAX_FACTORS
+    monkeypatch.undo()
+    assert pair.nu1 == pytest.approx(principal_eigenpair(lin).nu1, rel=1e-10)
