@@ -3,10 +3,11 @@
 The stepper is IMEX Euler: diffusion implicit (one SPD solve of both
 components per step), reaction explicit.  Adaptive runs control the local
 error by step doubling; setting dt_min == dt_max selects a fixed step instead,
-which is the mode used for convergence studies.  The integrator watches the
-running maxima for approach to the blow-up level 1 and reports a quench event
-built from three staged level crossings, refined by bisection inside the
-crossing step and extrapolated geometrically to the level itself.
+which is the mode used for convergence studies.  The integrator logs when
+each component reaches each of three staged levels below the blow-up level 1
+(the initial data at time 0, later crossings by bisection inside the step),
+and reports the first innermost crossing as a quench event, its time
+extrapolated geometrically to the level itself.
 
 The state (u, v) is one (2, n) block.  One attempt kernel (``_Kernel``)
 per ``simulate`` or ``step`` call makes every step: its rows full, half 1
@@ -17,8 +18,9 @@ into two reused (3, 2, n) buffers, factors I + c*A from the grid's stencil
 ``_check_solves`` call before a result is used or a StepRangeError raised.
 Initial data are range-checked once, at entry; the reaction then evaluates
 f and g unchecked, since every state the step makes lies in [0, 1), on the
-whole block when f == g.  The diagnostics of accepted states are evaluated
-a chunk at a time (``_RECORD_CHUNK``), each row by the per-state formula.
+whole block when f == g.  A ``_Recorder`` takes every accepted state: it
+evaluates their diagnostics a chunk at a time (``_RECORD_CHUNK``), each row by
+the per-state formula, and keeps the stride and closing snapshots.
 """
 
 from __future__ import annotations
@@ -267,9 +269,10 @@ class _Recorder:
                         ("max_u", "max_v", "ut_l2", "vt_l2", "utvt",
                          "energy", "dist2_u", "dist2_v")}
         self.snapshots: list[tuple[float, FloatArray, FloatArray]] = []
-        self.accepted = 0
 
-    def record(self, t, w, dt):
+    def record(self, t, w, dt):  # dt: the step to w, nan for the initial state
+        if len(self.times) % self.config.snapshot_stride == 0:  # w's step count
+            self.snapshots.append((t, w[0].copy(), w[1].copy()))
         self.times.append(t)
         self.dt.append(dt)
         self.block[self.filled] = w
@@ -313,13 +316,9 @@ class _Recorder:
         self.block[0] = block[-1]
         self.filled = 1
 
-    def snapshot(self, t, w, *, force=False):
-        stride = self.config.snapshot_stride
-        if force or self.accepted % stride == 0:
-            if not self.snapshots or self.snapshots[-1][0] != t:
-                self.snapshots.append((t, w[0].copy(), w[1].copy()))
-
     def build(self, status, quench, horizon, w) -> Trajectory:
+        if self.snapshots[-1][0] != self.times[-1]:  # the closing snapshot, unless on the stride
+            self.snapshots.append((self.times[-1], w[0].copy(), w[1].copy()))
         if self.evaluated < len(self.times):
             self._evaluate()
         arrays = {key: np.concatenate(parts) for key, parts in self.columns.items()}
@@ -364,6 +363,52 @@ def _memoized_advance(advance, w, react, dt):
     return advance_by
 
 
+def _bisect_crossing(advance_by, level, component):
+    """Largest-accuracy step fraction theta at which the component's maximum
+    reaches level, by bisection on advance_by (a StepRangeError is above)."""
+    lo, hi = 0.0, 1.0
+    for _ in range(_LEVEL_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        try:
+            wm = advance_by(mid)
+        except StepRangeError:
+            hi = mid
+            continue
+        if wm[component].max() >= level:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _reach_levels(reached, maxima, levels, t, dt, advance_by):
+    """Append to reached[c], the times component c has reached the levels,
+    t + theta dt for each further level its maximum maxima[c] reaches, theta
+    by bisection on advance_by (0 without one: the initial state).  Returns
+    the (theta, c) of the components that reached the innermost level."""
+    final = []
+    for c, (times, top) in enumerate(zip(reached, maxima)):
+        while len(times) < len(levels) and top >= levels[len(times)]:
+            level = levels[len(times)]
+            theta = 0.0 if advance_by is None else _bisect_crossing(advance_by, level, c)
+            times.append(t + theta * dt)
+            if len(times) == len(levels):
+                final.append((theta, c))
+    return final
+
+
+def _quench_event(final, reached, w) -> QuenchEvent:
+    """The event at w, the state where the first component in final (from
+    _reach_levels) reached the innermost level: it leads, and which is "both"
+    when the other did within 1e-9 of the step."""
+    lead = min(final)[1]
+    both = len(final) == 2 and abs(final[0][0] - final[1][0]) <= 1e-9
+    time, extrapolated = _aitken_quench_time(tuple(reached[lead]))
+    return QuenchEvent(time=time, which="both" if both else "uv"[lead],
+                       level=float(w[lead].max()), extrapolated=extrapolated,
+                       level_times=tuple(reached[lead]))
+
+
 def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
              params: ParamPoint, config: StepperConfig, horizon: float, *,
              reference: tuple[FloatArray, FloatArray] | None = None) -> Trajectory:
@@ -375,15 +420,16 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
     additionally capped by QUENCH_CAP * (1 - max)^2 so the state cannot jump
     over the staged quench levels.  Fixed-step mode takes single steps of
     dt_max, the last one shortened to the horizon, with no error estimate;
-    there a step reaching 1 raises StepRangeError.  Quench levels are located
-    inside the crossing step by bisection on the step fraction, which re-runs
-    the same advance, so crossing times are consistent with the accepted
-    states; within one crossing step each fraction is advanced once.
-    Each crossing is logged per component; when a component crosses the
-    innermost level the run stops there and the event time extrapolates the
-    three crossings geometrically.  All attempts from a state, and the
-    bisections and final partial step in its crossing step, share one
-    reaction.
+    there a step reaching 1 raises StepRangeError.  All attempts from a
+    state, and the bisections and final partial step in its crossing step,
+    share one reaction.
+
+    ``_reach_levels`` logs when each component reaches each quench level: at
+    0 for the initial data, then in a crossing step by bisection on the step
+    fraction, which re-runs the same advance (each fraction once), so the
+    crossing times agree with the accepted states.  The run stops at the
+    first state reaching the innermost level, and ``_quench_event`` reports
+    it, its time extrapolated from the three crossings geometrically.
 
     The state (u, v) is one (2, n) block.  The initial data must lie in
     [0, 1) (ValueError); every state made from them does by construction.
@@ -405,52 +451,21 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
 
     recorder = _Recorder(grid, model, params, config, reference)
     recorder.record(0.0, w, math.nan)
-    recorder.snapshot(0.0, w, force=True)
-
     levels = config.quench_levels
-    names = ("u", "v")
-    level_times = {"u": [math.nan] * 3, "v": [math.nan] * 3}
-    level_cursor = {"u": 0, "v": 0}
-    for which, top in zip(names, w.max(axis=1)):
-        while level_cursor[which] < 3 and top >= levels[level_cursor[which]]:
-            level_times[which][level_cursor[which]] = 0.0
-            level_cursor[which] += 1
-    if level_cursor["u"] == 3 or level_cursor["v"] == 3:
-        which = "u" if level_cursor["u"] == 3 else "v"
-        quench = QuenchEvent(time=0.0, which=which,
-                             level=float(w[names.index(which)].max()),
-                             extrapolated=False,
-                             level_times=tuple(level_times[which]))
-        return recorder.build(TerminalStatus.QUENCHED, quench, horizon, w)
-
-    def bisect_crossing(advance_by, level, which):
-        """Largest-accuracy step fraction theta with max(component) = level."""
-        lo, hi = 0.0, 1.0
-        for _ in range(_LEVEL_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            try:
-                wm = advance_by(mid)
-            except StepRangeError:
-                hi = mid
-                continue
-            if wm[names.index(which)].max() >= level:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+    reached = ([], [])  # per component, the times it reached each level
+    maxima = w.max(axis=1).tolist()
+    final = _reach_levels(reached, maxima, levels, 0.0, 0.0, None)
 
     t = 0.0
     dt = config.dt_init
     status = TerminalStatus.HORIZON
-    quench = None
     time_slack = 1e-12 * horizon
     react = None  # the reaction at w, shared by every attempt from there
-    top = float(w.max())
 
-    while t < horizon - time_slack:
+    while not final and t < horizon - time_slack:
         if react is None:
             react = kernel.reaction(w)
-        cap = max(QUENCH_CAP * (1.0 - top) ** 2, config.dt_min)
+        cap = max(QUENCH_CAP * (1.0 - max(maxima)) ** 2, config.dt_min)
         dt_eff = min(dt, config.dt_max, cap, horizon - t)
 
         try:
@@ -473,48 +488,23 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
                 break
             continue
 
-        # Accepted.  Before committing, resolve any staged level crossings
-        # inside this step, in increasing-level order per component (both
-        # cursors are below 3 here: the innermost crossing ends the run).
+        # Accepted.  A step reaching a further level is a crossing step; one
+        # in which a component reaches the innermost level ends the run at
+        # the first such crossing.
         maxima = wn.max(axis=1).tolist()
-        if maxima[0] >= levels[level_cursor["u"]] or maxima[1] >= levels[level_cursor["v"]]:
-            crossed_final: list[tuple[float, str]] = []
+        if maxima[0] >= levels[len(reached[0])] or maxima[1] >= levels[len(reached[1])]:
             advance_by = _memoized_advance(advance, w, react, dt_eff)
-            for which, new_max in zip(names, maxima):
-                while level_cursor[which] < 3 and new_max >= levels[level_cursor[which]]:
-                    idx = level_cursor[which]
-                    theta = bisect_crossing(advance_by, levels[idx], which)
-                    level_times[which][idx] = t + theta * dt_eff
-                    level_cursor[which] = idx + 1
-                    if idx == 2:
-                        crossed_final.append((theta, which))
-
-            if crossed_final:
-                theta, lead = min(crossed_final)
-                which = lead
-                if (len(crossed_final) == 2
-                        and abs(crossed_final[0][0] - crossed_final[1][0]) <= 1e-9):
-                    which = "both"
-                wq = advance_by(theta)
-                t_cross = t + theta * dt_eff
-                recorder.accepted += 1
-                recorder.record(t_cross, wq, theta * dt_eff)
-                t_event, extrapolated = _aitken_quench_time(tuple(level_times[lead]))
-                quench = QuenchEvent(
-                    time=t_event, which=which,
-                    level=float(wq[names.index(lead)].max()),
-                    extrapolated=extrapolated,
-                    level_times=tuple(level_times[lead]))
-                t, w = t_cross, wq  # the closing snapshot records the crossing
-                status = TerminalStatus.QUENCHED
+            final = _reach_levels(reached, maxima, levels, t, dt_eff, advance_by)
+            if final:
+                theta = min(final)[0]
+                t, w = t + theta * dt_eff, advance_by(theta)
+                recorder.record(t, w, theta * dt_eff)
                 break
 
         t += dt_eff
-        w, top = wn, max(maxima)
+        w = wn
         react = None
-        recorder.accepted += 1
         recorder.record(t, w, dt_eff)
-        recorder.snapshot(t, w)
 
         if err > 0:
             factor = min(GROWTH_LIMIT, max(0.2, SAFETY * math.sqrt(config.tol_step / err)))
@@ -522,5 +512,5 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
             factor = GROWTH_LIMIT
         dt = min(max(dt_eff * factor, config.dt_min), config.dt_max)
 
-    recorder.snapshot(t, w, force=True)
-    return recorder.build(status, quench, horizon, w)
+    quench = _quench_event(final, reached, w) if final else None
+    return recorder.build(TerminalStatus.QUENCHED if final else status, quench, horizon, w)

@@ -151,17 +151,20 @@ class EigenPair:
 
 
 def _collatz_wielandt(lin: LinearizedOperator, x: FloatArray,
-                      mx: FloatArray) -> tuple[float, float]:
+                      mx: FloatArray) -> tuple[float, float, float]:
     """min_i and max_i of (M x)_i / x_i at x > 0, which bracket nu1 for the
     Z-matrix M (Donsker & Varadhan, PNAS 72, 1975), each widened outward by
-    the rounding of the computed M x: _ROUNDING (|M| x)_i / x_i."""
+    the rounding of the computed M x: _ROUNDING (|M| x)_i / x_i; and
+    eps ||(|M| x)||_2, the rounding floor of a residual of M x."""
     g, n = lin.grid, lin.grid.n_total
     centre, east, north = g.stencil
     size = _stencil_product(g, x.reshape(2, n), centre, -east, -north)  # |A| x
     size[0] += lin.coupling_w * x[n:]
     size[1] += lin.coupling_z * x[:n]
-    ratio, slack = mx / x, _ROUNDING * size.ravel() / x
-    return float((ratio - slack).min()), float((ratio + slack).max())
+    size = size.ravel()
+    ratio, slack = mx / x, _ROUNDING * size / x
+    floor = np.finfo(float).eps * float(np.linalg.norm(size))
+    return float((ratio - slack).min()), float((ratio + slack).max()), floor
 
 
 def principal_eigenpair(lin: LinearizedOperator, *,
@@ -179,7 +182,9 @@ def principal_eigenpair(lin: LinearizedOperator, *,
     bound, up to _MAX_FACTORS factorizations; a shift whose factor hits a zero
     pivot falls back to the previous one.  The old factor is dropped before
     the next is built, so one band is alive at a time.  Converged when
-    ||M x - nu x|| <= tol |nu|, nu = x^T M x at the unit vector x.
+    ||M x - nu x|| <= tol |nu|, nu = x^T M x at the unit vector x, or when
+    that residual is down to the rounding floor eps |||M| x|| of M x, which
+    near a fold (nu small) lies above tol |nu|.
 
     Raises IndefiniteOperatorError (with the best estimate attached) when the
     operator is singular, the converged eigenvalue is nonpositive, or the
@@ -206,14 +211,16 @@ def principal_eigenpair(lin: LinearizedOperator, *,
                 break
         return solve, sigma
 
-    def rayleigh(x: FloatArray) -> tuple[FloatArray, float, float]:
+    def rayleigh(x: FloatArray) -> tuple[FloatArray, float, float, float]:
+        # M x, nu, and the residual, absolute and relative to nu
         mx = lin.apply(x)
         nu = float(x @ mx)
-        return mx, nu, float(np.linalg.norm(mx - nu * x)) / max(abs(nu), 1e-30)
+        gap = float(np.linalg.norm(mx - nu * x))
+        return mx, nu, gap, gap / max(abs(nu), 1e-30)
 
     x = np.tile(principal_laplacian_eigenpair(grid.laplacian)[1], 2)
     x /= np.linalg.norm(x)
-    mx, nu, residual = rayleigh(x)
+    mx, nu, _, residual = rayleigh(x)
     solve, sigma = shift(max(0.0, _collatz_wielandt(lin, x, mx)[0]), 0.0)
     if solve is None:
         raise IndefiniteOperatorError(
@@ -231,13 +238,16 @@ def principal_eigenpair(lin: LinearizedOperator, *,
             norm = -norm
         x = y / norm
         last = residual
-        mx, nu, residual = rayleigh(x)
+        mx, nu, gap, residual = rayleigh(x)
         if residual <= tol:
             break
-        # Re-shift while the cap leaves room for a fallback factor.
-        if factors + 2 <= _MAX_FACTORS and residual > 0.1 * last and x.min() > 0.0:
-            lower = _collatz_wielandt(lin, x, mx)[0]
-            if lower - sigma > 0.5 * (nu - sigma):
+        if x.min() > 0.0:
+            lower, _, floor = _collatz_wielandt(lin, x, mx)
+            if gap <= floor:
+                break
+            # Re-shift while the cap leaves room for a fallback factor.
+            if (factors + 2 <= _MAX_FACTORS and residual > 0.1 * last
+                    and lower - sigma > 0.5 * (nu - sigma)):
                 solve = None  # drop the old band before building the next
                 solve, sigma = shift(lower, sigma)
     else:
@@ -264,6 +274,6 @@ def principal_eigenpair(lin: LinearizedOperator, *,
         if mass == 1.0:
             break
     x = np.concatenate([phi, psi])
-    lower, upper = _collatz_wielandt(lin, x, lin.apply(x))
+    lower, upper, _ = _collatz_wielandt(lin, x, lin.apply(x))
     return EigenPair(nu1=nu, phi=phi, psi=psi, residual=residual, iterations=it,
                      nu1_lower=lower, nu1_upper=upper, factorizations=factors)

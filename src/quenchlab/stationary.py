@@ -464,7 +464,8 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
                   max_iter_doublings: int,
                   delta_blow: float,
                   floor_factor: float) -> list[CurveSample]:
-    """Locate the largest admissible mu at each lam, in three steps.
+    """Locate the largest admissible mu at each lam, in three steps, one
+    sample after the other.
 
     1. Per sample, fold first: the Newton runs from the previous sample's
        fold, and its fold mu_f in (0, mu_bar (1 + 1e-9)) is a candidate when
@@ -523,28 +524,23 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
 
     _, phi = principal_laplacian_eigenpair(grid.laplacian)
     phi = phi * (grid.n_total / phi.sum())
-    brackets: list[tuple[float | None, float] | None] = []  # None: not halved yet
-    certified = set()
+    samples = []
     fold = None
     for k, lam in enumerate(lams):
+        bracket = None  # (lo, hi) from halving, lo None: no bracket
         if fold is not None:
             fold = _fold_newton(grid, model, lam, fold, **newton)
-        if fold is not None and 0.0 < fold.mu < top and supersolution_below(k, fold):
-            brackets.append(None)
-        else:
-            lo, hi, verdict = halve(k)
-            brackets.append((lo, hi))
+        if not (fold is not None and 0.0 < fold.mu < top and supersolution_below(k, fold)):
+            lo, hi, verdict = bracket = halve(k)
             fold = None if lo is None else _fold_newton(grid, model, lam, _Fold(
                 w=verdict.solution.w, z=verdict.solution.z, phi=phi, psi=phi, mu=lo), **newton)
             if not (fold is not None and lo < fold.mu < hi and supersolution_below(k, fold)):
                 fold = None
-        if fold is not None and excluded(k, fold):
-            certified.add(k)
-            brackets[k] = (fold.mu * (1.0 - delta), fold.mu * (1.0 + delta))
-
-    samples = []
-    for k, bracket in enumerate(brackets):
-        lo, hi = bracket or halve(k)[:2]
+        certified = fold is not None and excluded(k, fold)
+        if certified:
+            lo, hi = fold.mu * (1.0 - delta), fold.mu * (1.0 + delta)
+        else:
+            lo, hi, _ = bracket or halve(k)
         status, budget = "ok" if lo is not None else "no-bracket", max_iter
         while lo is not None and (hi - lo) > bisect_tol * hi:
             mid = 0.5 * (lo + hi)
@@ -559,9 +555,9 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
                 status = "wide-bracket"
                 break
         samples.append(CurveSample(
-            lam=lams[k], mu_critical=math.nan if lo is None else 0.5 * (lo + hi),
+            lam=lam, mu_critical=math.nan if lo is None else 0.5 * (lo + hi),
             bracket_lo=0.0 if lo is None else lo, bracket_hi=hi, status=status,
-            evaluations=evaluations[k], certificate="fold" if k in certified else "bisection"))
+            evaluations=evaluations[k], certificate="fold" if certified else "bisection"))
     return samples
 
 

@@ -268,6 +268,19 @@ def test_slow_contraction_states_end_exit_0(overrides, tmp_path):
     assert reports["certify"]["case"] == "a1" and reports["certify"]["verification"]["passes"]
 
 
+def test_eigen_stops_at_the_rounding_floor_near_the_fold(tmp_path):
+    # 1e-6 below the fold at lam = 0.5 the residual stalls at the rounding
+    # floor of M x, above 1e-10 nu1 (EigenConvergenceError once): eigen
+    # stops there, with nu1 inside the Collatz-Wielandt bracket
+    out = str(tmp_path / "eigen")
+    assert main(["eigen", "--config", str(CONFIGS / "decay.ini"), "--out", out,
+                 "--override", "domain.n=99", "--override", "model.mu=2.8960795"]) == 0
+    eig = json.load(open(os.path.join(out, "eigen.json")))
+    assert eig["nu1_lower"] <= eig["nu1"] <= eig["nu1_upper"]
+    assert eig["nu1_upper"] - eig["nu1_lower"] <= 1e-7 * eig["nu1"]
+    assert eig["iterations"] <= 10
+
+
 def _assert_same_files(first: Path, second: Path) -> None:
     names = sorted(os.listdir(first))
     assert names and names == sorted(os.listdir(second))

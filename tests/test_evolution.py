@@ -375,6 +375,40 @@ def test_immediate_quench_on_high_initial_data(unit99):
     assert not trj.quench.extrapolated
 
 
+def test_immediate_quench_of_both_components_reports_both(unit99):
+    # both initial maxima already reach the innermost level: the rule of a
+    # crossing step, where both crossing within 1e-9 of it reports "both",
+    # holds at t = 0 too; the one component there leads
+    g, _, _ = unit99
+    x = g.coordinates()[:, 0]
+    u0 = 0.9995 * np.sin(np.pi * x)
+    trj = simulate((u0, u0.copy()), g, power2_model(), ParamPoint(1.0, 1.0),
+                   StepperConfig(), 1.0)
+    assert trj.status is TerminalStatus.QUENCHED and trj.n_steps == 0
+    assert trj.quench.which == "both"
+    assert trj.quench.time == 0.0 and trj.quench.level_times == (0.0, 0.0, 0.0)
+    assert not trj.quench.extrapolated
+    assert trj.quench.level == u0.max()
+    assert len(trj.snapshots) == 1 and trj.snapshots[0][0] == 0.0
+    trj = simulate((0.5 * u0, u0), g, power2_model(), ParamPoint(1.0, 1.0),
+                   StepperConfig(), 1.0)
+    assert trj.quench.which == "v" and trj.quench.level == u0.max()
+
+
+@pytest.mark.parametrize("level_times, expected", [
+    ((0.0, 0.5, 0.75), (1.0, True)),  # gaps 0.5, 0.25, ... sum to 1
+    ((0.25, 0.25, 0.25), (0.25, False)),  # three equal times: no gaps to extrapolate
+    ((0.1, 0.2, 0.4), (0.4, False)),  # growing gaps
+    ((0.1, 0.3, 0.5), (0.5, False)),  # equal gaps
+    ((0.0, 0.0, 0.3), (0.3, False)),  # a zero gap
+    ((math.nan, 0.2, 0.3), (0.3, False)),
+    ((0.1, math.inf, 0.3), (0.3, False)),
+    ((0.1, 0.2, math.inf), (math.inf, False)),
+])
+def test_aitken_quench_time_extrapolates_only_contracting_gaps(level_times, expected):
+    assert evolution._aitken_quench_time(level_times) == expected
+
+
 def test_step_underflow_status(unit99):
     g, _, eig = unit99
     cfg = StepperConfig(dt_init=1e-5, dt_min=1e-5, dt_max=0.05, tol_step=1e-14)
