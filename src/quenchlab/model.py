@@ -66,27 +66,25 @@ class Nonlinearity:
 
     def deriv(self, s):
         arr, scalar = _check_unit_range(s)
-        one_minus = 1.0 - arr
-        if self.family == "log":
-            out = 1.0 / one_minus
-        elif self.family == "exp":
-            with np.errstate(over="ignore"):
-                out = np.exp(1.0 / one_minus) / one_minus**2
-        else:
-            out = self.p * np.exp(-(self.p + 1.0) * np.log1p(-arr))
-        return _ret(out, scalar)
+        return _ret(self._jet(arr)[1], scalar)
 
     def deriv2(self, s):
         arr, scalar = _check_unit_range(s)
-        one_minus = 1.0 - arr
+        return _ret(self._jet(arr)[2], scalar)
+
+    def _jet(self, arr: FloatArray) -> tuple[FloatArray, FloatArray, FloatArray]:
+        # (value, deriv, deriv2) on an array the caller knows lies in [0, 1),
+        # unchecked; the derivatives reuse exp's value and power's log1p
+        value, one_minus = self._value(arr), 1.0 - arr
         if self.family == "log":
-            out = 1.0 / one_minus**2
-        elif self.family == "exp":
+            return value, 1.0 / one_minus, 1.0 / one_minus**2
+        if self.family == "exp":
             with np.errstate(over="ignore"):
-                out = np.exp(1.0 / one_minus) * (1.0 / one_minus**4 + 2.0 / one_minus**3)
-        else:
-            out = self.p * (self.p + 1.0) * np.exp(-(self.p + 2.0) * np.log1p(-arr))
-        return _ret(out, scalar)
+                return (value, value / one_minus**2,
+                        value * (1.0 / one_minus**4 + 2.0 / one_minus**3))
+        p, log_gap = self.p, np.log1p(-arr)
+        return (value, p * np.exp(-(p + 1.0) * log_gap),
+                p * (p + 1.0) * np.exp(-(p + 2.0) * log_gap))
 
     def antideriv(self, s):
         """Integral of value from 0 to s, in closed form."""

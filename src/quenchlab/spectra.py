@@ -116,11 +116,16 @@ class LinearizedOperator:
         x = np.asarray(x, dtype=float)
         if x.shape != (2 * n,):
             raise ValueError(f"x has shape {x.shape}, expected ({2 * n},) for this grid")
-        x_w, x_z = g.check_field(x[:n], "x_w"), g.check_field(x[n:], "x_z")
-        y = _stencil_product(g, x.reshape(2, n), *g.stencil)  # (A x_w, A x_z)
-        y[0] -= self.coupling_w * x_z
-        y[1] -= self.coupling_z * x_w
-        return y.ravel()
+        g.check_field(x[:n], "x_w"), g.check_field(x[n:], "x_z")
+        x = x.reshape(2, n)
+        return self.coupled(_stencil_product(g, x, *g.stencil), x).ravel()
+
+    def coupled(self, ax: FloatArray, x: FloatArray) -> FloatArray:
+        """M x from A x, both as rows (w, z) of shape (2, n): the couplings
+        are subtracted from ax in place."""
+        ax[0] -= self.coupling_w * x[1]
+        ax[1] -= self.coupling_z * x[0]
+        return ax
 
 
 def assemble_linearization(grid: Grid, model: Model, params: ParamPoint,

@@ -47,7 +47,7 @@ from .grid import (
     solve_poisson,
 )
 from .model import Model, ParamPoint
-from .spectra import CoupledBand, assemble_linearization
+from .spectra import CoupledBand, LinearizedOperator
 
 DEFAULT_TOL_STAT = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -105,23 +105,65 @@ class Undetermined:
 MembershipVerdict = InLambda | NotInLambda | Undetermined
 
 
+@dataclass(frozen=True)
+class _SteadyTerms:
+    """The steady system at one stack of fields (w, z, ...), each term
+    evaluated once: the sources (lam alpha f(z), mu beta g(w)) and the
+    residual F = A (w, z) - sources as rows (2, n), whether F meets
+    ``_steady_residual``'s tol_res test, A times the fields after w and z,
+    and the jets (f, f', f'') at z and (g, g', g'') at w."""
+
+    grid: Grid
+    coeff: tuple[FloatArray, FloatArray]  # lam alpha, mu beta
+    sources: FloatArray
+    residual: FloatArray
+    met: bool
+    products: FloatArray
+    f: tuple[FloatArray, FloatArray, FloatArray]
+    g: tuple[FloatArray, FloatArray, FloatArray]
+
+    @property
+    def lin(self) -> LinearizedOperator:
+        """The linearization M at (w, z) (``assemble_linearization``)."""
+        return LinearizedOperator(self.grid, self.coeff[0] * self.f[1], self.coeff[1] * self.g[1])
+
+
+def _steady_terms(grid: Grid, model: Model, params: ParamPoint, fields: FloatArray,
+                  tol_res: float) -> _SteadyTerms:
+    """The terms of the steady system at the rows (w, z, ...) of ``fields``
+    (k, n), from one finiteness and range check, one stencil product of the
+    whole stack and one jet of f and of g; a non-finite field or w, z outside
+    [0, 1) raises ValueError.  The tol_res test bounds the sup norm of each
+    residual row by tol_res times its source's size, lam max(alpha)
+    f(max z) and mu max(beta) g(max w)."""
+    if not np.isfinite(fields).all():
+        raise ValueError("fields contain non-finite entries")
+    w, z = fields[0], fields[1]
+    top_w, top_z = float(w.max()), float(z.max())
+    if float(fields[:2].min()) < 0.0 or max(top_w, top_z) >= 1.0:
+        raise ValueError("nonlinearity argument outside [0, 1)")
+    alpha, beta = model.alpha.sample(grid), model.beta.sample(grid)
+    coeff = (params.lam * alpha, params.mu * beta)
+    f, g = model.f._jet(z), model.g._jet(w)
+    products = _stencil_product(grid, fields, *grid.stencil)  # one product
+    sources = np.array([coeff[0] * f[0], coeff[1] * g[0]])
+    residual = products[:2] - sources
+    top_w, top_z = (np.asarray(min(top, 1.0 - 1e-12)) for top in (top_w, top_z))
+    scale_w = params.lam * float(alpha.max()) * float(model.f._value(top_z))
+    scale_z = params.mu * float(beta.max()) * float(model.g._value(top_w))
+    met = (float(np.abs(residual[0]).max()) <= tol_res * scale_w
+           and float(np.abs(residual[1]).max()) <= tol_res * scale_z)
+    return _SteadyTerms(grid, coeff, sources, residual, met, products[2:], f, g)
+
+
 def _steady_residual(grid: Grid, model: Model, params: ParamPoint,
                      w: FloatArray, z: FloatArray, tol_res: float
                      ) -> tuple[FloatArray, FloatArray, bool]:
-    """Residuals (A w - lam alpha f(z), A z - mu beta g(w)) and whether the sup
-    norm of each is within tol_res of its source's size, lam max(alpha)
-    f(max z) and mu max(beta) g(max w)."""
-    alpha = model.alpha.sample(grid)
-    beta = model.beta.sample(grid)
+    """Residuals (A w - lam alpha f(z), A z - mu beta g(w)) and whether each
+    meets the tol_res test (``_steady_terms``)."""
     w, z = grid.check_field(w, "w"), grid.check_field(z, "z")
-    aw, az = _stencil_product(grid, np.array([w, z]), *grid.stencil)  # one product
-    fw = aw - params.lam * alpha * model.f.value(z)
-    fz = az - params.mu * beta * model.g.value(w)
-    scale_w = params.lam * float(alpha.max()) * model.f.value(min(float(z.max()), 1.0 - 1e-12))
-    scale_z = params.mu * float(beta.max()) * model.g.value(min(float(w.max()), 1.0 - 1e-12))
-    met = (float(np.abs(fw).max()) <= tol_res * scale_w
-           and float(np.abs(fz).max()) <= tol_res * scale_z)
-    return fw, fz, met
+    terms = _steady_terms(grid, model, params, np.array([w, z]), tol_res)
+    return terms.residual[0], terms.residual[1], terms.met
 
 
 def monotone_minimal_solution(grid: Grid, model: Model, params: ParamPoint, *,
@@ -275,14 +317,12 @@ def _is_supersolution(grid: Grid, model: Model, params: ParamPoint,
     if (min(float(w.min()), float(z.min())) < 0.0
             or max(float(w.max()), float(z.max())) >= 1.0 - delta_blow):
         return False
+    terms = _steady_terms(grid, model, params, np.array([w, z]), 0.0)
     eps = np.finfo(float).eps
-    for x, y, amp, weight, nl in ((w, z, params.lam, model.alpha, model.f),
-                                  (z, w, params.mu, model.beta, model.g)):
-        coeff = amp * weight.sample(grid)
-        source = coeff * nl.value(y)
+    for row, (x, y, jet) in enumerate(((w, z, terms.f), (z, w, terms.g))):
         allowance = 64.0 * eps * (grid.stencil_norm * float(np.abs(x).max())
-                                  + np.abs(source) + y * coeff * nl.deriv(y))
-        if not np.all(grid.laplacian.apply(x) - source > allowance):
+                                  + np.abs(terms.sources[row]) + y * terms.coeff[row] * jet[1])
+        if not np.all(terms.residual[row] > allowance):
             return False
     return True
 
@@ -391,33 +431,31 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *, band: Co
     ``_damped_newton`` fails within ``_FOLD_NEWTON_STEPS`` steps or the
     converged null vector is not positive.
     """
-    n, cap = grid.n_total, 1.0 - delta_blow
-    f, g, alpha, beta = model.f, model.g, model.alpha.sample(grid), model.beta.sample(grid)
+    n, cap, beta = grid.n_total, 1.0 - delta_blow, model.beta.sample(grid)
     zeros, normal = np.zeros(n), np.concatenate([np.zeros(2 * n), np.ones(2 * n)])
 
     def admissible(x: FloatArray) -> bool:
         return bool(x[-1] > 0.0 and x[:2 * n].min() >= 0.0 and x[:2 * n].max() < cap)
 
     def system(x: FloatArray):
-        w, z, phi, psi = x[:4 * n].reshape(4, n)
-        params = ParamPoint(lam=lam, mu=float(x[-1]))
-        fw, fz, met = _steady_residual(grid, model, params, w, z, tol_res)
-        lin = assemble_linearization(grid, model, params, w, z)
-        null = lin.apply(x[2 * n:4 * n])  # M (phi, psi)
-        converged = (met
-                     and np.abs(null[:n]).max() <= tol_res * np.abs(lin.coupling_w * psi).max()
-                     and np.abs(null[n:]).max() <= tol_res * np.abs(lin.coupling_z * phi).max())
+        fields = x[:4 * n].reshape(4, n)
+        phi, psi = fields[2:]
+        terms = _steady_terms(grid, model, ParamPoint(lam=lam, mu=float(x[-1])), fields, tol_res)
+        lin = terms.lin
+        null = lin.coupled(terms.products, fields[2:])  # M (phi, psi)
+        converged = (terms.met
+                     and np.abs(null[0]).max() <= tol_res * np.abs(lin.coupling_w * psi).max()
+                     and np.abs(null[1]).max() <= tol_res * np.abs(lin.coupling_z * phi).max())
 
         def factor() -> Callable | None:
             m = lin.couplings  # J = [[M, 0], [K, M]]: M twice, then K's curvature terms
             solve = band.factor(m + [(row + 2, col + 2, c) for row, col, c in m]
-                                + [(2, 1, -lam * alpha * f.deriv2(z) * psi),
-                                   (3, 0, -params.mu * beta * g.deriv2(w) * phi)])
-            mu_column = np.concatenate([zeros, -beta * g.value(w),
-                                        zeros, -beta * g.deriv(w) * phi])
+                                + [(2, 1, -(terms.coeff[0] * terms.f[2] * psi)),
+                                   (3, 0, -(terms.coeff[1] * terms.g[2] * phi))])
+            mu_column = np.concatenate([zeros, -beta * terms.g[0], zeros, -beta * terms.g[1] * phi])
             return None if solve is None else lambda r: _bordered_solve(solve, mu_column, normal, r)
-        return (np.concatenate([fw, fz, null, [phi.sum() + psi.sum() - 2.0 * n]]),
-                converged, factor)
+        return (np.concatenate([terms.residual.ravel(), null.ravel(),
+                                [phi.sum() + psi.sum() - 2.0 * n]]), converged, factor)
 
     found = _damped_newton(np.concatenate([start.w, start.z, start.phi, start.psi, [start.mu]]),
                            system, admissible, steps=_FOLD_NEWTON_STEPS, floor=2.0**-10)
@@ -443,12 +481,11 @@ def _fold_bound(grid: Grid, model: Model, lam: float, fold: _Fold) -> float:
     null vector with no solve, and |M_f^T y|_1 = |M_f P y|_1."""
     if not (fold.phi.min() > 0.0 and fold.psi.min() > 0.0):
         return math.inf
-    params = ParamPoint(lam=lam, mu=fold.mu)
-    lin = assemble_linearization(grid, model, params, fold.w, fold.z)
     scale = max(fold.phi.max(), fold.psi.max())
-    y = np.concatenate([fold.psi, fold.phi]) / scale
-    r = np.concatenate(_steady_residual(grid, model, params, fold.w, fold.z, 0.0)[:2])
-    gap = lin.apply(np.concatenate([fold.phi, fold.psi]) / scale)  # P M_f^T y
+    fields = np.array([fold.w, fold.z, fold.phi / scale, fold.psi / scale])
+    steady = _steady_terms(grid, model, ParamPoint(lam=lam, mu=fold.mu), fields, 0.0)
+    lin, r, y = steady.lin, steady.residual.ravel(), fields[:1:-1].ravel()
+    gap = lin.coupled(steady.products, fields[2:]).ravel()  # P M_f^T y
     terms = (grid.stencil_norm * (1.0 + 2.0 * max(fold.w.max(), fold.z.max())) + np.abs(r)
              + np.concatenate([lin.coupling_w * (1.0 + fold.z), lin.coupling_z * (1.0 + fold.w)]))
     slack = np.abs(gap).sum() + abs(y @ r) + 64.0 * np.finfo(float).eps * (y @ terms)
@@ -626,9 +663,8 @@ def second_solution_search(grid: Grid, model: Model, params: ParamPoint,
     band = CoupledBand(grid, 2)
 
     def system(x: FloatArray):
-        fw, fz, met = _steady_residual(grid, model, params, x[:n], x[n:], tol_res)
-        return (np.concatenate([fw, fz]), met, lambda: band.factor(
-            assemble_linearization(grid, model, params, x[:n], x[n:]).couplings))
+        terms = _steady_terms(grid, model, params, x.reshape(2, n), tol_res)
+        return terms.residual.ravel(), terms.met, lambda: band.factor(terms.lin.couplings)
 
     found = _damped_newton(seed, system, admissible, steps=_SECOND_NEWTON_STEPS,
                            floor=2.0**-12, decrease=0.25)
