@@ -470,7 +470,8 @@ def cmd_curve(run: Run, out: str) -> int:
         "non_increasing": curve.is_non_increasing(),
         "n_samples": len(curve.samples),
         "diagnostics": [{"lam": s.lam, "evaluations": s.evaluations,
-                         "certificate": s.certificate} for s in curve.samples],
+                         "certificate": s.certificate, "newton_steps": s.newton_steps}
+                        for s in curve.samples],
         "config": run.echo,
     })
     return 0

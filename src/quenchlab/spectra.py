@@ -48,7 +48,8 @@ class CoupledBand:
     and diagonal couplings between fields, factored by LAPACK ``dgbtrf``.
     Vectors stack the fields, each in the grid's node order; the band orders
     the unknowns node by node, 2D nodes along the shorter axis first, so its
-    half-width is ``fields`` in 1D and fields * min(nx, ny) in 2D."""
+    half-width is ``fields`` in 1D and fields * min(nx, ny) in 2D.
+    ``factorizations`` counts the calls of ``factor``."""
 
     def __init__(self, grid: Grid, fields: int):
         n = grid.n_total
@@ -75,12 +76,14 @@ class CoupledBand:
         self.index = (np.arange(fields) * n + nodes[:, None]).ravel()
         self.unband = np.empty_like(self.index)
         self.unband[self.index] = np.arange(fields * n)
+        self.factorizations = 0
 
     def factor(self, couplings) -> Callable | None:
         """Factor the matrix with these (row field, column field, values by node)
         couplings added in; one of a field to itself shifts A's diagonal.  Returns
         solve(rhs, trans=0), solving with the matrix (trans=1: its transpose) for a
         stacked vector or the columns of one, or None when a pivot is exactly zero."""
+        self.factorizations += 1
         k, (at, values), index, unband = self.k, self.stencil, self.index, self.unband
         ab = np.zeros(self.shape, order="F")
         band = ab.reshape(-1, order="F")  # a view

@@ -18,12 +18,18 @@ with its two fields swapped (``_fold_bound``; the linearization has no
 variational characterization, so the pairing vector is the adjoint's), below
 by a supersolution that bounds the monotone iterates (``_is_supersolution``).
 Iterate escape and bisection on the membership verdicts are the fallbacks.  A
-curve is traced fold first (``_critical_mus``): each sample's Newton starts
-from the previous fold, and halving for a bracket runs only where that fails.
+curve is traced fold first (``_critical_mus``) by predictor-corrector
+continuation in lam (Allgower & Georg, Numerical Continuation Methods, 1990):
+each sample's Newton starts from the secant extrapolation of the last two
+folds, or from the last fold, and halving for a bracket runs only where that
+fails.  A fold whose bound misses only by the residual Newton left takes one
+more step before the fallbacks.
 
 The fold and the second (upper-branch) steady state are both found by one
 damped-Newton kernel, ``_damped_newton``, whose linear solves go through the
-banded kernel ``spectra.CoupledBand``.
+banded kernel ``spectra.CoupledBand``; each of its iterates evaluates the
+steady terms (f, g and their derivatives, the stencil products, the checks)
+once, through ``_steady_terms``.
 
 Every function here takes A from its grid (``grid.laplacian``) and, where an
 estimate needs it, the principal pair (lambda1, phi) of A in closed form.
@@ -271,7 +277,9 @@ class CurveSample:
     where that declines, by iterate escape; otherwise bisection on membership
     verdicts sets them.  ``certificate`` says which: "fold" or "bisection".
     ``evaluations`` counts the parameter points decided: membership verdicts,
-    supersolution checks and upper-end checks (Newton steps are not counted).
+    supersolution checks and upper-end checks.  ``newton_steps`` counts the
+    fold Newton's steps (factorizations of its Jacobian) for this sample,
+    failed starts and a polishing step included.
     """
 
     lam: float
@@ -281,6 +289,7 @@ class CurveSample:
     status: str  # "ok" | "wide-bracket" | "no-bracket"
     evaluations: int
     certificate: str  # "fold" | "bisection"
+    newton_steps: int
 
 
 @dataclass(frozen=True)
@@ -338,6 +347,16 @@ class _Fold:
     psi: FloatArray
     mu: float
 
+    @property
+    def x(self) -> FloatArray:
+        """The extended system's unknowns, stacked: (w, z, phi, psi, mu)."""
+        return np.concatenate([self.w, self.z, self.phi, self.psi, [self.mu]])
+
+    @classmethod
+    def of(cls, x: FloatArray) -> "_Fold":
+        """The fold whose stacked unknowns are x."""
+        return cls(*x[:-1].reshape(4, -1), mu=float(x[-1]))
+
     def lifted(self, model: Model, delta: float) -> tuple[FloatArray, FloatArray]:
         """(w + eps phi, z), the candidate supersolution at mu (1 - delta).
 
@@ -351,7 +370,7 @@ class _Fold:
 
 
 # From the starts _critical_mus gives it, Newton on the extended system took
-# 3 to 7 steps per sample of configs/curve.ini and at most 12 over the families,
+# 2 to 7 steps per sample of configs/curve.ini and at most 12 over the families,
 # profiles and dimensions tried; a start that needs more is left to bisection.
 _FOLD_NEWTON_STEPS = 20
 # Upper-branch searches that succeeded took up to 64 steps over the families,
@@ -360,8 +379,8 @@ _SECOND_NEWTON_STEPS = 79
 
 
 def _damped_newton(x: FloatArray, system: Callable, admissible: Callable[[FloatArray], bool],
-                   *, steps: int, floor: float, decrease: float | None = None
-                   ) -> tuple[FloatArray, FloatArray, int, float] | None:
+                   *, steps: int, floor: float, decrease: float | None = None,
+                   min_steps: int = 0) -> tuple[FloatArray, FloatArray, int, float] | None:
     """Damped Newton for system(x) = 0 from x.
 
     ``system(x)`` returns (residual, converged, factor), factor a thunk,
@@ -370,13 +389,14 @@ def _damped_newton(x: FloatArray, system: Callable, admissible: Callable[[FloatA
     J step = -residual and moves to x + t step for the first t in
     1, 1/2, ... >= ``floor`` that is ``admissible`` and, with ``decrease`` set,
     shrinks the residual's sup norm by the factor 1 - decrease t (Deuflhard,
-    Newton Methods for Nonlinear Problems, 2004).  Returns (x, residual, steps,
-    t |step|_inf of the last step or nan), or None on a singular factor, a
+    Newton Methods for Nonlinear Problems, 2004).  At least ``min_steps``
+    steps are taken, converged or not.  Returns (x, residual, steps, t
+    |step|_inf of the last step or nan), or None on a singular factor, a
     non-finite step, no such t, or ``steps`` steps without convergence.
     """
     residual, converged, factor = system(x)
     taken, change = 0, math.nan
-    while not converged:
+    while taken < min_steps or not converged:
         if taken == steps:
             return None
         solve = factor()  # None: singular, the start is too far from a regular root
@@ -413,7 +433,7 @@ def _bordered_solve(solve: Callable, b: FloatArray, c: FloatArray, rhs: FloatArr
 
 
 def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *, band: CoupledBand,
-                 tol_res: float, delta_blow: float) -> _Fold | None:
+                 tol_res: float, delta_blow: float, min_steps: int = 0) -> _Fold | None:
     """Newton on the Moore-Spence extended system at fixed lam (Moore & Spence,
     SIAM J. Numer. Anal. 17, 1980):
 
@@ -425,10 +445,13 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *, band: Co
     (0, -beta g(w), 0, -beta g'(w) phi) and the normalization row; a step
     factors J once (``band``, ``CoupledBand(grid, 4)``) and eliminates the border
     (``_bordered_solve``).  A step that would take (w, z) out of
-    [0, 1 - delta_blow) or mu out of (0, inf) is halved, down to 2^-10.
-    Converged when F meets ``_steady_residual``'s tol_res test and
-    M (phi, psi) the same test against the coupling terms.  Returns None when
-    ``_damped_newton`` fails within ``_FOLD_NEWTON_STEPS`` steps or the
+    [0, 1 - delta_blow) or mu out of (0, inf) is halved, down to 2^-10, and
+    a start outside that range returns None at once.  Each iterate evaluates
+    F, M (phi, psi) and the Jacobian's terms from one ``_steady_terms`` call
+    on the stack (w, z, phi, psi).  Converged when F meets the tol_res test
+    and M (phi, psi) the same test against the coupling terms, after at
+    least ``min_steps`` steps (1 polishes a converged fold).  Returns None
+    when ``_damped_newton`` fails within ``_FOLD_NEWTON_STEPS`` steps or the
     converged null vector is not positive.
     """
     n, cap, beta = grid.n_total, 1.0 - delta_blow, model.beta.sample(grid)
@@ -457,11 +480,12 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *, band: Co
         return (np.concatenate([terms.residual.ravel(), null.ravel(),
                                 [phi.sum() + psi.sum() - 2.0 * n]]), converged, factor)
 
-    found = _damped_newton(np.concatenate([start.w, start.z, start.phi, start.psi, [start.mu]]),
-                           system, admissible, steps=_FOLD_NEWTON_STEPS, floor=2.0**-10)
+    x = start.x
+    found = (_damped_newton(x, system, admissible, steps=_FOLD_NEWTON_STEPS, floor=2.0**-10,
+                            min_steps=min_steps) if admissible(x) else None)
     if found is None:
         return None
-    fold = _Fold(*found[0][:4 * n].reshape(4, n), mu=float(found[0][-1]))
+    fold = _Fold.of(found[0])
     return fold if fold.phi.min() > 0.0 and fold.psi.min() > 0.0 else None
 
 
@@ -504,18 +528,26 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
     """Locate the largest admissible mu at each lam, in three steps, one
     sample after the other.
 
-    1. Per sample, fold first: the Newton runs from the previous sample's
-       fold, and its fold mu_f in (0, mu_bar (1 + 1e-9)) is a candidate when
-       the lifted pair (w_f + eps phi_f, z_f) is a supersolution at
-       mu_f (1 - d), d = bisect_tol / 4.  Otherwise (and at the first
-       sample) halving from mu_bar/2 brackets mu by membership verdicts, and
-       the Newton runs cold from the InLambda end's minimal solution, phi =
-       psi the Laplacian's principal eigenfunction; its fold inside that
-       bracket is a candidate on the same check.  A candidate starts the
-       next sample's Newton.
-    2. ``_fold_bound`` decides each candidate's upper end mu_f (1 + d) or,
-       where it declines, one membership verdict there; where the end is out
-       of the region the bracket is [mu_f (1 - d), mu_f (1 + d)].
+    1. Per sample, fold first: where the last two samples had candidates
+       (lam_a, x_a), (lam_b, x_b), x = (w, z, phi, psi, mu), at distinct
+       lam, the Newton starts from the secant prediction x_b + (lam -
+       lam_b) / (lam_b - lam_a) (x_b - x_a); from x_b where there is no
+       prediction, the prediction leaves the Newton's range, or the Newton
+       fails from it.  Its fold mu_f in (0, mu_bar (1 + 1e-9)) is a
+       candidate when the lifted pair (w_f + eps phi_f, z_f) is a
+       supersolution at mu_f (1 - d), d = bisect_tol / 4.  Otherwise (and
+       at the first sample) halving from mu_bar/2 brackets mu by membership
+       verdicts, and the Newton runs cold from the InLambda end's minimal
+       solution, phi = psi the Laplacian's principal eigenfunction; its fold
+       inside that bracket is a candidate on the same check.
+    2. ``_fold_bound`` decides each candidate's upper end mu_f (1 + d).
+       Where its delta is finite but not below mu_f d, which a residual at
+       the edge of tol_res can cause, the fold takes one polishing Newton
+       step, and the supersolution check and the bound are redone there; if
+       both pass, the polished fold is the candidate.  Otherwise one
+       membership verdict at mu_f (1 + d) decides.  Where the end is out of
+       the region the bracket is [mu_f (1 - d), mu_f (1 + d)].  The
+       candidate (polished or not) is the next sample's x_b.
     3. Elsewhere bisection goes on from the halving's bracket (halved now if
        the fold skipped it): Undetermined verdicts shrink it from neither
        side, and the budget is doubled up to a cap, after which the bracket
@@ -524,7 +556,8 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
     delta = bisect_tol / 4.0
     budget_cap = max_iter * 2**max_iter_doublings
     settings = dict(tol_stat=tol_stat, delta_blow=delta_blow, tol_res=tol_res)
-    newton = dict(band=CoupledBand(grid, 4), tol_res=tol_res, delta_blow=delta_blow)
+    band = CoupledBand(grid, 4)
+    newton = dict(band=band, tol_res=tol_res, delta_blow=delta_blow)
     evaluations = [0] * len(lams)
     top = mu_bar * (1.0 + 1e-9)
 
@@ -551,33 +584,56 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
         return _is_supersolution(grid, model, below, *fold.lifted(model, delta),
                                  delta_blow=delta_blow)
 
-    def excluded(k: int, fold: _Fold) -> bool:  # is mu_f (1 + d) out of the region?
+    def excluded(k: int, fold: _Fold) -> _Fold | None:
+        # The fold whose mu_f (1 + d) is proved out of the region: this one,
+        # or its polish where only the polished fold's checks pass; None if
+        # neither is.  A finite bound may be short by the residual Newton's
+        # last step left, so one more step is tried before the escape verdict.
         evaluations[k] += 1
-        if _fold_bound(grid, model, lams[k], fold) < fold.mu * delta:
-            return True
+        bound = _fold_bound(grid, model, lams[k], fold)
+        if bound < fold.mu * delta:
+            return fold
+        if bound < math.inf:
+            polished = _fold_newton(grid, model, lams[k], fold, min_steps=1, **newton)
+            if polished is not None and supersolution_below(k, polished):
+                evaluations[k] += 1
+                if _fold_bound(grid, model, lams[k], polished) < polished.mu * delta:
+                    return polished
         above = ParamPoint(lam=lams[k], mu=fold.mu * (1.0 + delta))
-        return isinstance(monotone_minimal_solution(grid, model, above, max_iter=max_iter,
-                                                    **settings), NotInLambda)
+        verdict = monotone_minimal_solution(grid, model, above, max_iter=max_iter, **settings)
+        return fold if isinstance(verdict, NotInLambda) else None
+
+    def warm(k: int) -> _Fold | None:
+        # Newton from the secant prediction through the last two folds, when
+        # their lam differ, else (or when that fails) from the last fold
+        (lam_b, b), fold = recent[-1], None
+        if len(recent) == 2 and recent[0][0] != lam_b:
+            (lam_a, a), x = recent[0], b.x
+            guess = _Fold.of(x + (lams[k] - lam_b) / (lam_b - lam_a) * (x - a.x))
+            fold = _fold_newton(grid, model, lams[k], guess, **newton)
+        return fold if fold is not None else _fold_newton(grid, model, lams[k], b, **newton)
 
     _, phi = principal_laplacian_eigenpair(grid.laplacian)
     phi = phi * (grid.n_total / phi.sum())
     samples = []
-    fold = None
+    recent = []  # (lam, fold) of the last samples, up to two, while each had a candidate
     for k, lam in enumerate(lams):
         bracket = None  # (lo, hi) from halving, lo None: no bracket
-        if fold is not None:
-            fold = _fold_newton(grid, model, lam, fold, **newton)
+        factorizations = band.factorizations
+        fold = warm(k) if recent else None
         if not (fold is not None and 0.0 < fold.mu < top and supersolution_below(k, fold)):
             lo, hi, verdict = bracket = halve(k)
             fold = None if lo is None else _fold_newton(grid, model, lam, _Fold(
                 w=verdict.solution.w, z=verdict.solution.z, phi=phi, psi=phi, mu=lo), **newton)
             if not (fold is not None and lo < fold.mu < hi and supersolution_below(k, fold)):
                 fold = None
-        certified = fold is not None and excluded(k, fold)
-        if certified:
+        proof = None if fold is None else excluded(k, fold)
+        if proof is not None:
+            fold = proof
             lo, hi = fold.mu * (1.0 - delta), fold.mu * (1.0 + delta)
         else:
             lo, hi, _ = bracket or halve(k)
+        recent = [] if fold is None else (recent + [(lam, fold)])[-2:]
         status, budget = "ok" if lo is not None else "no-bracket", max_iter
         while lo is not None and (hi - lo) > bisect_tol * hi:
             mid = 0.5 * (lo + hi)
@@ -594,7 +650,8 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
         samples.append(CurveSample(
             lam=lam, mu_critical=math.nan if lo is None else 0.5 * (lo + hi),
             bracket_lo=0.0 if lo is None else lo, bracket_hi=hi, status=status,
-            evaluations=evaluations[k], certificate="fold" if certified else "bisection"))
+            evaluations=evaluations[k], certificate="bisection" if proof is None else "fold",
+            newton_steps=band.factorizations - factorizations))
     return samples
 
 

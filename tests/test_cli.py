@@ -433,6 +433,9 @@ def test_curve_json_diagnostics(decay_ini, tmp_path, monkeypatch):
     assert 2 < fold[0]["evaluations"]
     assert [f["evaluations"] for f in fold[1:]] == [2] * (len(fold) - 1)
     assert all(f["evaluations"] < b["evaluations"] for f, b in zip(fold, bisection))
+    # and the fold Newton's steps: none where bisection alone decides
+    assert all(f["newton_steps"] > 0 for f in fold)
+    assert [b["newton_steps"] for b in bisection] == [0] * len(bisection)
 
 
 def test_curve_honours_floor_factor(decay_ini, tmp_path):

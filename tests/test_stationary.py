@@ -773,6 +773,157 @@ def test_curve_certifies_tight_brackets_by_the_fold():
                for s in curve.samples)
 
 
+
+def _spy_starts(monkeypatch, forge=None):
+    """Records each fold Newton of a trace as (lam, kind, fold, factorizations),
+    kind "cold" (phi is psi, from the halving), "warm" (a fold an earlier
+    Newton returned, the polishing start included) or "guess" (the secant
+    prediction); ``forge(start)`` replaces a guess, None refuses it."""
+    records, returned, fold_newton = [], [], stationary._fold_newton
+
+    def spy(grid, model, lam, start, *, band, **kwargs):
+        kind = ("cold" if start.phi is start.psi
+                else "warm" if any(start is f for f in returned) else "guess")
+        before = band.factorizations
+        if kind == "guess" and forge is not None:
+            start = forge(start)
+        fold = None if start is None else fold_newton(grid, model, lam, start, band=band, **kwargs)
+        if fold is not None:
+            returned.append(fold)
+        records.append((lam, kind, fold, band.factorizations - before))
+        return fold
+
+    monkeypatch.setattr(stationary, "_fold_newton", spy)
+    return records
+
+
+def _refused(start):
+    return None
+
+
+@pytest.mark.parametrize("lams", [[0.3, 0.7, 1.1, 1.5], [1.5, 1.1, 0.7, 0.3],
+                                  [0.5, 1.0, 1.0, 1.5], [1.0, 1.0, 1.5, 0.3]],
+                         ids=["ascending", "descending", "repeated", "repeated-first"])
+def test_curve_secant_starts_keep_statuses_and_certificates(monkeypatch, lams):
+    # Against the trace whose guesses are all refused (each sample's Newton
+    # from the previous fold): the same statuses, certificates and
+    # evaluations, the folds within 1e-9, and no more Newton steps.  Where
+    # the last two samples share their lam, no guess is made.
+    g, _, _ = unit_stack(49)
+    model = power2_model()
+    with pytest.MonkeyPatch.context() as patch:
+        _spy_starts(patch, forge=_refused)
+        plain = trace_critical_curve(g, model, lams, bisect_tol=5e-3).samples
+    records = _spy_starts(monkeypatch)
+    curve = trace_critical_curve(g, model, lams, bisect_tol=5e-3).samples
+    assert [(s.status, s.certificate) for s in curve] == [("ok", "fold")] * len(lams)
+    assert [s.evaluations for s in curve] == [s.evaluations for s in plain]
+    for s, p in zip(curve, plain):
+        assert s.mu_critical == pytest.approx(p.mu_critical, rel=1e-9)
+    assert sum(s.newton_steps for s in curve) <= sum(s.newton_steps for s in plain)
+    guesses = [lam for lam, kind, _, _ in records if kind == "guess"]
+    assert guesses == [lam for k, lam in enumerate(lams) if k >= 2 and lams[k - 1] != lams[k - 2]]
+    assert all(fold is not None for _, kind, fold, _ in records if kind == "guess")
+
+
+def _leave_range(field, side):
+    """A forge moving one field of the guess just out of [0, 1 - delta_blow):
+    its max onto the escape level, or its min below 0."""
+    def forge(start):
+        x = getattr(start, field)
+        moved = x + (1.0 - 1e-4 - x.max()) if side == "above" else x - x.min() - 1e-3
+        return dataclasses.replace(start, **{field: moved})
+    return forge
+
+
+@pytest.mark.parametrize("forge", [
+    _refused, _leave_range("w", "above"), _leave_range("z", "above"),
+    _leave_range("w", "below"), _leave_range("z", "below"),
+    lambda start: dataclasses.replace(start, mu=-start.mu)],
+    ids=["newton-fails", "w-above", "z-above", "w-below", "z-below", "mu-negative"])
+def test_curve_refused_guess_falls_back_to_the_previous_fold(monkeypatch, forge):
+    # A guess outside the range takes no step, and a failed one leaves the
+    # sample to the Newton from the previous fold: no halving, the
+    # evaluations and certificates of the trace without guesses.
+    g, _, _ = unit_stack(49)
+    model = power2_model()
+    lams = [0.3, 0.7, 1.1, 1.5]
+    records = _spy_starts(monkeypatch, forge=forge)
+    curve = trace_critical_curve(g, model, lams, bisect_tol=5e-3).samples
+    assert [(s.status, s.certificate) for s in curve] == [("ok", "fold")] * 4
+    assert [s.evaluations for s in curve[1:]] == [2, 2, 2]
+    sampled = [(lam, kind, fold, steps) for lam, kind, fold, steps in records if lam in lams]
+    assert [kind for _, kind, _, _ in sampled] == ["cold", "warm", "guess", "warm", "guess", "warm"]
+    for lam, kind, fold, steps in sampled:
+        if kind == "guess":
+            assert fold is None
+            if forge is not _refused:
+                assert steps == 0
+    for s in curve:
+        assert s.newton_steps == sum(steps for lam, _, _, steps in sampled if lam == s.lam)
+
+
+def test_curve_polishes_a_fold_the_bound_misses():
+    # exp at bisect_tol 1e-6 (configs/curve.ini's grid): the fold at lam 2.15,
+    # predicted from 1.85 and 2.0, converges with residuals that leave the
+    # bound's delta above mu_f d; one more Newton step brings it below, and
+    # the sample stays fold-certified, as from the previous fold's start.
+    g = interval(0.0, 1.0, 99)
+    model = Model(f=Nonlinearity("exp"), g=Nonlinearity("exp"),
+                  alpha=Profile("constant"), beta=Profile("constant"))
+    with pytest.MonkeyPatch.context() as patch:
+        bounds = _spy_fold_bound(patch)
+        curve = trace_critical_curve(g, model, [1.85, 2.0, 2.15], bisect_tol=1e-6).samples
+    assert [(s.status, s.certificate) for s in curve] == [("ok", "fold")] * 3
+    missed, polished = [(fold, delta) for _, lam, fold, delta, _ in bounds if lam == 2.15]
+    assert 2.5e-7 * missed[0].mu <= missed[1] < np.inf
+    assert polished[1] < 2.5e-7 * polished[0].mu
+    assert curve[2].evaluations == 4  # the supersolution and the bound, each twice
+    assert curve[2].mu_critical == polished[0].mu
+
+
+def test_curve_newton_steps_count_the_band_factorizations(monkeypatch):
+    # newton_steps is the fold Jacobian's factorizations while the sample
+    # was traced: the polishing step included, forced here at lam 1.1 by a
+    # bound that misses once
+    g, _, _ = unit_stack(49)
+    lams = [0.3, 0.7, 1.1, 1.5]
+    current, counts, factor = [None], {}, CoupledBand.factor
+    fold_newton, fold_bound = stationary._fold_newton, stationary._fold_bound
+
+    def spy_newton(grid, model, lam, start, **kwargs):
+        current[0] = lam
+        return fold_newton(grid, model, lam, start, **kwargs)
+
+    def spy_factor(self, couplings):
+        counts[current[0]] = counts.get(current[0], 0) + 1
+        return factor(self, couplings)
+
+    def miss_once(grid, model, lam, fold):
+        if lam == 1.1 and not missed:
+            missed.append(fold)
+            return fold.mu
+        return fold_bound(grid, model, lam, fold)
+
+    missed = []
+    monkeypatch.setattr(stationary, "_fold_newton", spy_newton)
+    monkeypatch.setattr(CoupledBand, "factor", spy_factor)
+    monkeypatch.setattr(stationary, "_fold_bound", miss_once)
+    curve = trace_critical_curve(g, power2_model(), lams, bisect_tol=5e-3).samples
+    assert [s.newton_steps for s in curve] == [counts[lam] for lam in lams]
+    assert [s.evaluations for s in curve[1:]] == [2, 4, 2]
+    assert curve[2].certificate == "fold" and curve[2].mu_critical != missed[0].mu
+
+
+def test_curve_secant_starts_on_the_shipped_curve():
+    # configs/curve.ini's 16 samples: 53 fold Newton steps from the previous
+    # folds alone, at most 42 with the secant starts
+    g = interval(0.0, 1.0, 99)
+    lams = [0.2 + 0.15 * k for k in range(16)]
+    curve = trace_critical_curve(g, power2_model(), lams).samples
+    assert [s.certificate for s in curve] == ["fold"] * 16
+    assert sum(s.newton_steps for s in curve) <= 42
+
 # Down to 1e-7 below the fold, where nu1 ~ 5e-3 and eigen stops at the
 # rounding floor of M x, above its relative tolerance.
 _EPSILONS = (3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 1e-7)
