@@ -212,7 +212,7 @@ def principal_eigenpair(lin: LinearizedOperator, *,
         nonlocal factors
         for sigma in dict.fromkeys((target, previous)):
             factors += 1
-            diagonal = np.full(n, -sigma)
+            diagonal = np.broadcast_to(-sigma, n)  # a view: no vector
             solve = CoupledBand(grid, 2).factor(
                 lin.couplings + [(0, 0, diagonal), (1, 1, diagonal)])
             if solve is not None:
@@ -229,7 +229,9 @@ def principal_eigenpair(lin: LinearizedOperator, *,
     x = np.tile(principal_laplacian_eigenpair(grid.laplacian)[1], 2)
     x /= np.linalg.norm(x)
     mx, nu, _, residual = rayleigh(x)
-    solve, sigma = shift(max(0.0, _collatz_wielandt(lin, x, mx)[0]), 0.0)
+    lower = max(0.0, _collatz_wielandt(lin, x, mx)[0])
+    del mx  # the loop forms its own; not kept alive beside the first band
+    solve, sigma = shift(lower, 0.0)
     if solve is None:
         raise IndefiniteOperatorError(
             "linearization is numerically singular", nu_estimate=0.0)

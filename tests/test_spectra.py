@@ -250,6 +250,30 @@ def test_one_band_alive_while_reshifting():
     assert peak < 2 * band_bytes
 
 
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_band_is_factored_beside_one_vector():
+    # Beside what one factorization of M takes alone, the first factor holds
+    # only the start vector (2n doubles) alive: not M x0 nor a shift vector,
+    # which read 5n doubles in all
+    lin = _config_linearization(["domain.dimension=2", "domain.b=2", "domain.nx=47",
+                                 "domain.ny=23"])
+    n = lin.grid.n_total
+    zero = np.zeros(n)
+    alone, _ = _traced_peak(lambda: CoupledBand(lin.grid, 2).factor(
+        lin.couplings + [(0, 0, zero), (1, 1, zero)]))
+    peak, pair = _traced_peak(lambda: principal_eigenpair(lin))
+    assert pair.factorizations == 1
+    assert peak - alone < 3 * 8 * n
+
 def test_zero_pivot_falls_back_to_the_previous_shift(unit99, monkeypatch):
     # a shifted factor that hits a zero pivot leaves the iteration on the
     # last shift that factored, here M itself: the unshifted iteration
