@@ -119,7 +119,8 @@ class LinearizedOperator:
         x = np.asarray(x, dtype=float)
         if x.shape != (2 * n,):
             raise ValueError(f"x has shape {x.shape}, expected ({2 * n},) for this grid")
-        g.check_field(x[:n], "x_w"), g.check_field(x[n:], "x_z")
+        g.check_field(x[:n], "x_w")
+        g.check_field(x[n:], "x_z")
         x = x.reshape(2, n)
         return self.coupled(_stencil_product(g, x, *g.stencil), x).ravel()
 

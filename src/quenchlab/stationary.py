@@ -115,9 +115,9 @@ MembershipVerdict = InLambda | NotInLambda | Undetermined
 class _SteadyTerms:
     """The steady system at one stack of fields (w, z, ...), each term
     evaluated once: the sources (lam alpha f(z), mu beta g(w)) and the
-    residual F = A (w, z) - sources as rows (2, n), whether F meets
-    ``_steady_residual``'s tol_res test, A times the fields after w and z,
-    and the jets (f, f', f'') at z and (g, g', g'') at w."""
+    residual F = A (w, z) - sources as rows (2, n), whether F meets the
+    tol_res test of ``_steady_terms``, A times the fields after w and z, and
+    the jets (f, f', f'') at z and (g, g', g'') at w."""
 
     grid: Grid
     coeff: tuple[FloatArray, FloatArray]  # lam alpha, mu beta
