@@ -36,6 +36,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +44,7 @@ import numpy as np
 from .certificates import classify_case, rate_certificate, verify_quench_bound
 from .errors import ConfigError, QuenchlabError
 from .evolution import StepperConfig, TerminalStatus, simulate
-from .grid import interval, principal_laplacian_eigenpair, rectangle
+from .grid import interval, rectangle
 from .model import (
     FAMILIES,
     PROFILE_FAMILIES,
@@ -101,14 +102,15 @@ _POSITIVE, _COUNT = _between(0, math.inf), _between(0, math.inf, int)
 _FINITE = _between(-math.inf, math.inf)
 
 
+def _class_keys(cls, prefix: str = "", **casters) -> dict:
+    """Schema entries for the fields of the dataclass cls, keyed prefix +
+    field name, each with its caster and the class's own default."""
+    return {prefix + f.name: (casters[f.name], f.default) for f in fields(cls)}
+
+
 def _profile_keys(prefix: str) -> dict:
-    return {
-        f"{prefix}_family": (_choice(*PROFILE_FAMILIES), "constant"),
-        f"{prefix}_c": (_FINITE, 1.0),
-        f"{prefix}_width": (_FINITE, 10.0),
-        f"{prefix}_center": (_optional_floats, None),
-        f"{prefix}_kappa": (_FINITE, 1.0),
-    }
+    return _class_keys(Profile, f"{prefix}_", family=_choice(*PROFILE_FAMILIES), c=_FINITE,
+                       width=_FINITE, center=_optional_floats, kappa=_FINITE)
 
 
 # key -> (caster, default); None default means "unset, resolved later"
@@ -140,12 +142,9 @@ _SCHEMA: dict[str, dict] = {
     },
     "run": {
         "horizon": (_POSITIVE, 5.0),
-        "dt_init": (_FINITE, 1e-4),
-        "dt_min": (_POSITIVE, 1e-12),
-        "dt_max": (_POSITIVE, 0.05),
-        "tol_step": (_POSITIVE, 1e-6),
-        "quench_delta": (_between(0, 0.25), 1e-3),
-        "snapshot_stride": (_COUNT, 10),
+        **_class_keys(StepperConfig, dt_init=_FINITE, dt_min=_POSITIVE, dt_max=_POSITIVE,
+                      tol_step=_POSITIVE, quench_delta=_between(0, 0.25),
+                      snapshot_stride=_COUNT),
         "tol_stat": (_POSITIVE, 1e-10),
         "max_iter": (_COUNT, 10_000),
         "delta_blow": (_between(0, 1), 1e-4),
@@ -218,12 +217,9 @@ def build_grid(cfg: dict):
                       key="domain.dimension")
 
 
-def _build_profile(m: dict, prefix: str) -> Profile:
-    center = m[f"{prefix}_center"]
-    return Profile(family=m[f"{prefix}_family"], c=m[f"{prefix}_c"],
-                   width=m[f"{prefix}_width"],
-                   center=None if center is None else tuple(center),
-                   kappa=m[f"{prefix}_kappa"])
+def _from_keys(cls, section: dict, prefix: str = ""):
+    """An instance of the dataclass cls from the keys ``_class_keys`` made."""
+    return cls(**{f.name: section[prefix + f.name] for f in fields(cls)})
 
 
 def build_model(cfg: dict) -> tuple[Model, ParamPoint]:
@@ -231,17 +227,13 @@ def build_model(cfg: dict) -> tuple[Model, ParamPoint]:
     model = Model(
         f=Nonlinearity(family=m["f_family"], p=m["f_p"]),
         g=Nonlinearity(family=m["g_family"], p=m["g_p"]),
-        alpha=_build_profile(m, "alpha"),
-        beta=_build_profile(m, "beta"))
+        alpha=_from_keys(Profile, m, "alpha_"),
+        beta=_from_keys(Profile, m, "beta_"))
     return model, ParamPoint(lam=m["lambda"], mu=m["mu"])
 
 
 def build_stepper(cfg: dict) -> StepperConfig:
-    r = cfg["run"]
-    return StepperConfig(
-        dt_init=r["dt_init"], dt_min=r["dt_min"], dt_max=r["dt_max"],
-        tol_step=r["tol_step"], quench_delta=r["quench_delta"],
-        snapshot_stride=r["snapshot_stride"])
+    return _from_keys(StepperConfig, cfg["run"])
 
 
 class Run:
@@ -339,8 +331,7 @@ class Run:
         initial = self.initial
         pair = self.linearized_pair(minimal)
         trajectory = self.evolve(initial, reference=(minimal.w, minimal.z))
-        lam1, _ = principal_laplacian_eigenpair(self.grid.laplacian)
-        return trajectory, rate_certificate(trajectory, lam1, pair.nu1), pair
+        return trajectory, rate_certificate(trajectory, self.grid.principal[0], pair.nu1), pair
 
 
 def _fmt(value) -> str:
@@ -491,7 +482,7 @@ def cmd_eigen(run: Run, out: str) -> int:
         **_bracket_payload(pair),
         "residual": pair.residual,
         "iterations": pair.iterations,
-        "lambda1": principal_laplacian_eigenpair(run.grid.laplacian)[0],
+        "lambda1": run.grid.principal[0],
         "solution": _solution_payload(solution),
         "config": run.echo,
     })

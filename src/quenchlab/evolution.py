@@ -9,16 +9,16 @@ each component reaches each of three staged levels below the blow-up level 1
 and reports the first innermost crossing as a quench event, its time
 extrapolated geometrically to the level itself.
 
-The state (u, v) is one (2, n) block.  One attempt kernel (``_Kernel``)
-per ``simulate`` or ``step`` call makes every step: its rows full, half 1
-and half 2 for an adaptive attempt, the full row for a fixed step, the half
-rows for the bisection of a crossing step.  It writes rhs and solutions
-into two reused (3, 2, n) buffers, factors I + c*A from the grid's stencil
-(``grid._factor``), and checks all rows of an attempt in one
+The state (u, v) is one (2, n) block.  One attempt kernel (``_Kernel``),
+built per ``simulate`` or ``step`` call for its step mode, makes every step:
+``attempt`` gives the new state and its error estimate, ``advance`` the
+state alone (``step``, the bisection of a crossing step).  It writes rhs and
+solutions into two reused (3, 2, n) buffers, factors I + c*A from the grid's
+stencil (``grid._factor``), and checks all rows it made in one
 ``_check_solves`` call before a result is used or a StepRangeError raised.
-Initial data are range-checked once, at entry; the reaction then evaluates
-f and g unchecked, since every state the step makes lies in [0, 1), on the
-whole block when f == g.  A ``_Recorder`` takes every accepted state: it
+Initial data are range-checked once, at entry; the reaction
+(``Model.reaction``) then evaluates f and g unchecked, since every state the
+step makes lies in [0, 1).  A ``_Recorder`` takes every accepted state: it
 evaluates their diagnostics a chunk at a time (``_RECORD_CHUNK``), each row by
 the per-state formula, and keeps the stride and closing snapshots.
 """
@@ -147,8 +147,8 @@ def step(u: FloatArray, v: FloatArray, dt: float, grid: Grid, model: Model,
     if dt <= 0:
         raise ValueError("dt must be positive")
     w = _state_block(grid, u, v, "u", "v")
-    kernel = _Kernel(grid, model, params)
-    new, _ = kernel.attempt(w, kernel.reaction(w), dt, halves=False)
+    kernel = _Kernel(grid, model, params, fixed=True)
+    new = kernel.advance(w, kernel.reaction(w), dt)
     return new[0], new[1]
 
 
@@ -162,38 +162,38 @@ def _state_block(grid, u, v, u_name, v_name):
 
 
 class _Kernel:
-    """IMEX Euler steps of one grid, model and parameter point on a reused
-    workspace: row 0 of ``rhs`` and ``x`` holds a full step, rows 1 and 2 the
-    half steps, which share one factor; ``dt`` holds each row's step size.
+    """IMEX Euler steps of one grid, model, parameter point and step mode on
+    a reused workspace: row 0 of ``rhs`` and ``x`` holds a full step, rows 1
+    and 2 the half steps, which share one factor; ``dt`` holds each row's step
+    size.  A fixed step is the full row, an adaptive step the half rows.
     ``x`` keeps the solutions as solved, for the check."""
 
-    def __init__(self, grid, model, params):
+    def __init__(self, grid, model, params, fixed):
         self.grid = grid
         self.rhs, self.x = np.empty((2, 3, 2, grid.n_total))
         self.dt = np.empty((3, 1, 1))
-        self.coeffs = np.array([params.lam * model.alpha.sample(grid),
-                                params.mu * model.beta.sample(grid)])
-        self.f, self.g = model.f._value, None if model.f == model.g else model.g._value
+        self.reaction = model.reaction(grid, params)
+        self.lo, self.hi = (0, 1) if fixed else (1, 3)  # the rows making the new state
 
-    def reaction(self, w):
-        """The explicit terms (lam alpha f(v), mu beta g(u)) at the state block
-        w = (u, v), shared by every step from w; f and g are evaluated
-        unchecked, and when f == g on the block (v, u) in one call
-        (elementwise, so bit for bit as row by row)."""
-        if self.g is None:
-            return self.coeffs * self.f(w[::-1])
-        return np.array([self.coeffs[0] * self.f(w[1]), self.coeffs[1] * self.g(w[0])])
+    def attempt(self, w, react, dt):
+        """From the state block w with explicit terms react, the step of size
+        dt and its error estimate: the new state and its sup distance from
+        the full step's, 0.0 for a fixed step."""
+        new = self._rows(0, w, react, dt)
+        return new, float(np.abs(new - np.maximum(self.x[0], 0.0)).max())
 
-    def attempt(self, w, react, dt, *, full=True, halves=True):
-        """From the state block w with explicit terms react, the full step of
-        size dt and/or the pair of half steps: their new states, clamped at 0
-        in new arrays (None for one not taken).  Every solve made is checked
-        before a result is returned or a step reaching 1 raises
-        StepRangeError: a failed solve wins."""
-        lo, hi = (0 if full else 1), (3 if halves else 1)
-        if full:
+    def advance(self, w, react, dt):
+        """The new state alone, without the adaptive error's full step."""
+        return self._rows(self.lo, w, react, dt)
+
+    def _rows(self, lo, w, react, dt):
+        # Rows lo to hi of the step of size dt, and the new state, clamped at
+        # 0 in a new array.  Every solve made is checked before the state is
+        # returned or a step reaching 1 raises StepRangeError: a failed solve wins.
+        hi = self.hi
+        if lo == 0:
             self._step(0, w, react, dt, _factor(self.grid, 1.0, dt))
-        if halves:
+        if hi == 3:
             half = _factor(self.grid, 1.0, 0.5 * dt)  # one factorization for both half steps
             self._step(1, w, react, 0.5 * dt, half)
             self._range(lo, 2)  # the midpoint's reaction needs it below 1
@@ -201,8 +201,7 @@ class _Kernel:
             self._step(2, wm, self.reaction(wm), 0.5 * dt, half)
         self._range(lo, hi)
         self._check(lo, hi)
-        return (np.maximum(self.x[0], 0.0) if full else None,
-                np.maximum(self.x[2], 0.0) if halves else None)
+        return np.maximum(self.x[hi - 1], 0.0)
 
     def _step(self, row, w, react, dt, factor):
         # (I + dt A) x = w + dt react, both components, into the row
@@ -254,7 +253,8 @@ class _Recorder:
     Accepted states are copied into a preallocated block and their
     diagnostics evaluated a chunk at a time, each row by the per-state
     formula: the rates of a state take the state recorded before it, which
-    row 0 of the block holds."""
+    row 0 of the block holds, NaN for the initial state, whose rates are
+    therefore nan."""
 
     def __init__(self, grid, model, params, config, reference):
         self.grid, self.model, self.params = grid, model, params
@@ -263,8 +263,8 @@ class _Recorder:
         self.times: list[float] = []
         self.dt: list[float] = []
         self.block = np.empty((_RECORD_CHUNK + 1, 2, grid.n_total))
-        self.filled = 0  # rows of block in use
-        self.evaluated = 0  # states whose diagnostics are in columns
+        self.block[0] = math.nan  # the initial state's predecessor
+        self.filled = 1  # rows of block in use
         self.columns = {key: [] for key in
                         ("max_u", "max_v", "ut_l2", "vt_l2", "utvt",
                          "energy", "dist2_u", "dist2_v")}
@@ -282,8 +282,7 @@ class _Recorder:
 
     def _evaluate(self):
         g, block = self.grid, self.block[:self.filled]
-        first = self.evaluated == 0  # the initial state has no rates
-        w = block if first else block[1:]  # (k, 2, n), the states not yet evaluated
+        w = block[1:]  # (k, 2, n), the states not yet evaluated
         k = len(w)
         out = self.columns
         maxima = w.max(axis=2)
@@ -306,20 +305,16 @@ class _Recorder:
         utvt = integrate(rates[:, 0] * rates[:, 1], g)
         rates *= rates
         l2 = np.sqrt(integrate(rates, g))
-        if first:
-            l2 = np.concatenate([np.full((1, 2), math.nan), l2])
-            utvt = np.concatenate([[math.nan], utvt])
         out["ut_l2"].append(l2[:, 0])
         out["vt_l2"].append(l2[:, 1])
         out["utvt"].append(utvt)
-        self.evaluated += k
         self.block[0] = block[-1]
         self.filled = 1
 
     def build(self, status, quench, horizon, w) -> Trajectory:
         if self.snapshots[-1][0] != self.times[-1]:  # the closing snapshot, unless on the stride
             self.snapshots.append((self.times[-1], w[0].copy(), w[1].copy()))
-        if self.evaluated < len(self.times):
+        if self.filled > 1:
             self._evaluate()
         arrays = {key: np.concatenate(parts) for key, parts in self.columns.items()}
         return Trajectory(times=np.asarray(self.times, dtype=float),
@@ -442,13 +437,7 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
     if reference is not None:
         reference = (grid.check_field(reference[0], "reference u"),
                      grid.check_field(reference[1], "reference v"))
-    kernel = _Kernel(grid, model, params)
-    fixed = config.fixed_dt
-
-    def advance(wc, react, dt):
-        full, halves = kernel.attempt(wc, react, dt, full=fixed, halves=not fixed)
-        return full if fixed else halves
-
+    kernel = _Kernel(grid, model, params, config.fixed_dt)
     recorder = _Recorder(grid, model, params, config, reference)
     recorder.record(0.0, w, math.nan)
     levels = config.quench_levels
@@ -469,17 +458,15 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
         dt_eff = min(dt, config.dt_max, cap, horizon - t)
 
         try:
-            w1, wn = kernel.attempt(w, react, dt_eff, halves=not fixed)
+            wn, err = kernel.attempt(w, react, dt_eff)
         except StepRangeError:
-            if fixed:
+            if config.fixed_dt:
                 raise
             dt = 0.5 * dt_eff
             if dt < config.dt_min:
                 status = TerminalStatus.STEP_UNDERFLOW
                 break
             continue
-        wn = w1 if fixed else wn
-        err = 0.0 if fixed else float(np.abs(wn - w1).max())
 
         if err > config.tol_step:
             dt = dt_eff * max(0.2, SAFETY * math.sqrt(config.tol_step / err))
@@ -493,7 +480,7 @@ def simulate(initial: tuple[FloatArray, FloatArray], grid: Grid, model: Model,
         # the first such crossing.
         maxima = wn.max(axis=1).tolist()
         if maxima[0] >= levels[len(reached[0])] or maxima[1] >= levels[len(reached[1])]:
-            advance_by = _memoized_advance(advance, w, react, dt_eff)
+            advance_by = _memoized_advance(kernel.advance, w, react, dt_eff)
             final = _reach_levels(reached, maxima, levels, t, dt_eff, advance_by)
             if final:
                 theta = min(final)[0]

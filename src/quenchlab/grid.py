@@ -12,8 +12,9 @@ grid caches with A's spectrum (``Grid.sine_basis``, ``Grid.spectrum``), so a
 solve is four small matrix products.  The same sine spectrum gives the
 principal eigenpair in closed form.
 
-A grid owns its Laplacian ``grid.laplacian``, so no caller can pair a grid
-with another grid's operator.  No matrix is assembled: A is held once, as the
+A grid owns its Laplacian ``grid.laplacian`` and that principal pair
+``grid.principal``, each built once, so no caller can pair a grid with
+another grid's operator.  No matrix is assembled: A is held once, as the
 grid's centre and neighbour weights (``Grid.stencil``), from which come every
 product, the solve check and the band entries of ``spectra.CoupledBand``.
 
@@ -109,6 +110,26 @@ class Grid:
     def laplacian(self) -> "DiscreteOperator":
         """The Dirichlet negative Laplacian A of this grid."""
         return DiscreteOperator(self)
+
+    @cached_property
+    def principal(self) -> tuple[float, FloatArray]:
+        """A's principal pair (lambda1, phi) in closed form, held once like
+        ``laplacian``: lambda1 = sum over axes of 4/h^2 sin^2(pi/(2(n+1))) and
+        phi > 0, the product over axes of sin(pi*i/(n+1)), i = 1..n, scaled to
+        unit quadrature mass and read-only."""
+        lam = sum(float(_sine_eigenvalue(1, n, hh)) for n, hh in zip(self.n_interior, self.h))
+        modes = [np.sin(np.pi * np.arange(1, n + 1) / (n + 1)) for n in self.n_interior]
+        x = modes[0] if self.dimension == 1 else np.outer(modes[1], modes[0]).ravel()
+        if x.min() <= 0.0:
+            raise EigenConvergenceError("principal eigenfunction lost strict positivity")
+        phi = x / integrate(x, self)
+        for _ in range(4):
+            total = integrate(phi, self)
+            if total == 1.0:
+                break
+            phi = phi / total
+        phi.flags.writeable = False
+        return lam, phi
 
     @cached_property
     def stencil(self) -> tuple[float, float | FloatArray, float]:
@@ -398,26 +419,8 @@ def gradient_inner(grid: Grid, u: FloatArray, v: FloatArray) -> float | FloatArr
 
 
 def principal_laplacian_eigenpair(op: DiscreteOperator) -> tuple[float, FloatArray]:
-    """Smallest eigenvalue and positive eigenfunction of the discrete operator.
-
-    Closed form from the sine spectrum of the stencil: the eigenvalue is
-    s + c * sum over axes of 4/h^2 sin^2(pi/(2(n+1))) and the eigenfunction
-    the product over axes of sin(pi*i/(n+1)), i = 1..n.  The returned
-    eigenfunction is strictly positive and normalized so its quadrature
-    equals 1.
-    """
-    g = op.grid
-    lam = op.identity_coeff + op.operator_coeff * sum(
-        float(_sine_eigenvalue(1, n, hh)) for n, hh in zip(g.n_interior, g.h))
-    modes = [np.sin(np.pi * np.arange(1, n + 1) / (n + 1)) for n in g.n_interior]
-    x = modes[0] if g.dimension == 1 else np.outer(modes[1], modes[0]).ravel()
-    if x.min() <= 0.0:
-        raise EigenConvergenceError("principal eigenfunction lost strict positivity")
-
-    phi = x / integrate(x, g)
-    for _ in range(4):
-        total = integrate(phi, g)
-        if total == 1.0:
-            break
-        phi = phi / total
-    return lam, phi
+    """Smallest eigenvalue and positive eigenfunction of the discrete operator
+    s*I + c*A: s + c*lambda1 and phi from the grid's principal pair
+    (``Grid.principal``), phi of unit quadrature mass."""
+    lam1, phi = op.grid.principal
+    return op.identity_coeff + op.operator_coeff * lam1, phi

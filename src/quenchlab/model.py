@@ -13,7 +13,9 @@ which is exactly what the monotone-iteration and comparison machinery needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,6 +50,8 @@ class Nonlinearity:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown nonlinearity family {self.family!r}")
+        if not math.isfinite(self.p):
+            raise ValueError(f"exponent p must be finite, got {self.p}")
         if self.family == "power" and not self.p > 0:
             raise ValueError(f"power family needs p > 0, got {self.p}")
 
@@ -135,6 +139,11 @@ class Profile:
     def __post_init__(self):
         if self.family not in PROFILE_FAMILIES:
             raise ValueError(f"unknown profile family {self.family!r}")
+        for name in ("c", "width", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"profile {name} must be finite, got {getattr(self, name)}")
+        if self.center is not None and not all(map(math.isfinite, self.center)):
+            raise ValueError(f"profile center must be finite, got {self.center}")
         if self.c < 0:
             raise ValueError(f"profile amplitude must be nonnegative, got {self.c}")
         if self.family == "bump" and not self.width > 0:
@@ -178,8 +187,9 @@ class ParamPoint:
     mu: float
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.mu > 0):
-            raise ValueError(f"forcing amplitudes must be positive, got ({self.lam}, {self.mu})")
+        if not (0 < self.lam < math.inf and 0 < self.mu < math.inf):
+            raise ValueError("forcing amplitudes must be positive and finite, "
+                             f"got ({self.lam}, {self.mu})")
 
 
 @dataclass(frozen=True)
@@ -190,6 +200,18 @@ class Model:
     g: Nonlinearity
     alpha: Profile
     beta: Profile
+
+    def reaction(self, grid: Grid, params: ParamPoint) -> Callable[[FloatArray], FloatArray]:
+        """The reaction as a function of a state block w = (u, v) of shape (2, n):
+        w -> (lam alpha f(v), mu beta g(u)).  f and g are evaluated unchecked,
+        so the caller keeps w in [0, 1); when f == g, on the block (v, u) in one
+        call (elementwise, so bit for bit as row by row)."""
+        coeffs = np.array([params.lam * self.alpha.sample(grid),
+                           params.mu * self.beta.sample(grid)])
+        f, g = self.f._value, self.g._value
+        if self.f == self.g:
+            return lambda w: coeffs * f(w[::-1])
+        return lambda w: np.array([coeffs[0] * f(w[1]), coeffs[1] * g(w[0])])
 
 
 @dataclass(frozen=True)

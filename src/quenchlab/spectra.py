@@ -22,9 +22,12 @@ is reported as an exception carrying the estimate, since every downstream
 certificate needs nu1 > 0.
 
 M is held as its two coupling diagonals (``LinearizedOperator``): no matrix is
-assembled.  Products with M come from the grid's stencil weights, and every
-solve with M (inverse iteration, Newton's steps) or with the fold's
-[[M, 0], [K, M]] goes through ``CoupledBand``, one banded LAPACK kernel.
+assembled.  The couplings are formed in one place, ``_SteadyTerms.lin``, from
+the jets of f and g that ``_steady_terms`` evaluates with the steady residual
+(which ``stationary``'s Picard limit, Newton iterates and fold checks read).
+Products with M come from the grid's stencil weights, and every solve with M
+(inverse iteration, Newton's steps) or with the fold's [[M, 0], [K, M]] goes
+through ``CoupledBand``, one banded LAPACK kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from ._lapack import lapack
 from .errors import EigenConvergenceError, IndefiniteOperatorError
-from .grid import FloatArray, Grid, _stencil_product, integrate, principal_laplacian_eigenpair
+from .grid import FloatArray, Grid, _stencil_product, integrate
 from .model import Model, ParamPoint
 
 _MAX_FACTORS = 4  # factorizations of M - sigma I per eigenpair, a fallback included
@@ -132,15 +135,62 @@ class LinearizedOperator:
         return ax
 
 
+@dataclass(frozen=True)
+class _SteadyTerms:
+    """The steady system at one stack of fields (w, z, ...), each term
+    evaluated once: the sources (lam alpha f(z), mu beta g(w)) and the
+    residual F = A (w, z) - sources as rows (2, n), whether F meets the
+    tol_res test of ``_steady_terms``, A times the fields after w and z, and
+    the jets (f, f', f'') at z and (g, g', g'') at w."""
+
+    grid: Grid
+    coeff: tuple[FloatArray, FloatArray]  # lam alpha, mu beta
+    sources: FloatArray
+    residual: FloatArray
+    met: bool
+    products: FloatArray
+    f: tuple[FloatArray, FloatArray, FloatArray]
+    g: tuple[FloatArray, FloatArray, FloatArray]
+
+    @property
+    def lin(self) -> LinearizedOperator:
+        """The linearization M at (w, z): the one place its couplings are formed."""
+        return LinearizedOperator(self.grid, self.coeff[0] * self.f[1], self.coeff[1] * self.g[1])
+
+
+def _steady_terms(grid: Grid, model: Model, params: ParamPoint, fields: FloatArray,
+                  tol_res: float) -> _SteadyTerms:
+    """The terms of the steady system at the rows (w, z, ...) of ``fields``
+    (k, n), from one finiteness and range check, one stencil product of the
+    whole stack and one jet of f and of g; a non-finite field or w, z outside
+    [0, 1) raises ValueError.  The tol_res test bounds the sup norm of each
+    residual row by tol_res times its source's size, lam max(alpha)
+    f(max z) and mu max(beta) g(max w)."""
+    if not np.isfinite(fields).all():
+        raise ValueError("fields contain non-finite entries")
+    w, z = fields[0], fields[1]
+    top_w, top_z = float(w.max()), float(z.max())
+    if float(fields[:2].min()) < 0.0 or max(top_w, top_z) >= 1.0:
+        raise ValueError("nonlinearity argument outside [0, 1)")
+    alpha, beta = model.alpha.sample(grid), model.beta.sample(grid)
+    coeff = (params.lam * alpha, params.mu * beta)
+    f, g = model.f._jet(z), model.g._jet(w)
+    products = _stencil_product(grid, fields, *grid.stencil)  # one product
+    sources = np.array([coeff[0] * f[0], coeff[1] * g[0]])
+    residual = products[:2] - sources
+    top_w, top_z = (np.asarray(min(top, 1.0 - 1e-12)) for top in (top_w, top_z))
+    scale_w = params.lam * float(alpha.max()) * float(model.f._value(top_z))
+    scale_z = params.mu * float(beta.max()) * float(model.g._value(top_w))
+    met = (float(np.abs(residual[0]).max()) <= tol_res * scale_w
+           and float(np.abs(residual[1]).max()) <= tol_res * scale_z)
+    return _SteadyTerms(grid, coeff, sources, residual, met, products[2:], f, g)
+
+
 def assemble_linearization(grid: Grid, model: Model, params: ParamPoint,
                            w: FloatArray, z: FloatArray) -> LinearizedOperator:
     """The block linearization at the pair (w, z)."""
-    w = grid.check_field(w, "w")
-    z = grid.check_field(z, "z")
-    return LinearizedOperator(
-        grid=grid,
-        coupling_w=params.lam * model.alpha.sample(grid) * model.f.deriv(z),
-        coupling_z=params.mu * model.beta.sample(grid) * model.g.deriv(w))
+    fields = np.array([grid.check_field(w, "w"), grid.check_field(z, "z")])
+    return _steady_terms(grid, model, params, fields, 0.0).lin
 
 
 @dataclass(frozen=True)
@@ -227,7 +277,7 @@ def principal_eigenpair(lin: LinearizedOperator, *,
         gap = float(np.linalg.norm(mx - nu * x))
         return mx, nu, gap, gap / max(abs(nu), 1e-30)
 
-    x = np.tile(principal_laplacian_eigenpair(grid.laplacian)[1], 2)
+    x = np.tile(grid.principal[1], 2)
     x /= np.linalg.norm(x)
     mx, nu, _, residual = rayleigh(x)
     lower = max(0.0, _collatz_wielandt(lin, x, mx)[0])

@@ -29,10 +29,11 @@ The fold and the second (upper-branch) steady state are both found by one
 damped-Newton kernel, ``_damped_newton``, whose linear solves go through the
 banded kernel ``spectra.CoupledBand``; each of its iterates evaluates the
 steady terms (f, g and their derivatives, the stencil products, the checks)
-once, through ``_steady_terms``.
+once, through ``spectra._steady_terms``, which also checks Picard's limit.
 
 Every function here takes A from its grid (``grid.laplacian``) and, where an
-estimate needs it, the principal pair (lambda1, phi) of A in closed form.
+estimate needs it, the principal pair (lambda1, phi) of A from the grid
+(``grid.principal``).
 """
 
 from __future__ import annotations
@@ -44,16 +45,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import SolverBreakdownError
-from .grid import (
-    FloatArray,
-    Grid,
-    _stencil_product,
-    integrate,
-    principal_laplacian_eigenpair,
-    solve_poisson,
-)
+from .grid import FloatArray, Grid, integrate, solve_poisson
 from .model import Model, ParamPoint
-from .spectra import CoupledBand, LinearizedOperator
+from .spectra import CoupledBand, _steady_terms
 
 DEFAULT_TOL_STAT = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -111,67 +105,6 @@ class Undetermined:
 MembershipVerdict = InLambda | NotInLambda | Undetermined
 
 
-@dataclass(frozen=True)
-class _SteadyTerms:
-    """The steady system at one stack of fields (w, z, ...), each term
-    evaluated once: the sources (lam alpha f(z), mu beta g(w)) and the
-    residual F = A (w, z) - sources as rows (2, n), whether F meets the
-    tol_res test of ``_steady_terms``, A times the fields after w and z, and
-    the jets (f, f', f'') at z and (g, g', g'') at w."""
-
-    grid: Grid
-    coeff: tuple[FloatArray, FloatArray]  # lam alpha, mu beta
-    sources: FloatArray
-    residual: FloatArray
-    met: bool
-    products: FloatArray
-    f: tuple[FloatArray, FloatArray, FloatArray]
-    g: tuple[FloatArray, FloatArray, FloatArray]
-
-    @property
-    def lin(self) -> LinearizedOperator:
-        """The linearization M at (w, z) (``assemble_linearization``)."""
-        return LinearizedOperator(self.grid, self.coeff[0] * self.f[1], self.coeff[1] * self.g[1])
-
-
-def _steady_terms(grid: Grid, model: Model, params: ParamPoint, fields: FloatArray,
-                  tol_res: float) -> _SteadyTerms:
-    """The terms of the steady system at the rows (w, z, ...) of ``fields``
-    (k, n), from one finiteness and range check, one stencil product of the
-    whole stack and one jet of f and of g; a non-finite field or w, z outside
-    [0, 1) raises ValueError.  The tol_res test bounds the sup norm of each
-    residual row by tol_res times its source's size, lam max(alpha)
-    f(max z) and mu max(beta) g(max w)."""
-    if not np.isfinite(fields).all():
-        raise ValueError("fields contain non-finite entries")
-    w, z = fields[0], fields[1]
-    top_w, top_z = float(w.max()), float(z.max())
-    if float(fields[:2].min()) < 0.0 or max(top_w, top_z) >= 1.0:
-        raise ValueError("nonlinearity argument outside [0, 1)")
-    alpha, beta = model.alpha.sample(grid), model.beta.sample(grid)
-    coeff = (params.lam * alpha, params.mu * beta)
-    f, g = model.f._jet(z), model.g._jet(w)
-    products = _stencil_product(grid, fields, *grid.stencil)  # one product
-    sources = np.array([coeff[0] * f[0], coeff[1] * g[0]])
-    residual = products[:2] - sources
-    top_w, top_z = (np.asarray(min(top, 1.0 - 1e-12)) for top in (top_w, top_z))
-    scale_w = params.lam * float(alpha.max()) * float(model.f._value(top_z))
-    scale_z = params.mu * float(beta.max()) * float(model.g._value(top_w))
-    met = (float(np.abs(residual[0]).max()) <= tol_res * scale_w
-           and float(np.abs(residual[1]).max()) <= tol_res * scale_z)
-    return _SteadyTerms(grid, coeff, sources, residual, met, products[2:], f, g)
-
-
-def _steady_residual(grid: Grid, model: Model, params: ParamPoint,
-                     w: FloatArray, z: FloatArray, tol_res: float
-                     ) -> tuple[FloatArray, FloatArray, bool]:
-    """Residuals (A w - lam alpha f(z), A z - mu beta g(w)) and whether each
-    meets the tol_res test (``_steady_terms``)."""
-    w, z = grid.check_field(w, "w"), grid.check_field(z, "z")
-    terms = _steady_terms(grid, model, params, np.array([w, z]), tol_res)
-    return terms.residual[0], terms.residual[1], terms.met
-
-
 def monotone_minimal_solution(grid: Grid, model: Model, params: ParamPoint, *,
                               tol_stat: float = DEFAULT_TOL_STAT,
                               max_iter: int = DEFAULT_MAX_ITER,
@@ -198,8 +131,7 @@ def monotone_minimal_solution(grid: Grid, model: Model, params: ParamPoint, *,
         return NotInLambda(evidence="analytic-bound", detail={
             "lam_bar": lam_bar, "mu_bar": mu_bar, "lam": params.lam, "mu": params.mu})
 
-    coeff_w = params.lam * model.alpha.sample(grid)
-    coeff_z = params.mu * model.beta.sample(grid)
+    reaction = model.reaction(grid, params)
     escape = 1.0 - delta_blow
     x = np.zeros((grid.n_total, 2), order="F")  # the columns w, z
     source_prev = np.zeros_like(x)
@@ -210,9 +142,7 @@ def monotone_minimal_solution(grid: Grid, model: Model, params: ParamPoint, *,
                            detail={"iteration": it, "max_value": top, "delta_blow": delta_blow})
 
     for it in range(1, max_iter + 1):
-        source = np.empty_like(x)
-        np.multiply(coeff_w, model.f.value(x[:, 1]), out=source[:, 0])
-        np.multiply(coeff_z, model.g.value(x[:, 0]), out=source[:, 1])
+        source = reaction(x.T).T  # the columns lam alpha f(z), mu beta g(w)
         b = np.maximum(source - source_prev, 0.0)
         try:
             inc = solve_poisson(grid.laplacian, b)
@@ -235,15 +165,16 @@ def monotone_minimal_solution(grid: Grid, model: Model, params: ParamPoint, *,
             return escaped(it, top)
         if change <= tol_stat:
             w, z = x[:, 0].copy(), x[:, 1].copy()
-            fw, fz, met = _steady_residual(grid, model, params, w, z, tol_res)
-            if not met:
+            terms = _steady_terms(grid, model, params, x.T, tol_res)
+            if not terms.met:
                 return Undetermined(
                     iterations=it, last_change=change,
                     hint="iteration converged but the residual target was not met; "
                          "check the linear-solver tolerance")
             return InLambda(solution=StationarySolution(
                 w=w, z=z, params=params, iterations=it, final_change=change,
-                residual_w=float(np.abs(fw).max()), residual_z=float(np.abs(fz).max())))
+                residual_w=float(np.abs(terms.residual[0]).max()),
+                residual_z=float(np.abs(terms.residual[1]).max())))
 
     return Undetermined(iterations=max_iter, last_change=change,
                         hint="increase max_iter; the iteration had not settled or escaped")
@@ -257,7 +188,7 @@ def analytic_nonexistence_bound(grid: Grid, model: Model) -> tuple[float, float]
     lam <= lambda1 / (f(0) * integral(alpha * phi))  and the mirror bound in mu.
     Parameter points beyond either value are classified without iteration.
     """
-    lam1, phi = principal_laplacian_eigenpair(grid.laplacian)
+    lam1, phi = grid.principal
     alpha_mass = integrate(model.alpha.sample(grid) * phi, grid)
     beta_mass = integrate(model.beta.sample(grid) * phi, grid)
     if alpha_mass <= 0 or beta_mass <= 0:
@@ -458,7 +389,7 @@ def _fold_newton(grid: Grid, model: Model, lam: float, start: _Fold, *, band: Co
     zeros, normal = np.zeros(n), np.concatenate([np.zeros(2 * n), np.ones(2 * n)])
 
     def admissible(x: FloatArray) -> bool:
-        return bool(x[-1] > 0.0 and x[:2 * n].min() >= 0.0 and x[:2 * n].max() < cap)
+        return bool(0.0 < x[-1] < math.inf and x[:2 * n].min() >= 0.0 and x[:2 * n].max() < cap)
 
     def system(x: FloatArray):
         fields = x[:4 * n].reshape(4, n)
@@ -613,7 +544,7 @@ def _critical_mus(grid: Grid, model: Model, lams: list[float], mu_bar: float, *,
             fold = _fold_newton(grid, model, lams[k], guess, **newton)
         return fold if fold is not None else _fold_newton(grid, model, lams[k], b, **newton)
 
-    _, phi = principal_laplacian_eigenpair(grid.laplacian)
+    phi = grid.principal[1]
     phi = phi * (grid.n_total / phi.sum())
     samples = []
     recent = []  # (lam, fold) of the last samples, up to two, while each had a candidate
@@ -760,7 +691,7 @@ def _weighted_masses(grid: Grid, model: Model, first: FloatArray,
     (a narrow bump underflows to 0 near the boundary) makes its K inf: the
     bounds built on that side then assert nothing.
     """
-    lam1, phi = principal_laplacian_eigenpair(grid.laplacian)
+    lam1, phi = grid.principal
     k_alpha, k_beta = (integrate(phi / weight, grid) if weight.min() > 0 else math.inf
                        for weight in (model.alpha.sample(grid), model.beta.sample(grid)))
     return (lam1, k_alpha, k_beta,

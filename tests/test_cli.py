@@ -654,6 +654,19 @@ def test_extent_without_a_normal_stencil_weight_is_config_error(overrides, tmp_p
     capsys.readouterr()
 
 
+def test_family_failing_the_lattice_checks_is_config_error(tmp_path, capsys):
+    # power at p = 1e-20 rounds to flat on the hypothesis lattice of [0, 1):
+    # validate_hypotheses' nonlinearity checks fail, and the run stops there
+    out = str(tmp_path / "out")
+    assert main(["stationary", "--config", str(CONFIGS / "decay.ini"), "--out", out,
+                 "--override", "model.f_p=1e-20"]) == 2
+    saved = json.load(open(os.path.join(out, "error.json")))
+    assert saved["error"] == {
+        "type": "ConfigError",
+        "message": "model hypothesis violated: f: not strictly increasing on the lattice"}
+    capsys.readouterr()
+
+
 def test_recipe_parameter_is_checked_in_the_config_phase(decay_ini, tmp_path, monkeypatch,
                                                          capsys):
     # stationary never builds the initial pair, yet a bad initial_s stops it

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from conftest import power2_model
 from quenchlab import (
+    InitialData,
     Model,
     Nonlinearity,
     ParamPoint,
@@ -276,7 +277,7 @@ def test_block_reaction_equals_row_reactions(family):
     model = Model(f=nl, g=Nonlinearity(family, p=1.5), alpha=Profile("bump", c=1.2),
                   beta=Profile("powerdist", c=0.7))
     params = ParamPoint(0.9, 0.6)
-    kernel = evolution._Kernel(g, model, params)
+    kernel = evolution._Kernel(g, model, params, fixed=False)
     w = np.random.default_rng(3).uniform(0.0, 0.99, (2, g.n_total))
     rows = np.array([params.lam * model.alpha.sample(g) * model.f._value(w[1]),
                      params.mu * model.beta.sample(g) * model.g._value(w[0])])
@@ -285,6 +286,38 @@ def test_block_reaction_equals_row_reactions(family):
     low = 0.1 * w
     for out in kernel.attempt(low, kernel.reaction(low), 1e-4):
         assert not np.shares_memory(out, kernel.x) and not np.shares_memory(out, kernel.rhs)
+
+
+def test_adaptive_run_retries_a_step_that_reaches_one(monkeypatch):
+    # From sine data at 0.99 with lam = mu = 12, attempts whose step reaches 1
+    # raise StepRangeError; an adaptive run catches it and retries at half the
+    # step.  The run still quenches (in 101 steps), and a rerun makes the same
+    # attempts and the same trajectory, bit for bit.
+    g = interval(0.0, 1.0, 49)
+    original, attempts = evolution._Kernel.attempt, []
+
+    def spy(self, w, react, dt):
+        attempts.append((dt, False))
+        try:
+            return original(self, w, react, dt)
+        except StepRangeError:
+            attempts[-1] = (dt, True)
+            raise
+
+    monkeypatch.setattr(evolution._Kernel, "attempt", spy)
+    initial = InitialData("sine", amp=(0.99, 0.99)).pair(g, None, None)
+    runs, logs = [], []
+    for _ in range(2):
+        attempts.clear()
+        runs.append(simulate(initial, g, power2_model(), ParamPoint(12.0, 12.0),
+                             StepperConfig(), 1.0))
+        logs.append(list(attempts))
+    rejected = [k for k, (_, hit) in enumerate(logs[0]) if hit]
+    assert rejected and rejected[-1] + 1 < len(logs[0])
+    assert all(logs[0][k + 1][0] == 0.5 * logs[0][k][0] for k in rejected)
+    assert runs[0].status is TerminalStatus.QUENCHED and runs[0].n_steps == 101
+    assert logs[0] == logs[1]
+    assert _trajectory_digest(runs[0]) == _trajectory_digest(runs[1])
 
 
 def test_quench_run_snapshots_end_at_the_crossing(unit99):

@@ -1,5 +1,7 @@
 """Nonlinearity families, weight profiles, recipes, hypothesis checks."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -105,6 +107,28 @@ def test_param_point_requires_positive_amplitudes():
         ParamPoint(-1.0, 1.0)
     with pytest.raises(ValueError):
         ParamPoint(1.0, 0.0)
+
+
+@pytest.mark.parametrize("cls, kwargs", [
+    (Nonlinearity, dict(family="power", p=math.inf)),
+    (Nonlinearity, dict(family="log", p=math.nan)),
+    (Profile, dict(family="constant", c=math.inf)),
+    (Profile, dict(family="constant", c=math.nan)),
+    (Profile, dict(family="bump", width=math.inf)),
+    (Profile, dict(family="constant", width=math.nan)),
+    (Profile, dict(family="powerdist", kappa=math.inf)),
+    (Profile, dict(family="bump", center=(0.5, math.nan))),
+    (ParamPoint, dict(lam=math.inf, mu=1.0)),
+    (ParamPoint, dict(lam=1.0, mu=math.inf)),
+], ids=["power-p-inf", "log-p-nan", "c-inf", "c-nan", "bump-width-inf", "width-nan",
+        "kappa-inf", "center-nan", "lam-inf", "mu-inf"])
+def test_non_finite_parameters_are_rejected(cls, kwargs):
+    # Each of these used to construct: a power family with p = inf evaluates
+    # f(0) to nan, a constant weight of c = inf passed the hypothesis checks
+    # (and put the analytic nonexistence bound at 0), and a bump of infinite
+    # width weights its centre node with nan.
+    with pytest.raises(ValueError, match="finite"):
+        cls(**kwargs)
 
 
 def _toy_model():

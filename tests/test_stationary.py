@@ -961,7 +961,7 @@ def test_steady_residual_is_one_stacked_product(grid):
     model, params = power2_model(), ParamPoint(0.7, 1.3)
     rng = np.random.default_rng(6)
     w, z = 0.5 * rng.random(grid.n_total), 0.5 * rng.random(grid.n_total)
-    fw, fz, _ = stationary._steady_residual(grid, model, params, w, z, 1e-8)
+    fw, fz = stationary._steady_terms(grid, model, params, np.array([w, z]), 1e-8).residual
     op = grid.laplacian
     assert np.array_equal(fw, op.apply(w) - 0.7 * model.alpha.sample(grid) * model.f.value(z))
     assert np.array_equal(fz, op.apply(z) - 1.3 * model.beta.sample(grid) * model.g.value(w))
@@ -969,4 +969,4 @@ def test_steady_residual_is_one_stacked_product(grid):
         pair = [w.copy(), z.copy()]
         pair[which][3] = np.nan
         with pytest.raises(ValueError):
-            stationary._steady_residual(grid, model, params, *pair, 1e-8)
+            stationary._steady_terms(grid, model, params, np.array(pair), 1e-8)
